@@ -1,19 +1,18 @@
-"""Pure numpy fallback for the modular elimination kernel.
-
-Same contract as the compiled version in ``_modelim.pyx``: the input array
-is consumed (used as scratch space).
-"""
+"""Modular elimination kernel: the inner loop of the multimodular backend."""
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Name of the kernel implementation, recorded in benchmark reports.
+KERNEL_BACKEND = "python"
 
 
 def det_mod_p(a: np.ndarray, p: int) -> int:
     """Determinant mod p of a square int64 array with entries in [0, p).
 
     Requires p < 2**31 so that products of two residues fit in int64.
-    The array is modified in place.
+    The array is consumed: it is used as scratch space.
     """
     n = a.shape[0]
     if a.shape[1] != n:

@@ -28,9 +28,12 @@ from ._kernels import det_mod_p
 
 Rational = Union[int, Fraction]
 
-#: Row count at and above which backend "auto" switches from fraction-free
-#: elimination to the multimodular backend.  Override per call or rebind.
-DEFAULT_BACKEND_THRESHOLD = 400
+# Mean nonzeros per row above which backend "auto" picks the multimodular
+# backend.  On random p/q matrices of 60 and 120 rows the two backends tie
+# between 6.4 and 7.5 per row; at 4.5 per row fraction-free elimination is
+# 2.4-3x faster, at 14 per row multimodular is 2-3x faster.  Witness systems
+# have at most 4.5 per row.
+_DENSE_NNZ_PER_ROW = 8
 
 # Number of lowest-count candidate columns examined per pivot step.
 _PIVOT_CANDIDATES = 4
@@ -239,8 +242,7 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
             else:
                 del cols[j]
                 if want_det and j != pc and rank < min(nrows, ncols):
-                    if len(rows) > 0 and j not in pivot_cols:
-                        return rank, 0
+                    return rank, 0
 
         victims = sorted(cols.pop(pc, ()))
         for i in victims:
@@ -430,21 +432,19 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     return Fraction(x, divisor)
 
 
-def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1,
-              threshold: int | None = None) -> Fraction:
+def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> Fraction:
     """Determinant with backend selection.
 
-    backend "auto" uses fraction-free elimination below ``threshold`` rows
-    (default DEFAULT_BACKEND_THRESHOLD) and the multimodular backend at or
-    above it.
+    backend "auto" uses the multimodular backend when the matrix has more
+    than 8 nonzeros per row on average, and fraction-free elimination
+    otherwise.
     """
     if backend == "bareiss":
         return det_bareiss(matrix)
     if backend == "multimodular":
         return det_multimodular(matrix, threads=threads)
     if backend == "auto":
-        cut = DEFAULT_BACKEND_THRESHOLD if threshold is None else threshold
-        if matrix.rows < cut:
-            return det_bareiss(matrix)
-        return det_multimodular(matrix, threads=threads)
+        if len(matrix.entries) > _DENSE_NNZ_PER_ROW * matrix.rows:
+            return det_multimodular(matrix, threads=threads)
+        return det_bareiss(matrix)
     raise ValueError(f"unknown backend {backend!r}")

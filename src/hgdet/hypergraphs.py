@@ -294,25 +294,18 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
     counting order over the dictionary-ordered hyperedges.
 
     With ``homogeneous_only`` the stream is filtered to equal part sizes.
-    Raises ResourceCapError when the stream would exceed ``cap`` items.
+    Raises ResourceCapError when the label codes walked, d ** C(n, r) of
+    them whether filtered or not, would exceed ``cap``.
     """
     m = comb(n, r)
-    if homogeneous_only:
-        if m % d != 0:
-            return
-        total = 1
-        remaining = m
-        share = m // d
-        for _ in range(d):
-            total *= comb(remaining, share)
-            remaining -= share
-    else:
-        total = d ** m
-    if total > cap:
+    if homogeneous_only and m % d != 0:
+        return
+    walked = d ** m
+    if walked > cap:
         raise ResourceCapError(
-            f"enumeration of {total} partitions exceeds cap {cap}")
+            f"enumeration walks {walked} label codes, exceeding cap {cap}")
     share = m // d if d else 0
-    for code in range(d ** m):
+    for code in range(walked):
         labels = []
         x = code
         for _ in range(m):

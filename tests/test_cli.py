@@ -58,6 +58,12 @@ def test_det_parse_error_names_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_det_rejects_threads_below_one(witness_file, capsys, threads):
+    assert cli.main(["det", witness_file, "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_det_missing_file(capsys):
     assert cli.main(["det", "/nonexistent/path.txt"]) == 2
 

@@ -8,6 +8,8 @@ import pytest
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
+from hgdet.system import system_matrix
+from hgdet.tensors import canonical_witness, tensor_from_basis
 
 
 def cofactor_det(rows):
@@ -128,11 +130,26 @@ def test_det_exact_dispatch():
     rows = [[3, 1], [4, 2]]
     m = ExactMatrix.from_rows(rows)
     assert det_exact(m, backend="auto") == 2
-    assert det_exact(m, backend="auto", threshold=1) == 2  # multimodular route
     assert det_exact(m, backend="bareiss") == 2
     assert det_exact(m, backend="multimodular") == 2
     with pytest.raises(ValueError):
         det_exact(m, backend="gauss")
+
+
+def test_auto_dispatches_on_nonzeros_per_row(monkeypatch):
+    import hgdet.exactla as ex
+
+    ran = []
+    monkeypatch.setattr(ex, "det_bareiss", lambda m: ran.append("bareiss"))
+    monkeypatch.setattr(ex, "det_multimodular",
+                        lambda m, threads=1: ran.append("multimodular"))
+    witness = system_matrix(tensor_from_basis(canonical_witness(3, 5))).matrix
+    det_exact(witness)
+    rng = random.Random(808)
+    dense = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(10)]
+             for _ in range(10)]
+    det_exact(ExactMatrix.from_rows(dense))
+    assert ran == ["bareiss", "multimodular"]
 
 
 def test_modular_primes_properties():

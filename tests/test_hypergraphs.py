@@ -245,6 +245,12 @@ def test_enumerate_homogeneous_count():
     assert count == comb(20, 10)
 
 
+def test_enumerate_cap_counts_codes_walked():
+    # 184756 homogeneous partitions, but the filter walks 2**20 codes.
+    with pytest.raises(ResourceCapError):
+        next(enumerate_partitions(6, 3, 2, homogeneous_only=True, cap=200_000))
+
+
 def test_forest_oracle():
     assert graph_is_forest(4, [(1, 2), (2, 3), (3, 4)])
     assert not graph_is_forest(3, [(1, 2), (2, 3), (1, 3)])
