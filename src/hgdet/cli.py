@@ -13,18 +13,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from ._kernels import KERNEL_BACKEND, det_mod_p
 from .determinant import tensor_det, witness_det
 from .exactla import ReconstructionError
 from .hypergraphs import (InvalidPartitionError, ResourceCapError,
                           basis_from_partition, betti_numbers,
                           classify_partition, euler_characteristic,
                           read_hypergraph, read_partition)
-from .reference import KNOWN_WITNESS_DETS, system_dimension, table_cells
+from .reference import KNOWN_WITNESS_DETS, system_dimension
 from .system import system_matrix, write_matrix
 from .tensors import ParseError, canonical_witness, read_tensor, tensor_from_basis, write_basis
 from .verify import SUITES, run_suite
-from . import exactla, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -205,40 +203,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
-def cmd_bench(args) -> int:
-    import numpy as np
-
-    t0 = time.perf_counter()
-    report = RunReport(f"bench max-dim={args.max_dim}",
-                       _digest_args("bench", args.max_dim), KERNEL_BACKEND)
-    rng = np.random.default_rng(verify.DEFAULT_SEED)
-    p = exactla.modular_primes(1)[0]
-    for n in (100, 300, 600):
-        a = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        t1 = time.perf_counter()
-        det_mod_p(a, p)
-        report.outputs[f"kernel-n{n}"] = (
-            f"{KERNEL_BACKEND} {(time.perf_counter() - t1) * 1000:.1f}ms")
-    for r, d in table_cells(args.max_dim):
-        dim = system_dimension(r, d)
-        t1 = time.perf_counter()
-        value = witness_det(r, d, backend="bareiss")
-        t_b = time.perf_counter() - t1
-        line = f"dim={dim} det={value} bareiss {t_b * 1000:.0f}ms"
-        if dim <= 1200:
-            t1 = time.perf_counter()
-            other = witness_det(r, d, backend="multimodular", threads=args.threads)
-            t_m = time.perf_counter() - t1
-            if other != value:
-                print(f"backend mismatch at ({r},{d})", file=sys.stderr)
-                return EXIT_VIOLATION
-            line += f", multimodular {t_m * 1000:.0f}ms"
-        report.outputs[f"witness-({r},{d})"] = line
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--backend", choices=("bareiss", "multimodular", "auto"),
@@ -289,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="benchmark kernels and determinant backends")
-    p.add_argument("--max-dim", type=int, default=5000)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

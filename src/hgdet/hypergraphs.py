@@ -27,7 +27,7 @@ from .combi import check_subset
 from .determinant import tensor_det
 from .exactla import ExactMatrix, rank_exact
 from .system import full_system_matrix
-from .tensors import BasisAssignment, ParseError, tensor_from_basis
+from .tensors import BasisAssignment, ParseError, _read_records, tensor_from_basis
 
 
 class InvalidPartitionError(ValueError):
@@ -258,13 +258,6 @@ class ClassificationReport:
     deficiency: tuple[int, int, int, int] | None
     consistent: bool
 
-    @property
-    def conditions(self) -> tuple[bool, bool, bool]:
-        det_nonzero = self.det != 0
-        all_zero = self.prehomogeneous and all(b.all_zero() for b in self.betti)
-        top_zero = self.prehomogeneous and all(b.top() == 0 for b in self.betti)
-        return (det_nonzero, all_zero, top_zero)
-
 
 def classify_partition(p: DPartition, backend: str = "auto",
                        threads: int = 1) -> ClassificationReport:
@@ -366,32 +359,20 @@ def write_partition(p: DPartition, fh: IO[str]) -> None:
             fh.write(f"{' '.join(map(str, e))} -> {i}\n")
 
 
-def read_partition(fh: IO[str]) -> DPartition:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ParseError(1, f"expected header 'n r d', got {lines[0]!r}")
+def _split_assignment(line_no: int, line: str) -> tuple[tuple[int, ...], int]:
+    if "->" not in line:
+        raise ParseError(line_no, "missing '->' separator")
+    left, right = line.split("->", 1)
     try:
-        n, r, d = (int(x) for x in header)
+        return tuple(int(x) for x in left.split()), int(right)
     except ValueError:
-        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+        raise ParseError(line_no, f"bad assignment {line!r}") from None
+
+
+def read_partition(fh: IO[str]) -> DPartition:
+    (n, r, d), records, n_lines = _read_records(fh, "n r d", _split_assignment)
     assignments: dict[tuple[int, ...], int] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise ParseError(line_no, "missing '->' separator")
-        left, right = line.split("->", 1)
-        try:
-            subset = tuple(int(x) for x in left.split())
-            label = int(right)
-        except ValueError:
-            raise ParseError(line_no, f"bad assignment {line!r}") from None
-        if len(subset) != r or any(subset[i] >= subset[i + 1] for i in range(r - 1)):
-            raise ParseError(line_no, f"not an increasing {r}-subset: {subset}")
+    for line_no, subset, label in records:
         if not 1 <= label <= d:
             raise ParseError(line_no, f"part {label} outside 1..{d}")
         if subset in assignments:
@@ -403,7 +384,7 @@ def read_partition(fh: IO[str]) -> DPartition:
     try:
         return DPartition(n, r, tuple(frozenset(s) for s in parts))
     except InvalidPartitionError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+        raise ParseError(n_lines, str(exc)) from None
 
 
 def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
@@ -413,30 +394,17 @@ def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
         fh.write(f"{' '.join(map(str, e))}\n")
 
 
-def read_hypergraph(fh: IO[str]) -> Hypergraph:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(1, f"expected header 'n r', got {lines[0]!r}")
+def _split_edge(line_no: int, line: str) -> tuple[tuple[int, ...], None]:
     try:
-        n, r = int(header[0]), int(header[1])
+        return tuple(int(x) for x in line.split()), None
     except ValueError:
-        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
-    edges: set[tuple[int, ...]] = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            subset = tuple(int(x) for x in line.split())
-        except ValueError:
-            raise ParseError(line_no, f"bad hyperedge {line!r}") from None
-        if len(subset) != r or any(subset[i] >= subset[i + 1] for i in range(r - 1)):
-            raise ParseError(line_no, f"not an increasing {r}-subset: {subset}")
-        edges.add(subset)
+        raise ParseError(line_no, f"bad hyperedge {line!r}") from None
+
+
+def read_hypergraph(fh: IO[str]) -> Hypergraph:
+    (n, r), records, n_lines = _read_records(fh, "n r", _split_edge)
+    edges = frozenset(subset for _, subset, _ in records)
     try:
-        return Hypergraph(n, r, frozenset(edges))
+        return Hypergraph(n, r, edges)
     except ValueError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+        raise ParseError(n_lines, str(exc)) from None

@@ -16,13 +16,12 @@ sign of the determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import IO, Iterable, Sequence
 
-from .combi import check_subset, insertion_sign, rank_combination
+from .combi import check_subset, insertion_sign
 from .exactla import ExactMatrix
-from .tensors import Rational, TensorAssignment, format_rational
+from .tensors import Rational, TensorAssignment, format_rational, subsets
 
 
 def equation_block(tensor: TensorAssignment,
@@ -57,33 +56,30 @@ class SystemMatrix:
     r: int
     d: int
     matrix: ExactMatrix
-    row_index: dict[tuple[tuple[int, ...], int], int]
-    col_index: dict[tuple[int, ...], int]
 
     @property
     def size(self) -> int:
         return self.matrix.rows
 
 
-def _column_rank(subset: tuple[int, ...], n: int) -> int:
-    return rank_combination(subset, n)
+def _assemble(tensor: TensorAssignment, top: int) -> ExactMatrix:
+    """One equation block per (r-1)-subset of 1..top, in dictionary order.
+
+    Block ``b`` fills rows b*d .. b*d + d - 1; the columns are all r-subsets
+    of 1..rd in dictionary order.
+    """
+    r, d, n = tensor.r, tensor.d, tensor.n
+    column = {subset: j for j, subset in enumerate(subsets(r, n))}
+    entries: dict[tuple[int, int], Rational] = {}
+    for block_no, base in enumerate(subsets(r - 1, top)):
+        for (c, subset), value in equation_block(tensor, base).items():
+            entries[(block_no * d + (c - 1), column[subset])] = value
+    return ExactMatrix(d * comb(top, r - 1), len(column), entries)
 
 
 def system_matrix(tensor: TensorAssignment) -> SystemMatrix:
     """Assemble the truncated system: equation bases with max element < rd."""
-    r, d, n = tensor.r, tensor.d, tensor.n
-    size = d * comb(n - 1, r - 1)
-    entries: dict[tuple[int, int], Rational] = {}
-    row_index: dict[tuple[tuple[int, ...], int], int] = {}
-    col_index = {subset: _column_rank(subset, n)
-                 for subset in combinations(range(1, n + 1), r)}
-    for block_no, base in enumerate(combinations(range(1, n), r - 1)):
-        for c in range(1, d + 1):
-            row_index[(base, c)] = block_no * d + (c - 1)
-        for (c, subset), value in equation_block(tensor, base).items():
-            entries[(block_no * d + (c - 1), col_index[subset])] = value
-    matrix = ExactMatrix(size, size, entries)
-    return SystemMatrix(r, d, matrix, row_index, col_index)
+    return SystemMatrix(tensor.r, tensor.d, _assemble(tensor, tensor.n - 1))
 
 
 def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
@@ -92,14 +88,7 @@ def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
     Shape d * C(rd, r-1) by C(rd, r); used for the rank comparison with the
     top boundary map and for relation checking.
     """
-    r, d, n = tensor.r, tensor.d, tensor.n
-    rows = d * comb(n, r - 1)
-    cols = comb(n, r)
-    entries: dict[tuple[int, int], Rational] = {}
-    for block_no, base in enumerate(combinations(range(1, n + 1), r - 1)):
-        for (c, subset), value in equation_block(tensor, base).items():
-            entries[(block_no * d + (c - 1), _column_rank(subset, n))] = value
-    return ExactMatrix(rows, cols, entries)
+    return _assemble(tensor, tensor.n)
 
 
 def relation_sign(s: int, base: Sequence[int]) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Callable, Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -178,32 +178,56 @@ def write_tensor(tensor: TensorAssignment, fh: IO[str]) -> None:
         fh.write(f"{' '.join(map(str, subset))} : {coords}\n")
 
 
-def read_tensor(fh: IO[str]) -> TensorAssignment:
+def _read_records(fh: IO[str], names: str, split: Callable[[int, str], tuple]):
+    """Header and records of a text format.
+
+    The header holds the integers named in ``names``, ``r`` among them.  Each
+    other line that is not blank or a ``#`` comment goes through
+    ``split(line_no, line) -> (subset, payload)``; its subset must be an
+    increasing r-subset.  Returns the header values, a lazy iterator of
+    ``(line_no, subset, payload)`` and the number of lines.
+    """
     lines = fh.read().splitlines()
     if not lines:
         raise ParseError(1, "empty file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(1, f"expected header 'r d', got {lines[0]!r}")
+    fields = names.split()
+    if len(header) != len(fields):
+        raise ParseError(1, f"expected header '{names}', got {lines[0]!r}")
     try:
-        r, d = int(header[0]), int(header[1])
+        values = tuple(int(x) for x in header)
     except ValueError:
         raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+    r = values[fields.index("r")]
+
+    def records():
+        for line_no, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            subset, payload = split(line_no, line)
+            if len(subset) != r or any(subset[i] >= subset[i + 1]
+                                       for i in range(r - 1)):
+                raise ParseError(line_no, f"not an increasing {r}-subset: {subset}")
+            yield line_no, subset, payload
+
+    return values, records(), len(lines)
+
+
+def _split_tensor_line(line_no: int, line: str) -> tuple[tuple[int, ...], str]:
+    if ":" not in line:
+        raise ParseError(line_no, "missing ':' separator")
+    left, right = line.split(":", 1)
+    try:
+        return tuple(int(x) for x in left.split()), right
+    except ValueError:
+        raise ParseError(line_no, f"bad subset {left.strip()!r}") from None
+
+
+def read_tensor(fh: IO[str]) -> TensorAssignment:
+    (r, d), records, n_lines = _read_records(fh, "r d", _split_tensor_line)
     entries: dict[tuple[int, ...], tuple[Rational, ...]] = {}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(line_no, "missing ':' separator")
-        left, right = line.split(":", 1)
-        try:
-            subset = tuple(int(x) for x in left.split())
-        except ValueError:
-            raise ParseError(line_no, f"bad subset {left.strip()!r}") from None
-        if len(subset) != r or any(subset[i] >= subset[i + 1]
-                                   for i in range(r - 1)):
-            raise ParseError(line_no, f"not an increasing {r}-subset: {subset}")
+    for line_no, subset, right in records:
         coords = tuple(_parse_rational(tok, line_no) for tok in right.split())
         if len(coords) != d:
             raise ParseError(line_no, f"expected {d} coordinates, got {len(coords)}")
@@ -213,7 +237,7 @@ def read_tensor(fh: IO[str]) -> TensorAssignment:
     try:
         return TensorAssignment(r, d, entries)
     except ValueError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+        raise ParseError(n_lines, str(exc)) from None
 
 
 def write_basis(basis: BasisAssignment, fh: IO[str]) -> None:

@@ -135,6 +135,20 @@ def test_betti_empty_hypergraph(tmp_path, capsys):
     assert "betti: 1 0 0 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("4\n", 1, "expected header 'n r'"),
+    ("4 x\n", 1, "non-integer header '4 x'"),
+    ("4 3\n1 2 3\n1 3 2\n", 3, "not an increasing 3-subset: (1, 3, 2)"),
+    ("4 3\n1 2 3\n\n# comment\n1 2 x\n", 5, "bad hyperedge '1 2 x'"),
+])
+def test_betti_parse_error_names_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["betti", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"parse error: line {line}: {message}" in err
+
+
 def test_verify_euler(capsys):
     assert cli.main(["verify", "euler-identity"]) == 0
     assert "passed: true" in capsys.readouterr().out
@@ -166,13 +180,6 @@ def test_resource_cap_exit_code(monkeypatch):
 
     monkeypatch.setitem(cli.SUITES, "relations", capped)
     assert cli.main(["verify", "relations"]) == 3
-
-
-def test_bench_small(capsys):
-    assert cli.main(["bench", "--max-dim", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "kernel-n100" in out
-    assert "witness-(2,2)" in out
 
 
 def test_report_roundtrip_values(witness_file, capsys):

@@ -78,16 +78,40 @@ def test_square_size_identity():
 
 
 def test_row_and_column_indexing():
+    """Row block_no * d + c - 1 is coordinate c of the block-th equation
+    (bases with max < rd in dictionary order); columns are r-subsets in
+    dictionary order."""
     tensor = tensor_from_basis(canonical_witness(3, 2))
+    n, d = tensor.n, tensor.d
     sm = system_matrix(tensor)
-    assert sm.row_index[((1, 2), 1)] == 0
-    assert sm.row_index[((1, 2), 2)] == 1
-    assert sm.col_index[(1, 2, 3)] == 0
-    assert sm.col_index[(4, 5, 6)] == 19
-    bases = list(combinations(range(1, 6), 2))
-    for b_idx, base in enumerate(bases):
-        for c in (1, 2):
-            assert sm.row_index[(base, c)] == b_idx * 2 + (c - 1)
+    expected = {}
+    for block_no, base in enumerate(combinations(range(1, n), 2)):
+        for (c, subset), value in equation_block(tensor, base).items():
+            expected[(block_no * d + c - 1, rank_combination(subset, n))] = value
+    assert sm.matrix.entries == expected
+
+
+def test_truncated_rows_match_full_rows():
+    """Every row of the truncated system equals the row of the full system
+    for the same equation base and coordinate."""
+
+    def rows_of(matrix):
+        out = [{} for _ in range(matrix.rows)]
+        for (i, j), v in matrix.entries.items():
+            out[i][j] = v
+        return out
+
+    rng = random.Random(3)
+    for r, d in ((2, 3), (3, 2), (4, 2)):
+        tensor = random_tensor(r, d, rng)
+        n = r * d
+        truncated = rows_of(system_matrix(tensor).matrix)
+        full = rows_of(full_system_matrix(tensor))
+        full_block = {base: b for b, base in enumerate(combinations(range(1, n + 1), r - 1))}
+        for block_no, base in enumerate(combinations(range(1, n), r - 1)):
+            for c in range(d):
+                assert truncated[block_no * d + c] == full[full_block[base] * d + c]
+        assert len(truncated) == d * comb(n - 1, r - 1)
 
 
 def test_relations_r2_r3_r4():
@@ -146,10 +170,10 @@ def test_facet_columns_cancel_on_degenerate_tensor():
         degenerate = TensorAssignment(r, d, entries)
         sm = system_matrix(degenerate)
         combo = facet_column_relation(simplex)
-        assert all(v == 0 for v in combine_columns(sm.matrix, sm.col_index, combo))
+        col_index = {s: rank_combination(s, n) for s in combinations(range(1, n + 1), r)}
+        assert all(v == 0 for v in combine_columns(sm.matrix, col_index, combo))
         # and on the full system as well
         full = full_system_matrix(degenerate)
-        col_index = {s: rank_combination(s, n) for s in combinations(range(1, n + 1), r)}
         assert all(v == 0 for v in combine_columns(full, col_index, combo))
 
 
@@ -158,7 +182,8 @@ def test_facet_columns_do_not_cancel_generically():
     tensor = random_tensor(3, 2, rng)
     sm = system_matrix(tensor)
     combo = facet_column_relation((1, 2, 3, 4))
-    assert any(v != 0 for v in combine_columns(sm.matrix, sm.col_index, combo))
+    col_index = {s: rank_combination(s, 6) for s in combinations(range(1, 7), 3)}
+    assert any(v != 0 for v in combine_columns(sm.matrix, col_index, combo))
 
 
 def test_column_sparsity():
