@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property violation or inconsistency, 2 usage or
-parse error, 3 resource cap exceeded.
+parse error, including an input file that cannot be read or an output file
+that cannot be written, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -264,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --threads must be at least 1, got {args.threads}",
               file=sys.stderr)
         return EXIT_USAGE
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ParseError as exc:
@@ -278,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReconstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

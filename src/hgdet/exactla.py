@@ -3,8 +3,11 @@
 Two determinant backends are provided and must always agree:
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
-  in sparse storage with Markowitz-style pivoting.  Intermediate entries are
-  minors of the input, so every division is exact and no rationals appear.
+  in sparse storage.  Singleton rows and columns are peeled off first with
+  no arithmetic (Laplace expansion along a line with one entry); Bareiss
+  elimination with Markowitz-style pivoting then runs on the remaining
+  core, its pivot sequence starting there.  Intermediate entries are
+  minors of the core, so every division is exact and no rationals appear.
 * ``det_multimodular``: the determinant modulo a batch of 31-bit primes,
   recombined by the Chinese remainder theorem.  The prime batch is sized so
   that its product exceeds twice the Hadamard bound, plus one safety prime
@@ -157,7 +160,21 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
     Returns (rank, det) where det is meaningful only when want_det is set and
     the matrix is square; a rank-deficient square matrix reports det 0.
 
-    Pivots are chosen Markowitz-style: among the lowest-population columns
+    A peel phase runs first.  While some column or row has a single entry v,
+    that entry is a pivot: its row and column are deleted with no
+    arithmetic, and any row or column left with one entry joins the
+    worklist.  Laplace expansion along the singleton line gives
+    det = +-v * det(minor) and rank = 1 + rank(minor), so the peeled
+    pivots contribute their plain product.  In det mode a row or column
+    that empties while peeling proves the matrix singular.  Witness systems
+    are permuted triangular and peel completely, in time linear in nnz.
+
+    The Markowitz/Bareiss core then runs on what is left, with its own
+    pivot sequence starting at 1, so the peeled entries never scale its
+    rows.  The determinant is the sign of the row and column pivot orders
+    times the peeled product times the core's last Bareiss pivot.
+
+    Core pivots are chosen Markowitz-style: among the lowest-population columns
     the entry minimizing (row_count - 1) * (col_count - 1), ties broken by
     lowest (row, col).  Rows that do not meet a pivot column are rescaled
     lazily: by the minor identity their true value at step k equals the
@@ -176,13 +193,59 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
     if want_det and (len(rows) < nrows or len(cols) < ncols):
         return len(rows), 0
 
+    # Peel phase: pivot on singleton columns and rows with no arithmetic.
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    peeled = 1
+    col_stack = [j for j, s in cols.items() if len(s) == 1]
+    row_stack = [i for i, ri in rows.items() if len(ri) == 1]
+    while col_stack or row_stack:
+        if col_stack:
+            pc = col_stack.pop()
+            s = cols.get(pc)
+            if s is None or len(s) != 1:
+                continue
+            (pr,) = s
+        else:
+            pr = row_stack.pop()
+            ri = rows.get(pr)
+            if ri is None or len(ri) != 1:
+                continue
+            (pc,) = ri
+        prow = rows.pop(pr)
+        peeled *= prow[pc]
+        pivot_rows.append(pr)
+        pivot_cols.append(pc)
+        for j in prow:
+            if j == pc:
+                continue
+            s = cols[j]
+            s.discard(pr)
+            if len(s) == 1:
+                col_stack.append(j)
+            elif not s:
+                del cols[j]
+                if want_det:
+                    return len(pivot_rows), 0
+        for i in cols.pop(pc):
+            if i == pr:
+                continue
+            ri = rows[i]
+            del ri[pc]
+            if len(ri) == 1:
+                row_stack.append(i)
+            elif not ri:
+                del rows[i]
+                if want_det:
+                    return len(pivot_rows), 0
+
+    # Markowitz/Bareiss core on what is left; step indexes its own pivots.
     heap: list[tuple[int, int]] = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
     pivots = [1]
     last = dict.fromkeys(rows, 0)
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    rank = 0
+    rank = len(pivot_rows)
+    step = 0
 
     def materialize(i: int, target: int) -> None:
         t = last[i]
@@ -225,8 +288,9 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
         assert best is not None
         _, pr, pc = best
 
-        prev = pivots[rank]
-        materialize(pr, rank)
+        prev = pivots[step]
+        materialize(pr, step)
+        step += 1
         rank += 1
         prow = rows.pop(pr)
         del last[pr]
@@ -246,7 +310,7 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
 
         victims = sorted(cols.pop(pc, ()))
         for i in victims:
-            materialize(i, rank - 1)
+            materialize(i, step - 1)
             ri = rows[i]
             b = ri.pop(pc)
             for j in set(ri) | set(prow):
@@ -271,7 +335,7 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
                             return rank, 0
                 if a or val:
                     push_col(j)
-            last[i] = rank
+            last[i] = step
             if not ri:
                 del rows[i]
                 del last[i]
@@ -282,7 +346,8 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
         return rank, 0
     if rank < nrows:
         return rank, 0
-    det = _permutation_sign(pivot_rows) * _permutation_sign(pivot_cols) * pivots[-1]
+    det = (_permutation_sign(pivot_rows) * _permutation_sign(pivot_cols)
+           * peeled * pivots[-1])
     return rank, det
 
 

@@ -68,6 +68,16 @@ def test_det_missing_file(capsys):
     assert cli.main(["det", "/nonexistent/path.txt"]) == 2
 
 
+def test_det_on_directory_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["det", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_witness_into_directory_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["witness", "3", "2", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_witness_stdout(capsys):
     assert cli.main(["witness", "2", "2", "-"]) == 0
     out = capsys.readouterr().out
@@ -156,6 +166,14 @@ def test_verify_euler(capsys):
 
 def test_verify_with_trials(capsys):
     assert cli.main(["verify", "vanishing", "--trials", "2", "--seed", "9"]) == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    assert cli.main(["verify", "vanishing", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert "passed" not in captured.out
 
 
 def test_verify_unknown_suite(capsys):

@@ -214,3 +214,114 @@ def test_reconstruction_error_is_raised_on_corrupt_residues(monkeypatch):
     monkeypatch.setattr(ex, "_residue_mod_p", corrupt)
     with pytest.raises(ReconstructionError):
         ex.det_multimodular(m)
+
+
+# --- peel phase: singleton rows and columns ahead of the Markowitz core ------
+
+def nonzero(rng):
+    return rng.choice((-3, -2, -1, 1, 2, 3))
+
+
+def permuted(rows, rng):
+    """``rows`` with its rows and columns in a seeded random order."""
+    order_r = list(range(len(rows)))
+    order_c = list(range(len(rows[0])))
+    rng.shuffle(order_r)
+    rng.shuffle(order_c)
+    return [[rows[i][j] for j in order_c] for i in order_r]
+
+
+def lower_triangle(n, rng, fill=0.5):
+    return [[nonzero(rng) if j == i or (j < i and rng.random() < fill) else 0
+             for j in range(n)] for i in range(n)]
+
+
+def planted_core(k, rng, core=4):
+    """[[A, 0], [B, C]] with A a dense k x k lower triangle, B and C dense.
+
+    Every column has at least ``core`` entries, so peeling runs through the
+    row singletons of A and leaves C to the Markowitz core; the transpose
+    peels through column singletons instead.
+    """
+    n = k + core
+    return [[nonzero(rng) if j <= i or i >= k else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def check_against_oracles(rows, sympy):
+    """Check rank, and det if square, of ``rows`` and its transpose; return det.
+
+    The oracles are sympy and, up to 7 x 7, the cofactor expansion.
+    """
+    m = ExactMatrix.from_rows(rows)
+    sm = sympy.Matrix(rows)
+    rank = sm.rank()
+    assert rank_exact(m) == rank
+    assert rank_exact(m.transpose()) == rank
+    if len(rows) == len(rows[0]):
+        det = det_bareiss(m)
+        assert det == int(sm.det())
+        assert det_bareiss(m.transpose()) == det
+        if len(rows) <= 7:
+            assert det == cofactor_det(rows)
+        return det
+    return None
+
+
+def test_peel_permuted_triangular():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(909)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        tri = lower_triangle(n, rng, fill=rng.choice((0.2, 0.5, 1.0)))
+        diagonal = 1
+        for i in range(n):
+            diagonal *= tri[i][i]
+        det = check_against_oracles(permuted(tri, rng), sympy)
+        assert abs(det) == abs(diagonal)
+
+
+def test_peel_non_square_triangular():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(910)
+    for _ in range(40):
+        n, k = rng.randint(1, 10), rng.randint(1, 4)
+        tri = lower_triangle(n, rng)
+        tall = tri + [[nonzero(rng) if rng.random() < 0.5 else 0
+                       for _ in range(n)] for _ in range(k)]
+        dropped = sorted(rng.sample(range(n), min(k, n - 1)))
+        narrow = [[v for j, v in enumerate(row) if j not in dropped]
+                  for row in tri]
+        for case in (tall, narrow):
+            check_against_oracles(permuted(case, rng), sympy)
+
+
+def test_peel_then_markowitz_on_planted_core():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(911)
+    for _ in range(40):
+        check_against_oracles(permuted(planted_core(rng.randint(0, 8), rng), rng),
+                              sympy)
+
+
+def test_peel_singular_row_empties():
+    """A second row singleton in the same column empties while peeling."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(912)
+    for _ in range(30):
+        k = rng.randint(1, 6)
+        core = planted_core(k, rng)
+        core[k + rng.randrange(4)] = [nonzero(rng)] + [0] * (k + 3)
+        assert check_against_oracles(permuted(core, rng), sympy) == 0
+
+
+def test_peel_singular_repeated_core_column():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(913)
+    for _ in range(30):
+        k = rng.randint(0, 6)
+        core = planted_core(k, rng)
+        a, b = rng.sample(range(k, k + 4), 2)
+        for row in core:
+            row[b] = row[a]
+        assert check_against_oracles(permuted(core, rng), sympy) == 0
