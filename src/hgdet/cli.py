@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 property violation or inconsistency, 2 usage or
 parse error, including an input file that cannot be read or an output file
-that cannot be written, 3 resource cap exceeded.
+that cannot be written, 3 resource cap exceeded, including a run out of
+memory.
 """
 
 from __future__ import annotations
@@ -279,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ReconstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

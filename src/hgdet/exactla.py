@@ -11,7 +11,10 @@ Two determinant backends are provided and must always agree:
 * ``det_multimodular``: the determinant modulo a batch of 31-bit primes,
   recombined by the Chinese remainder theorem.  The prime batch is sized so
   that its product exceeds twice the Hadamard bound, plus one safety prime
-  whose residue must match the reconstruction.
+  whose residue must match the reconstruction.  The row indices, column
+  indices and values of the integer form are built once per determinant;
+  each prime scatters the values mod p into a dense array and runs the
+  lazily reducing elimination of ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from ._kernels import det_mod_p
+from ._kernels import _PRIME_CEILING, det_mod_p
 
 Rational = Union[int, Fraction]
 
@@ -40,8 +43,6 @@ _DENSE_NNZ_PER_ROW = 8
 
 # Number of lowest-count candidate columns examined per pivot step.
 _PIVOT_CANDIDATES = 4
-
-_PRIME_CEILING = 1 << 31
 
 
 class ReconstructionError(RuntimeError):
@@ -436,10 +437,13 @@ def hadamard_bound(int_entries: Mapping[tuple[int, int], int], n: int) -> int:
     return isqrt(b2) + 1
 
 
-def _residue_mod_p(int_entries: Mapping[tuple[int, int], int], n: int, p: int) -> int:
+def _residue_mod_p(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
+                   p: int) -> int:
+    """det mod p of the n x n matrix whose nonzeros are ``coords``: row
+    indices, column indices and an object array of the integer values."""
+    rows, cols, vals = coords
     a = np.zeros((n, n), dtype=np.int64)
-    for (i, j), v in int_entries.items():
-        a[i, j] = v % p
+    a[rows, cols] = vals % p
     return det_mod_p(a, p)
 
 
@@ -476,8 +480,13 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     base = primes
     safety = modular_primes(len(base) + 1)[-1]
 
+    keys = np.array(list(ints), dtype=np.intp).reshape(-1, 2)
+    vals = np.empty(len(ints), dtype=object)
+    vals[:] = list(ints.values())
+    coords = (keys[:, 0], keys[:, 1], vals)
+
     def residue(p: int) -> int:
-        return _residue_mod_p(ints, n, p)
+        return _residue_mod_p(coords, n, p)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -200,6 +200,20 @@ def test_resource_cap_exit_code(monkeypatch):
     assert cli.main(["verify", "relations"]) == 3
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.3 GiB"),
+                                   MemoryError()])
+def test_det_out_of_memory_is_a_resource_cap(monkeypatch, witness_file, capsys,
+                                             error):
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "tensor_det", out_of_memory)
+    assert cli.main(["det", witness_file, "--backend", "multimodular"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ")
+    assert (str(error) or "out of memory") in err
+
+
 def test_report_roundtrip_values(witness_file, capsys):
     """Exact values round-trip through the JSON report."""
     from fractions import Fraction

@@ -216,6 +216,28 @@ def test_reconstruction_error_is_raised_on_corrupt_residues(monkeypatch):
         ex.det_multimodular(m)
 
 
+def test_multimodular_big_integer_residues():
+    """Integer forms with entries far beyond int64 reduce exactly mod p."""
+    rng = random.Random(23)
+    big = 1 << 80
+    primes = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+    for n in (3, 7, 12):
+        rows = [[rng.choice((-1, 1)) * (big - rng.randrange(1 << 20))
+                 if rng.random() < 0.7 else rng.randint(-5, 5)
+                 for _ in range(n)] for _ in range(n)]
+        # One row of fractions whose denominators have a large lcm.
+        rows[n // 2] = [Fraction(rng.randint(-9, 9) or 1, primes[j % len(primes)])
+                        for j in range(n)]
+        m = ExactMatrix.from_rows(rows)
+        ints, _ = m.integer_form()
+        assert max(abs(v) for v in ints.values()) >= 1 << 63
+        expected = det_bareiss(m)
+        assert expected != 0
+        assert det_multimodular(m) == expected
+        assert det_multimodular(m, threads=2) == expected
+    assert det_multimodular(ExactMatrix.from_rows([[big, big], [big, big]])) == 0
+
+
 # --- peel phase: singleton rows and columns ahead of the Markowitz core ------
 
 def nonzero(rng):

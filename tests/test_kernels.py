@@ -1,4 +1,5 @@
-"""The numpy modular elimination kernel against a Laplace-expansion oracle."""
+"""The numpy modular elimination kernel against Laplace-expansion and
+fraction-free oracles."""
 
 import random
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from hgdet._kernels import KERNEL_BACKEND, det_mod_p
-from hgdet.exactla import modular_primes
+from hgdet.exactla import ExactMatrix, det_bareiss, modular_primes
 
 P = modular_primes(1)[0]
+LARGEST_PRIMES = modular_primes(2)
 
 
 def reference_det_mod_p(rows, p):
@@ -45,3 +47,116 @@ def test_fallback_singular_and_shape_checks():
 
 def test_backend_name_is_reported():
     assert KERNEL_BACKEND == "python"
+
+
+# --- lazy reduction: n large enough for several block reductions -----------
+
+def oracle_det_mod_p(rows, p):
+    """Fraction-free determinant of the integer matrix, reduced mod p."""
+    return int(det_bareiss(ExactMatrix.from_rows(rows))) % p
+
+
+def kernel_det(rows, p):
+    return det_mod_p(np.array(rows, dtype=np.int64), p)
+
+
+def lu_product(lower, upper, p):
+    """L * U mod p for a unit lower triangular L given by its strict part."""
+    n = len(upper)
+    return [[(upper[i][j] + sum(lower[i][k] * upper[k][j] for k in range(min(i, j + 1))))
+             % p for j in range(n)] for i in range(n)]
+
+
+def extreme_lu(n, p, rng, factor=None, right=None):
+    """L and U whose product an eager elimination factors back with every
+    factor ``factor`` and every pivot-row entry right of the pivot
+    ``right``; the pivots are random nonzero residues.
+
+    The default, p // 2 and p - p // 2, makes each centred update add
+    (p // 2)**2, close to 2**60, to every entry of the trailing block,
+    always with the same sign.  A residue p - 1 centres to -1, and would
+    make an update near 2**61 if it were not centred."""
+    half = p // 2
+    factor = half if factor is None else factor
+    right = p - half if right is None else right
+    lower = [[factor] * i for i in range(n)]
+    upper = [[0] * i + [rng.randrange(1, p)] + [right] * (n - i - 1)
+             for i in range(n)]
+    return lower, upper
+
+
+def diagonal_product(upper, p):
+    product = 1
+    for i, row in enumerate(upper):
+        product = product * row[i] % p
+    return product
+
+
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_lazy_full_range_residues(p):
+    rng = random.Random(p)
+    for n in (9, 15, 22, 31, 40):
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_lazy_adversarial_residues(p):
+    rng = random.Random(p + 1)
+    half = p // 2
+    extremes = (p - 1, half - 1, half, half + 1, half + 2, 1)
+    for n in (9, 16, 29, 40):
+        rows = [[rng.choice(extremes) for _ in range(n)] for _ in range(n)]
+        assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
+    for n, factor, right in ((9, half, p - half), (24, half, p - half),
+                             (40, half, p - half), (24, p - 1, p - half),
+                             (24, half, p - 1)):
+        lower, upper = extreme_lu(n, p, rng, factor, right)
+        rows = lu_product(lower, upper, p)
+        expected = diagonal_product(upper, p)
+        assert oracle_det_mod_p(rows, p) == expected
+        assert kernel_det(rows, p) == expected
+
+
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_lazy_zero_pivot_forces_late_row_swap(p):
+    rng = random.Random(p + 2)
+    for n, k in ((12, 8), (25, 8), (40, 19)):
+        lower, upper = extreme_lu(n, p, rng)
+        lower[n - 1][k] = 0
+        rows = lu_product(lower, upper, p)
+        # Once rows k and n - 1 are exchanged, step k (after k >= 7 lazy
+        # updates) meets a zero pivot and must swap rows.
+        rows[k], rows[n - 1] = rows[n - 1], rows[k]
+        expected = -diagonal_product(upper, p) % p
+        assert oracle_det_mod_p(rows, p) == expected
+        assert kernel_det(rows, p) == expected
+
+
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_lazy_singular_only_at_the_last_steps(p):
+    rng = random.Random(p + 3)
+    for n in (10, 23, 40):
+        lower, upper = extreme_lu(n, p, rng)
+        upper[n - 1][n - 1] = 0
+        rows = lu_product(lower, upper, p)
+        assert oracle_det_mod_p(rows, p) == 0
+        assert kernel_det(rows, p) == 0
+        # The last row a combination of two others: full rank up to the
+        # final step.
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        c = rng.randrange(1, p)
+        rows.append([(x + c * y) % p for x, y in zip(rows[0], rows[n - 2])])
+        assert oracle_det_mod_p(rows, p) == 0
+        assert kernel_det(rows, p) == 0
+
+
+def test_modulus_outside_range_is_rejected():
+    rows = [[1, 1], [0, 1]]
+    for p in (1, 1 << 31):
+        with pytest.raises(ValueError):
+            kernel_det(rows, p)
+    rng = random.Random(4)
+    rows = [[rng.randrange(2) for _ in range(12)] for _ in range(12)]
+    for p in (2, (1 << 31) - 1):
+        assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
