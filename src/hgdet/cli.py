@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .determinant import tensor_det, witness_det
+from .determinant import basis_det, tensor_det, witness_det
 from .exactla import ReconstructionError
 from .hypergraphs import (InvalidPartitionError, ResourceCapError,
                           basis_from_partition, betti_numbers,
@@ -23,7 +23,8 @@ from .hypergraphs import (InvalidPartitionError, ResourceCapError,
                           read_hypergraph, read_partition)
 from .reference import KNOWN_WITNESS_DETS, system_dimension
 from .system import system_matrix, write_matrix
-from .tensors import ParseError, canonical_witness, read_tensor, tensor_from_basis, write_basis
+from .tensors import (BasisAssignment, ParseError, canonical_witness, read_tensor,
+                      tensor_from_basis, write_basis)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -68,25 +69,27 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 
 def _load_assignment(path: str):
-    """A tensor file has header 'r d'; a label file has header 'n r d'."""
+    """A tensor file has header 'r d' and gives a TensorAssignment; a label
+    file has header 'n r d' and gives a BasisAssignment."""
     with open(path) as fh:
         head = fh.readline().split()
         fh.seek(0)
         if len(head) == 2:
             return read_tensor(fh)
         if len(head) == 3:
-            return tensor_from_basis(basis_from_partition(read_partition(fh)))
+            return basis_from_partition(read_partition(fh))
     raise ParseError(1, f"expected a 2- or 3-integer header, got {head}")
 
 
 def cmd_det(args) -> int:
     t0 = time.perf_counter()
-    tensor = _load_assignment(args.file)
-    value = tensor_det(tensor, backend=args.backend, threads=args.threads)
+    assignment = _load_assignment(args.file)
+    det = basis_det if isinstance(assignment, BasisAssignment) else tensor_det
+    value = det(assignment, backend=args.backend, threads=args.threads)
     report = RunReport(f"det {args.file}", _digest_file(args.file), args.backend)
-    report.outputs["r"] = str(tensor.r)
-    report.outputs["d"] = str(tensor.d)
-    report.outputs["dimension"] = str(system_dimension(tensor.r, tensor.d))
+    report.outputs["r"] = str(assignment.r)
+    report.outputs["d"] = str(assignment.d)
+    report.outputs["dimension"] = str(system_dimension(assignment.r, assignment.d))
     report.outputs["det"] = str(value)
     report.elapsed_ms = 1000 * (time.perf_counter() - t0)
     _emit(report, args.format)
@@ -113,8 +116,10 @@ def cmd_witness(args) -> int:
 
 def cmd_matrix(args) -> int:
     t0 = time.perf_counter()
-    tensor = _load_assignment(args.file)
-    sm = system_matrix(tensor)
+    assignment = _load_assignment(args.file)
+    if isinstance(assignment, BasisAssignment):
+        assignment = tensor_from_basis(assignment)
+    sm = system_matrix(assignment)
     with open(args.out, "w") as fh:
         write_matrix(sm.matrix, fh)
     report = RunReport(f"matrix {args.file}", _digest_file(args.file), "none")

@@ -1,5 +1,15 @@
 """Exact determinant and rank of integer and rational matrices.
 
+Every determinant and rank goes through one integer row form: a dict from
+row index to a dict from column index to a nonzero int, with empty rows
+absent, plus a divisor.  ``_integer_rows`` builds it from an
+:class:`ExactMatrix` in one pass over ``entries``, scaling each row that
+holds a fraction by the lcm of its denominators; the divisor is the product
+of those scales.  Assemblies that produce integers directly (the
+label-aware insertion system in ``system.basis_rows``) hand their rows to
+``_det_rows`` and ``_rank_rows`` without building a matrix.  Elimination
+consumes the rows it is given.
+
 Two determinant backends are provided and must always agree:
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
@@ -12,7 +22,7 @@ Two determinant backends are provided and must always agree:
   recombined by the Chinese remainder theorem.  The prime batch is sized so
   that its product exceeds twice the Hadamard bound, plus one safety prime
   whose residue must match the reconstruction.  The row indices, column
-  indices and values of the integer form are built once per determinant;
+  indices and values of the integer rows are built once per determinant;
   each prime scatters the values mod p into a dense array and runs the
   lazily reducing elimination of ``_kernels.det_mod_p``.
 
@@ -33,6 +43,9 @@ import numpy as np
 from ._kernels import _PRIME_CEILING, det_mod_p
 
 Rational = Union[int, Fraction]
+
+#: The integer row form: row -> column -> nonzero int, empty rows absent.
+IntRows = dict[int, dict[int, int]]
 
 # Mean nonzeros per row above which backend "auto" picks the multimodular
 # backend.  On random p/q matrices of 60 and 120 rows the two backends tie
@@ -114,21 +127,8 @@ class ExactMatrix:
         per-row scale factors, so det(self) == det(integer matrix) / divisor
         and the rank is unchanged.
         """
-        row_scale = [1] * self.rows
-        for (i, _), v in self.entries.items():
-            if isinstance(v, Fraction) and v.denominator != 1:
-                row_scale[i] = lcm(row_scale[i], v.denominator)
-        ints: dict[tuple[int, int], int] = {}
-        for (i, j), v in self.entries.items():
-            if isinstance(v, Fraction):
-                scaled = v * row_scale[i]
-                ints[(i, j)] = scaled.numerator
-            else:
-                ints[(i, j)] = v * row_scale[i]
-        divisor = 1
-        for s in row_scale:
-            divisor *= s
-        return ints, divisor
+        rows, divisor = _integer_rows(self)
+        return {(i, j): v for i, row in rows.items() for j, v in row.items()}, divisor
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -136,6 +136,36 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _integer_rows(matrix: ExactMatrix) -> tuple[IntRows, int]:
+    """The integer row form of ``matrix`` and its divisor.
+
+    One pass over ``entries`` groups them by row; each row holding a
+    fraction is then scaled by the lcm of its denominators, so
+    det(matrix) == det(rows) / divisor.  The row dicts are new, so the
+    caller may hand them to elimination.
+    """
+    rows: IntRows = {}
+    fractional: set[int] = set()
+    for (i, j), v in matrix.entries.items():
+        if not v:
+            continue
+        row = rows.get(i)
+        if row is None:
+            rows[i] = row = {}
+        row[j] = v
+        if isinstance(v, Fraction):
+            fractional.add(i)
+    divisor = 1
+    for i in fractional:
+        row = rows[i]
+        scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+        for j, v in row.items():
+            row[j] = (v.numerator * (scale // v.denominator)
+                      if isinstance(v, Fraction) else v * scale)
+        divisor *= scale
+    return rows, divisor
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:
@@ -154,9 +184,10 @@ def _permutation_sign(seq: Sequence[int]) -> int:
     return 1 if (n - cycles) % 2 == 0 else -1
 
 
-def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: int,
+def _eliminate(rows: IntRows, nrows: int, ncols: int,
                want_det: bool) -> tuple[int, int]:
-    """Sparse fraction-free elimination.
+    """Sparse fraction-free elimination of an nrows x ncols matrix in the
+    integer row form.  ``rows`` is consumed: it is the working storage.
 
     Returns (rank, det) where det is meaningful only when want_det is set and
     the matrix is square; a rank-deficient square matrix reports det 0.
@@ -169,6 +200,8 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
     pivots contribute their plain product.  In det mode a row or column
     that empties while peeling proves the matrix singular.  Witness systems
     are permuted triangular and peel completely, in time linear in nnz.
+    The peel keeps each column as the list of rows it started with and a
+    live count; the column sets of the core are built from what is left.
 
     The Markowitz/Bareiss core then runs on what is left, with its own
     pivot sequence starting at 1, so the peeled entries never scale its
@@ -182,31 +215,32 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
     stored value times pivot_k / pivot_t, where t is the step at which the
     row last participated, and that division is exact.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in int_entries.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
-    cols: dict[int, set[int]] = {}
+    # Peel phase: pivot on singleton columns and rows with no arithmetic.
+    # A column's entries leave the rows only when it is pivoted, so its
+    # rows are the ones listed at the start that are still in ``rows``;
+    # ``count`` tracks how many of them are.
+    col_rows: list[list[int]] = [[] for _ in range(ncols)]
     for i, ri in rows.items():
         for j in ri:
-            cols.setdefault(j, set()).add(i)
+            col_rows[j].append(i)
+    count = [len(c) for c in col_rows]
 
-    if want_det and (len(rows) < nrows or len(cols) < ncols):
+    if want_det and (len(rows) < nrows or 0 in count):
         return len(rows), 0
 
-    # Peel phase: pivot on singleton columns and rows with no arithmetic.
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     peeled = 1
-    col_stack = [j for j, s in cols.items() if len(s) == 1]
+    col_stack = [j for j, c in enumerate(count) if c == 1]
     row_stack = [i for i, ri in rows.items() if len(ri) == 1]
     while col_stack or row_stack:
         if col_stack:
             pc = col_stack.pop()
-            s = cols.get(pc)
-            if s is None or len(s) != 1:
+            if count[pc] != 1:
                 continue
-            (pr,) = s
+            for pr in col_rows[pc]:
+                if pr in rows:
+                    break
         else:
             pr = row_stack.pop()
             ri = rows.get(pr)
@@ -220,18 +254,17 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
         for j in prow:
             if j == pc:
                 continue
-            s = cols[j]
-            s.discard(pr)
-            if len(s) == 1:
+            c = count[j] - 1
+            count[j] = c
+            if c == 1:
                 col_stack.append(j)
-            elif not s:
-                del cols[j]
-                if want_det:
-                    return len(pivot_rows), 0
-        for i in cols.pop(pc):
-            if i == pr:
+            elif not c and want_det:
+                return len(pivot_rows), 0
+        count[pc] = 0
+        for i in col_rows[pc]:
+            ri = rows.get(i)
+            if ri is None:
                 continue
-            ri = rows[i]
             del ri[pc]
             if len(ri) == 1:
                 row_stack.append(i)
@@ -239,6 +272,12 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
                 del rows[i]
                 if want_det:
                     return len(pivot_rows), 0
+    del col_rows, count
+
+    cols: dict[int, set[int]] = {}
+    for i, ri in rows.items():
+        for j in ri:
+            cols.setdefault(j, set()).add(i)
 
     # Markowitz/Bareiss core on what is left; step indexes its own pivots.
     heap: list[tuple[int, int]] = [(len(s), j) for j, s in cols.items()]
@@ -314,16 +353,21 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
             materialize(i, step - 1)
             ri = rows[i]
             b = ri.pop(pc)
-            for j in set(ri) | set(prow):
+            # Off the pivot row's columns the update only rescales, and the
+            # column counts stay as they are.
+            for j, a in ri.items():
+                if j not in prow:
+                    ri[j] = a * piv // prev
+            for j, w in prow.items():
                 if j == pc:
                     continue
                 a = ri.get(j, 0)
-                w = prow.get(j, 0)
                 val = (a * piv - b * w) // prev
                 if val:
+                    ri[j] = val
                     if not a:
                         cols.setdefault(j, set()).add(i)
-                    ri[j] = val
+                        push_col(j)
                 elif a:
                     del ri[j]
                     s = cols[j]
@@ -334,8 +378,6 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
                         del cols[j]
                         if want_det:
                             return rank, 0
-                if a or val:
-                    push_col(j)
             last[i] = step
             if not ri:
                 del rows[i]
@@ -352,22 +394,29 @@ def _eliminate(int_entries: Mapping[tuple[int, int], int], nrows: int, ncols: in
     return rank, det
 
 
+def _rank_rows(rows: IntRows, nrows: int, ncols: int) -> int:
+    """Rank of an nrows x ncols matrix in the integer row form; consumes
+    ``rows``."""
+    rank, _ = _eliminate(rows, nrows, ncols, want_det=False)
+    return rank
+
+
 def rank_exact(matrix: ExactMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    ints, _ = matrix.integer_form()
-    rank, _ = _eliminate(ints, matrix.rows, matrix.cols, want_det=False)
-    return rank
+    rows, _ = _integer_rows(matrix)
+    return _rank_rows(rows, matrix.rows, matrix.cols)
+
+
+def _check_square(matrix: ExactMatrix) -> None:
+    if matrix.rows != matrix.cols:
+        raise ValueError(f"determinant of non-square {matrix!r}")
 
 
 def det_bareiss(matrix: ExactMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"determinant of non-square {matrix!r}")
-    if matrix.rows == 0:
-        return Fraction(1)
-    ints, divisor = matrix.integer_form()
-    _, det = _eliminate(ints, matrix.rows, matrix.cols, want_det=True)
-    return Fraction(det, divisor)
+    _check_square(matrix)
+    rows, divisor = _integer_rows(matrix)
+    return _det_rows(rows, matrix.rows, divisor, backend="bareiss")
 
 
 # --- multimodular backend ---------------------------------------------------
@@ -419,15 +468,25 @@ def crt_combine(residues: Sequence[int], primes: Sequence[int]) -> int:
 
 def hadamard_bound(int_entries: Mapping[tuple[int, int], int], n: int) -> int:
     """Integer upper bound for |det| of an n x n integer matrix."""
-    row_sq = [0] * n
-    col_sq = [0] * n
+    rows: IntRows = {}
     for (i, j), v in int_entries.items():
-        vv = v * v
-        row_sq[i] += vv
-        col_sq[j] += vv
+        rows.setdefault(i, {})[j] = v
+    return _hadamard_rows(rows, n)
+
+
+def _hadamard_rows(rows: IntRows, n: int) -> int:
+    """``hadamard_bound`` of an n x n matrix in the integer row form."""
+    if len(rows) < n:
+        return 0
+    col_sq = [0] * n
     prod_r = 1
-    for s in row_sq:
-        prod_r *= s
+    for row in rows.values():
+        row_sq = 0
+        for j, v in row.items():
+            vv = v * v
+            row_sq += vv
+            col_sq[j] += vv
+        prod_r *= row_sq
     prod_c = 1
     for s in col_sq:
         prod_c *= s
@@ -454,15 +513,17 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     Hadamard bound, plus one safety prime.  A mismatch between the safety
     residue and the reconstructed value raises ReconstructionError.
     """
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"determinant of non-square {matrix!r}")
-    n = matrix.rows
-    if n == 0:
-        return Fraction(1)
-    ints, divisor = matrix.integer_form()
-    bound = hadamard_bound(ints, n)
+    _check_square(matrix)
+    rows, divisor = _integer_rows(matrix)
+    return _det_rows(rows, matrix.rows, divisor, backend="multimodular",
+                     threads=threads)
+
+
+def _multimodular(rows: IntRows, n: int, threads: int) -> int:
+    """det of the n x n integer matrix ``rows``, by CRT (see det_multimodular)."""
+    bound = _hadamard_rows(rows, n)
     if bound == 0:
-        return Fraction(0)
+        return 0
 
     target = 2 * bound
     primes: list[int] = []
@@ -480,10 +541,14 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     base = primes
     safety = modular_primes(len(base) + 1)[-1]
 
-    keys = np.array(list(ints), dtype=np.intp).reshape(-1, 2)
-    vals = np.empty(len(ints), dtype=object)
-    vals[:] = list(ints.values())
-    coords = (keys[:, 0], keys[:, 1], vals)
+    nnz = sum(map(len, rows.values()))
+    row_idx = np.fromiter((i for i, row in rows.items() for _ in row),
+                          dtype=np.intp, count=nnz)
+    col_idx = np.fromiter((j for row in rows.values() for j in row),
+                          dtype=np.intp, count=nnz)
+    vals = np.empty(nnz, dtype=object)
+    vals[:] = [v for row in rows.values() for v in row.values()]
+    coords = (row_idx, col_idx, vals)
 
     def residue(p: int) -> int:
         return _residue_mod_p(coords, n, p)
@@ -503,7 +568,29 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     if x % safety != residues[-1]:
         raise ReconstructionError(
             f"safety prime {safety} disagrees with reconstruction")
-    return Fraction(x, divisor)
+    return x
+
+
+def _auto_backend(nnz: int, n: int) -> str:
+    """The backend "auto" picks: multimodular above 8 nonzeros per row."""
+    return "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"
+
+
+def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
+              threads: int = 1) -> Fraction:
+    """det(rows) / divisor for an n x n matrix in the integer row form, with
+    the backend selection of det_exact.  Consumes ``rows``."""
+    if backend == "auto":
+        backend = _auto_backend(sum(map(len, rows.values())), n)
+    if backend not in ("bareiss", "multimodular"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if n == 0:
+        return Fraction(1)
+    if backend == "bareiss":
+        _, det = _eliminate(rows, n, n, want_det=True)
+    else:
+        det = _multimodular(rows, n, threads)
+    return Fraction(det, divisor)
 
 
 def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> Fraction:
@@ -513,12 +600,10 @@ def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> F
     than 8 nonzeros per row on average, and fraction-free elimination
     otherwise.
     """
+    if backend == "auto":
+        backend = _auto_backend(len(matrix.entries), matrix.rows)
     if backend == "bareiss":
         return det_bareiss(matrix)
     if backend == "multimodular":
         return det_multimodular(matrix, threads=threads)
-    if backend == "auto":
-        if len(matrix.entries) > _DENSE_NNZ_PER_ROW * matrix.rows:
-            return det_multimodular(matrix, threads=threads)
-        return det_bareiss(matrix)
     raise ValueError(f"unknown backend {backend!r}")

@@ -24,10 +24,10 @@ from math import comb
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
-from .determinant import tensor_det
-from .exactla import ExactMatrix, rank_exact
-from .system import full_system_matrix
-from .tensors import BasisAssignment, ParseError, _read_records, tensor_from_basis
+from .determinant import basis_det
+from .exactla import ExactMatrix, _rank_rows, rank_exact
+from .system import basis_rows
+from .tensors import BasisAssignment, ParseError, _read_records
 
 
 class InvalidPartitionError(ValueError):
@@ -232,16 +232,17 @@ def is_homogeneous(p: DPartition) -> bool:
 
 def boundary_rank_matches_system(p: DPartition) -> bool:
     """Compare rank of the direct sum of top boundary maps with the rank of
-    the full (untruncated) system matrix of the partition's basis tensor.
-    Requires a pre-homogeneous partition."""
+    the full (untruncated) system matrix of the partition's basis tensor,
+    assembled by the label-aware route.  Requires a pre-homogeneous
+    partition."""
     if not is_prehomogeneous(p):
         raise ValueError("rank comparison requires a pre-homogeneous partition")
     boundary_rank = 0
     for i in range(p.d):
         cx = chain_complex(p.part_hypergraph(i))
         boundary_rank += rank_exact(cx.boundary[p.r - 1])
-    system = full_system_matrix(tensor_from_basis(basis_from_partition(p)))
-    return boundary_rank == rank_exact(system)
+    rows, nrows, ncols = basis_rows(basis_from_partition(p), p.n)
+    return boundary_rank == _rank_rows(rows, nrows, ncols)
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,7 @@ def classify_partition(p: DPartition, backend: str = "auto",
     the three-way equivalence."""
     if p.n != p.r * p.d:
         raise InvalidPartitionError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
-    det = tensor_det(tensor_from_basis(basis_from_partition(p)),
-                     backend=backend, threads=threads)
+    det = basis_det(basis_from_partition(p), backend=backend, threads=threads)
     deficiency = skeleton_deficiency(p)
     prehom = deficiency is None
     share = comb(p.n - 1, p.r - 1)

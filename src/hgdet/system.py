@@ -11,6 +11,17 @@ Rows are ordered by dictionary order on the equation bases, coordinates
 1..d within each block; columns by dictionary order on r-subsets.  The
 ordering is fixed once and for all: changing it would only flip the global
 sign of the determinant.
+
+Two routes assemble the same system.  The tensor route
+(:func:`system_matrix`, :func:`full_system_matrix`) walks
+:func:`equation_block` and builds a tuple-keyed :class:`ExactMatrix`; it
+serves any rational tensor, the ``hgdet matrix`` dump and the tests as an
+oracle.  The label-aware route (:func:`basis_rows`) serves a
+:class:`BasisAssignment`, whose vectors are unit vectors: inserting s into
+a base at 0-based position pos puts the single entry (-1)**(s + pos + 1) at
+row block*d + label - 1, in the column of the enlarged subset.  It writes
+the integer row form of ``exactla`` directly, with no tensor, no
+per-coordinate loop and no tuple-keyed matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +31,9 @@ from math import comb
 from typing import IO, Iterable, Sequence
 
 from .combi import check_subset, insertion_sign
-from .exactla import ExactMatrix
-from .tensors import Rational, TensorAssignment, format_rational, subsets
+from .exactla import ExactMatrix, IntRows
+from .tensors import (BasisAssignment, Rational, TensorAssignment,
+                      format_rational, subsets)
 
 
 def equation_block(tensor: TensorAssignment,
@@ -89,6 +101,44 @@ def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
     top boundary map and for relation checking.
     """
     return _assemble(tensor, tensor.n)
+
+
+def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
+    """The insertion system of ``basis`` over the (r-1)-subsets of 1..top,
+    in the integer row form, with its row and column counts.
+
+    The rows and columns are those of ``_assemble(tensor_from_basis(basis),
+    top)``: ``top = rd - 1`` gives the square system, ``top = rd`` the full
+    one.  A column is located by its dictionary rank, which for
+    c_1 < ... < c_r in 1..n is C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k):
+    the base contributes a prefix and a suffix of that sum around the
+    inserted element, so no subset tuple is built.
+    """
+    r, d, n = basis.r, basis.d, basis.n
+    label = [basis.labels[subset] for subset in subsets(r, n)]
+    # term[k][c]: the rank term of element c at 1-based position k.
+    term = [[comb(n - c, r + 1 - k) for c in range(n + 1)] for k in range(r + 2)]
+    last = comb(n, r) - 1
+    rows: IntRows = {}
+    for block, base in enumerate(subsets(r - 1, top)):
+        offset = block * d - 1
+        # Terms of the base elements before and after the insertion point.
+        before = 0
+        after = sum(term[k + 2][c] for k, c in enumerate(base))
+        pos = 0
+        for s in range(1, n + 1):
+            if pos < r - 1 and base[pos] == s:
+                before += term[pos + 1][s]
+                after -= term[pos + 2][s]
+                pos += 1
+                continue
+            col = last - before - after - term[pos + 1][s]
+            i = offset + label[col]
+            row = rows.get(i)
+            if row is None:
+                rows[i] = row = {}
+            row[col] = 1 if (s + pos) & 1 else -1
+    return rows, d * comb(top, r - 1), last + 1
 
 
 def relation_sign(s: int, base: Sequence[int]) -> int:

@@ -207,6 +207,8 @@ def test_det_out_of_memory_is_a_resource_cap(monkeypatch, witness_file, capsys,
     def out_of_memory(*args, **kwargs):
         raise error
 
+    # A label file takes the label-aware route, a tensor file the tensor one.
+    monkeypatch.setattr(cli, "basis_det", out_of_memory)
     monkeypatch.setattr(cli, "tensor_det", out_of_memory)
     assert cli.main(["det", witness_file, "--backend", "multimodular"]) == 3
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
+from hgdet.determinant import basis_det
 from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
 
@@ -347,3 +348,98 @@ def test_peel_singular_repeated_core_column():
         for row in core:
             row[b] = row[a]
         assert check_against_oracles(permuted(core, rng), sympy) == 0
+
+
+# --- Markowitz core on rational matrices that do not peel -------------------
+
+def unpeelable(n, c, rng, fill):
+    """Seeded n x c rational matrix in which every row and every column
+    holds at least two nonzeros, so the peel phase has nothing to do."""
+    while True:
+        rows = [[Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)), rng.randint(1, 4))
+                 if rng.random() < fill else 0 for _ in range(c)] for _ in range(n)]
+        if (all(sum(1 for v in row if v) >= 2 for row in rows)
+                and all(sum(1 for row in rows if row[j]) >= 2 for j in range(c))):
+            return rows
+
+
+def check_core_against_oracles(rows, sympy):
+    m = ExactMatrix.from_rows(rows)
+    sm = sympy.Matrix(rows)
+    rank = sm.rank()
+    assert rank_exact(m) == rank
+    assert rank_exact(m.transpose()) == rank
+    if len(rows) == len(rows[0]):
+        det = Fraction(str(sm.det()))
+        assert det == cofactor_det(rows)
+        assert det_bareiss(m) == det
+        assert det_bareiss(m.transpose()) == det
+        assert det_multimodular(m) == det
+
+
+def test_markowitz_core_on_rational_matrices_without_singletons():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(914)
+    for trial in range(60):
+        n = rng.randint(2, 7)
+        rows = unpeelable(n, n, rng, fill=rng.choice((0.5, 0.7, 1.0)))
+        if trial % 3 == 0:
+            # Singular: one row is a rational combination of two others.
+            a, b, t = rng.sample(range(n), 3) if n >= 3 else (0, 0, 1)
+            rows[t] = [rows[a][j] * Fraction(2, 3) - rows[b][j] for j in range(n)]
+            if (any(sum(1 for v in row if v) < 2 for row in rows)
+                    or any(sum(1 for row in rows if row[j]) < 2 for j in range(n))):
+                continue
+        check_core_against_oracles(rows, sympy)
+    for _ in range(30):
+        n, c = rng.randint(2, 7), rng.randint(2, 7)
+        check_core_against_oracles(unpeelable(n, c, rng, fill=0.7), sympy)
+
+
+# --- elimination consumes rows, never the matrix it was built from ---------
+
+def test_backends_leave_entries_unchanged_and_repeat():
+    rng = random.Random(915)
+    rows = unpeelable(8, 8, rng, fill=0.6)
+    m = ExactMatrix.from_rows(rows)
+    wide = ExactMatrix.from_rows(unpeelable(5, 8, rng, fill=0.6))
+    expected = cofactor_det(rows)
+    for call, value in ((lambda: det_bareiss(m), expected),
+                        (lambda: det_multimodular(m), expected),
+                        (lambda: det_exact(m), expected),
+                        (lambda: det_exact(m, backend="bareiss"), expected),
+                        (lambda: rank_exact(m), None),
+                        (lambda: rank_exact(wide), None)):
+        before = (dict(m.entries), dict(wide.entries))
+        first = call()
+        assert (m.entries, wide.entries) == before
+        assert call() == first
+        assert (m.entries, wide.entries) == before
+        if value is not None:
+            assert first == value
+
+
+def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
+    import hgdet.exactla as ex
+
+    ran = []
+    eliminate, multimodular = ex._eliminate, ex._multimodular
+
+    def spy_eliminate(*args, **kwargs):
+        ran.append("bareiss")
+        return eliminate(*args, **kwargs)
+
+    def spy_multimodular(*args, **kwargs):
+        ran.append("multimodular")
+        return multimodular(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(ex, "_multimodular", spy_multimodular)
+    assert abs(basis_det(canonical_witness(3, 5))) == 1
+    rng = random.Random(809)
+    dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
+    matrix = ExactMatrix.from_rows(dense)
+    rows, divisor = ex._integer_rows(matrix)
+    assert ex._det_rows(rows, 10, divisor) == Fraction(
+        int(pytest.importorskip("sympy").Matrix(dense).det()))
+    assert ran == ["bareiss", "multimodular"]

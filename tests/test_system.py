@@ -8,12 +8,16 @@ from math import comb
 
 import pytest
 
+import hgdet.system as system
 from hgdet.combi import rank_combination
-from hgdet.determinant import tensor_det
-from hgdet.system import (equation_block, facet_column_relation, combine_columns,
-                          full_system_matrix, relation_holds, system_matrix,
-                          write_matrix)
-from hgdet.tensors import TensorAssignment, canonical_witness, tensor_from_basis
+from hgdet.determinant import basis_det, tensor_det, witness_det
+from hgdet.exactla import ExactMatrix, _integer_rows, _rank_rows, rank_exact
+from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
+from hgdet.system import (basis_rows, equation_block, facet_column_relation,
+                          combine_columns, full_system_matrix, relation_holds,
+                          system_matrix, write_matrix)
+from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
+                           subsets, tensor_from_basis)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
 
 
@@ -260,3 +264,84 @@ def test_det_against_cofactor_for_small_system():
     tensor = random_tensor(2, 2, rng)
     sm = system_matrix(tensor)
     assert tensor_det(tensor) == cofactor_det(sm.matrix.to_dense())
+
+
+# --- label-aware assembly against the tensor route -------------------------
+
+
+def witness_cells(max_dim):
+    """Every witness cell (r, d) with 2 <= r <= 8 and d >= 1 whose system
+    dimension is at most ``max_dim``; the d = 1 cells have dimension 1."""
+    cells = []
+    for r in range(2, 9):
+        d = 1
+        while system_dimension(r, d) <= max_dim:
+            cells.append((r, d))
+            d += 1
+    return cells
+
+
+def random_basis(r, d, rng):
+    return BasisAssignment(r, d, {s: rng.randint(1, d) for s in subsets(r, r * d)})
+
+
+def check_label_route(basis, backend="bareiss"):
+    """The label-aware rows equal the integer rows of the tensor route, for
+    the square and the full system, and determinant and rank agree."""
+    tensor = tensor_from_basis(basis)
+    square = system_matrix(tensor).matrix
+    full = full_system_matrix(tensor)
+    for top, matrix in ((basis.n - 1, square), (basis.n, full)):
+        rows, nrows, ncols = basis_rows(basis, top)
+        assert (nrows, ncols) == (matrix.rows, matrix.cols)
+        assert rows == _integer_rows(matrix)[0]
+    assert basis_det(basis, backend=backend) == tensor_det(tensor, backend=backend)
+    rows, nrows, ncols = basis_rows(basis, basis.n)
+    assert _rank_rows(rows, nrows, ncols) == rank_exact(full)
+
+
+def test_label_rows_match_tensor_route_on_witness_cells():
+    cells = witness_cells(2000)
+    assert (2, 31) in cells and (4, 4) in cells and (6, 2) in cells
+    assert all((r, 1) in cells for r in range(2, 9))
+    for r, d in cells:
+        check_label_route(canonical_witness(r, d))
+
+
+def test_label_rows_match_tensor_route_on_all_r2d2_bases():
+    pairs = list(subsets(2, 4))
+    for code in range(2 ** len(pairs)):
+        labels = {pair: (code >> k & 1) + 1 for k, pair in enumerate(pairs)}
+        check_label_route(BasisAssignment(2, 2, labels), backend="auto")
+
+
+@pytest.mark.parametrize("r, d", [(3, 2), (3, 3), (4, 2)])
+def test_label_rows_match_tensor_route_on_random_bases(r, d):
+    rng = random.Random(1000 * r + d)
+    for _ in range(25):
+        check_label_route(random_basis(r, d, rng), backend="auto")
+
+
+def test_off_grid_witness_cell_3_11():
+    """(3, 11) lies outside the known-values grid; its value is -1."""
+    assert (3, 11) not in KNOWN_WITNESS_DETS
+    assert system_dimension(3, 11) == 5456
+    assert witness_det(3, 11, backend="bareiss") == -1
+    tensor = tensor_from_basis(canonical_witness(3, 11))
+    assert tensor_det(tensor, backend="bareiss") == -1
+
+
+def test_witness_path_builds_no_tuple_keyed_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tuple-keyed system built on the witness path")
+
+    monkeypatch.setattr(system, "_assemble", forbidden)
+    monkeypatch.setattr(system, "equation_block", forbidden)
+    monkeypatch.setattr(ExactMatrix, "__init__", forbidden)
+    assert witness_det(3, 3) == KNOWN_WITNESS_DETS[(3, 3)]
+    assert witness_det(3, 3, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 3)]
+
+
+def test_basis_det_rejects_an_unknown_backend():
+    with pytest.raises(ValueError):
+        basis_det(canonical_witness(2, 2), backend="gauss")
