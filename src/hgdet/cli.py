@@ -21,7 +21,7 @@ from .hypergraphs import (InvalidPartitionError, ResourceCapError,
                           basis_from_partition, betti_numbers,
                           classify_partition, euler_characteristic,
                           read_hypergraph, read_partition)
-from .reference import KNOWN_WITNESS_DETS, system_dimension
+from .reference import KNOWN_WITNESS_DETS, system_dimension, table_cells
 from .system import system_matrix, write_matrix
 from .tensors import (BasisAssignment, ParseError, canonical_witness, read_tensor,
                       tensor_from_basis, write_basis)
@@ -135,19 +135,16 @@ def cmd_table(args) -> int:
     t0 = time.perf_counter()
     report = RunReport(f"table max-dim={args.max_dim}",
                        _digest_args("table", args.max_dim), args.backend)
-    for r in range(2, 9):
-        for d in range(2, 11):
-            if (r, d) not in KNOWN_WITNESS_DETS and system_dimension(r, d) > args.max_dim:
-                continue
-            dim = system_dimension(r, d)
-            key = f"({r},{d})"
-            if dim > args.max_dim:
-                report.outputs[key] = f"dim={dim} skipped"
-                continue
-            value = witness_det(r, d, backend=args.backend, threads=args.threads)
-            known = KNOWN_WITNESS_DETS.get((r, d))
-            agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
-            report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
+    for r, d in sorted(KNOWN_WITNESS_DETS.keys() | set(table_cells(args.max_dim))):
+        dim = system_dimension(r, d)
+        key = f"({r},{d})"
+        if dim > args.max_dim:
+            report.outputs[key] = f"dim={dim} skipped"
+            continue
+        value = witness_det(r, d, backend=args.backend, threads=args.threads)
+        known = KNOWN_WITNESS_DETS.get((r, d))
+        agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
+        report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
     report.elapsed_ms = 1000 * (time.perf_counter() - t0)
     _emit(report, args.format)
     return EXIT_OK
@@ -212,17 +209,19 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=("bareiss", "multimodular", "auto"),
-                        default="auto")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", choices=("text", "json"), default="text")
+    # The commands that compute a determinant also take its backend options.
+    det_opts = argparse.ArgumentParser(add_help=False, parents=[common])
+    det_opts.add_argument("--backend", choices=("bareiss", "multimodular", "auto"),
+                          default="auto")
+    det_opts.add_argument("--threads", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="hgdet",
         description="Exact subset determinants and hypergraph partition homology")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("det", parents=[common],
+    p = sub.add_parser("det", parents=[det_opts],
                        help="determinant of a tensor or label file")
     p.add_argument("file")
     p.set_defaults(func=cmd_det)
@@ -240,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[det_opts],
                        help="tabulate witness determinants against known values")
     p.add_argument("--max-dim", type=int, default=5000)
-    p.set_defaults(func=cmd_table, backend="bareiss")
+    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[det_opts],
                        help="classify a d-partition file")
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
@@ -267,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}",
-              file=sys.stderr)
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
+        print(f"error: --threads must be at least 1, got {threads}", file=sys.stderr)
         return EXIT_USAGE
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:

@@ -37,16 +37,11 @@ def check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def rank_combination(subset: Sequence[int], n: int) -> int:
-    """0-based position of a k-subset of 1..n in dictionary order."""
+    """0-based position of a k-subset of 1..n in dictionary order:
+    C(n, k) - 1 - sum_i C(n - c_i, k + 1 - i) for c_1 < ... < c_k."""
     t = check_subset(subset, n)
     k = len(t)
-    rank = 0
-    prev = 0
-    for i, c in enumerate(t):
-        for j in range(prev + 1, c):
-            rank += comb(n - j, k - i - 1)
-        prev = c
-    return rank
+    return comb(n, k) - 1 - sum(comb(n - c, k - i) for i, c in enumerate(t))
 
 
 def unrank_combination(idx: int, k: int, n: int) -> tuple[int, ...]:

@@ -10,7 +10,10 @@ label-aware insertion system in ``system.basis_rows``) hand their rows to
 ``_det_rows`` and ``_rank_rows`` without building a matrix.  Elimination
 consumes the rows it is given.
 
-Two determinant backends are provided and must always agree:
+Two determinant backends are provided and must always agree.  ``_det_rows``
+is the one dispatcher: it alone validates the backend name, resolves
+"auto" and handles n = 0.  ``det_exact``, ``det_bareiss``,
+``det_multimodular`` and the label-aware ``basis_det`` all reach it.
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
   in sparse storage.  Singleton rows and columns are peeled off first with
@@ -407,16 +410,9 @@ def rank_exact(matrix: ExactMatrix) -> int:
     return _rank_rows(rows, matrix.rows, matrix.cols)
 
 
-def _check_square(matrix: ExactMatrix) -> None:
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"determinant of non-square {matrix!r}")
-
-
 def det_bareiss(matrix: ExactMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    _check_square(matrix)
-    rows, divisor = _integer_rows(matrix)
-    return _det_rows(rows, matrix.rows, divisor, backend="bareiss")
+    return det_exact(matrix, backend="bareiss")
 
 
 # --- multimodular backend ---------------------------------------------------
@@ -513,10 +509,7 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     Hadamard bound, plus one safety prime.  A mismatch between the safety
     residue and the reconstructed value raises ReconstructionError.
     """
-    _check_square(matrix)
-    rows, divisor = _integer_rows(matrix)
-    return _det_rows(rows, matrix.rows, divisor, backend="multimodular",
-                     threads=threads)
+    return det_exact(matrix, backend="multimodular", threads=threads)
 
 
 def _multimodular(rows: IntRows, n: int, threads: int) -> int:
@@ -525,20 +518,15 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if bound == 0:
         return 0
 
+    # Every prime exceeds 2**30, so this many always reach the target.
     target = 2 * bound
-    primes: list[int] = []
-    product = 1
-    k = 0
-    while product <= target:
-        k += 16
-        primes = modular_primes(k)
-        product = 1
-        for p in primes:
-            product *= p
-            if product > target:
-                primes = primes[:primes.index(p) + 1]
-                break
-    base = primes
+    base: list[int] = []
+    modulus = 1
+    for p in modular_primes(target.bit_length() // 30 + 1):
+        base.append(p)
+        modulus *= p
+        if modulus > target:
+            break
     safety = modular_primes(len(base) + 1)[-1]
 
     nnz = sum(map(len, rows.values()))
@@ -560,9 +548,6 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
         residues = [residue(p) for p in base + [safety]]
 
     x = crt_combine(residues[:-1], base)
-    modulus = 1
-    for p in base:
-        modulus *= p
     if x > modulus // 2:
         x -= modulus
     if x % safety != residues[-1]:
@@ -571,17 +556,18 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     return x
 
 
-def _auto_backend(nnz: int, n: int) -> str:
-    """The backend "auto" picks: multimodular above 8 nonzeros per row."""
-    return "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"
-
-
 def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
               threads: int = 1) -> Fraction:
-    """det(rows) / divisor for an n x n matrix in the integer row form, with
-    the backend selection of det_exact.  Consumes ``rows``."""
+    """det(rows) / divisor for an n x n matrix in the integer row form.
+    Consumes ``rows``.
+
+    This is the one place that picks the backend: "auto" takes the
+    multimodular backend above 8 nonzeros per row on average, and
+    fraction-free elimination otherwise.
+    """
     if backend == "auto":
-        backend = _auto_backend(sum(map(len, rows.values())), n)
+        nnz = sum(map(len, rows.values()))
+        backend = "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"
     if backend not in ("bareiss", "multimodular"):
         raise ValueError(f"unknown backend {backend!r}")
     if n == 0:
@@ -594,16 +580,8 @@ def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
 
 
 def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> Fraction:
-    """Determinant with backend selection.
-
-    backend "auto" uses the multimodular backend when the matrix has more
-    than 8 nonzeros per row on average, and fraction-free elimination
-    otherwise.
-    """
-    if backend == "auto":
-        backend = _auto_backend(len(matrix.entries), matrix.rows)
-    if backend == "bareiss":
-        return det_bareiss(matrix)
-    if backend == "multimodular":
-        return det_multimodular(matrix, threads=threads)
-    raise ValueError(f"unknown backend {backend!r}")
+    """Determinant of a square matrix, with the backend chosen by ``_det_rows``."""
+    if matrix.rows != matrix.cols:
+        raise ValueError(f"determinant of non-square {matrix!r}")
+    rows, divisor = _integer_rows(matrix)
+    return _det_rows(rows, matrix.rows, divisor, backend, threads)

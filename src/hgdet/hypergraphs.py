@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -298,19 +298,10 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
         raise ResourceCapError(
             f"enumeration walks {walked} label codes, exceeding cap {cap}")
     share = m // d if d else 0
-    for code in range(walked):
-        labels = []
-        x = code
-        for _ in range(m):
-            labels.append(x % d + 1)
-            x //= d
-        labels.reverse()
-        if homogeneous_only:
-            counts = [0] * d
-            for lab in labels:
-                counts[lab - 1] += 1
-            if any(c != share for c in counts):
-                continue
+    for labels in product(range(1, d + 1), repeat=m):
+        if homogeneous_only and any(labels.count(lab) != share
+                                    for lab in range(1, d + 1)):
+            continue
         yield partition_from_labels(n, r, d, labels)
 
 

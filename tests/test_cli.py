@@ -247,3 +247,32 @@ def test_reports_byte_stable_modulo_timing(witness_file, capsys):
         return [l for l in out.splitlines() if not l.startswith("elapsed-ms")]
 
     assert stripped() == stripped()
+
+
+@pytest.mark.parametrize("argv", [["det", "x"], ["table"], ["classify", "x"]])
+def test_determinant_commands_default_to_auto(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert (args.backend, args.threads) == ("auto", 1)
+
+
+def test_det_on_tensor_file_reports_auto(tmp_path, capsys):
+    path = tmp_path / "tensor.txt"
+    with open(path, "w") as fh:
+        write_tensor(random_tensor(2, 2, random.Random(2)), fh)
+    assert cli.main(["det", str(path)]) == 0
+    assert "backend: auto" in capsys.readouterr().out.splitlines()
+
+
+def test_table_reports_auto(capsys):
+    assert cli.main(["table", "--max-dim", "0"]) == 0
+    assert "backend: auto" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["betti", "x"], ["witness", "2", "2", "-"],
+                                  ["matrix", "x", "y"], ["verify", "euler-identity"]])
+@pytest.mark.parametrize("option", [["--backend", "bareiss"], ["--threads", "2"]])
+def test_backend_options_only_on_determinant_commands(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

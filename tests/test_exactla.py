@@ -137,22 +137,6 @@ def test_det_exact_dispatch():
         det_exact(m, backend="gauss")
 
 
-def test_auto_dispatches_on_nonzeros_per_row(monkeypatch):
-    import hgdet.exactla as ex
-
-    ran = []
-    monkeypatch.setattr(ex, "det_bareiss", lambda m: ran.append("bareiss"))
-    monkeypatch.setattr(ex, "det_multimodular",
-                        lambda m, threads=1: ran.append("multimodular"))
-    witness = system_matrix(tensor_from_basis(canonical_witness(3, 5))).matrix
-    det_exact(witness)
-    rng = random.Random(808)
-    dense = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(10)]
-             for _ in range(10)]
-    det_exact(ExactMatrix.from_rows(dense))
-    assert ran == ["bareiss", "multimodular"]
-
-
 def test_modular_primes_properties():
     primes = modular_primes(40)
     assert len(set(primes)) == 40
@@ -419,7 +403,8 @@ def test_backends_leave_entries_unchanged_and_repeat():
             assert first == value
 
 
-def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
+def _route_spy(monkeypatch):
+    """Spy on the two elimination kernels; the returned call reports which ran."""
     import hgdet.exactla as ex
 
     ran = []
@@ -433,13 +418,45 @@ def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
         ran.append("multimodular")
         return multimodular(*args, **kwargs)
 
+    def route(call):
+        ran.clear()
+        value = call()
+        assert len(ran) == 1
+        return ran[0], value
+
     monkeypatch.setattr(ex, "_eliminate", spy_eliminate)
     monkeypatch.setattr(ex, "_multimodular", spy_multimodular)
-    assert abs(basis_det(canonical_witness(3, 5))) == 1
+    return route
+
+
+def test_auto_dispatches_on_nonzeros_per_row(monkeypatch):
+    route = _route_spy(monkeypatch)
+    sympy = pytest.importorskip("sympy")
+    # A witness cell as an ExactMatrix: sparse rows go to Bareiss.
+    witness = system_matrix(tensor_from_basis(canonical_witness(3, 5))).matrix
+    assert route(lambda: abs(det_exact(witness))) == ("bareiss", 1)
+    # A dense 10 x 10 Fraction matrix goes to the multimodular kernel.
+    rng = random.Random(808)
+    fractions = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(10)]
+                 for _ in range(10)]
+    matrix = ExactMatrix.from_rows(fractions)
+    expected = Fraction(str(sympy.Matrix(fractions).det()))
+    assert route(lambda: det_exact(matrix)) == ("multimodular", expected)
+    # A named backend overrides the rule either way.
+    assert route(lambda: det_bareiss(matrix)) == ("bareiss", expected)
+    assert route(lambda: abs(det_multimodular(witness))) == ("multimodular", 1)
+
+
+def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
+    import hgdet.exactla as ex
+
+    route = _route_spy(monkeypatch)
+    sympy = pytest.importorskip("sympy")
+    # Label-aware rows of a witness cell: at most 4.5 nonzeros per row.
+    assert route(lambda: abs(basis_det(canonical_witness(3, 5)))) == ("bareiss", 1)
+    # A dense 10 x 10 integer matrix, as integer rows.
     rng = random.Random(809)
     dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
-    matrix = ExactMatrix.from_rows(dense)
-    rows, divisor = ex._integer_rows(matrix)
-    assert ex._det_rows(rows, 10, divisor) == Fraction(
-        int(pytest.importorskip("sympy").Matrix(dense).det()))
-    assert ran == ["bareiss", "multimodular"]
+    rows, divisor = ex._integer_rows(ExactMatrix.from_rows(dense))
+    assert route(lambda: ex._det_rows(rows, 10, divisor)) == (
+        "multimodular", Fraction(int(sympy.Matrix(dense).det())))
