@@ -18,9 +18,10 @@ is the one dispatcher: it alone validates the backend name, resolves
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
   in sparse storage.  Singleton rows and columns are peeled off first with
   no arithmetic (Laplace expansion along a line with one entry); Bareiss
-  elimination with Markowitz-style pivoting then runs on the remaining
-  core, its pivot sequence starting there.  Intermediate entries are
-  minors of the core, so every division is exact and no rationals appear.
+  elimination then runs on the remaining core, its pivot sequence starting
+  there.  Its pivot rule: lowest-count column, then its shortest row.
+  Intermediate entries are minors of the core, so every division is exact
+  and no rationals appear.
 * ``det_multimodular``: the determinant modulo a batch of 31-bit primes,
   recombined by the Chinese remainder theorem.  The prime batch is sized so
   that its product exceeds twice the Hadamard bound, plus one safety prime
@@ -38,6 +39,7 @@ import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 from typing import Mapping, Sequence, Union
 
@@ -56,9 +58,6 @@ IntRows = dict[int, dict[int, int]]
 # 2.4-3x faster, at 14 per row multimodular is 2-3x faster.  Witness systems
 # have at most 4.5 per row.
 _DENSE_NNZ_PER_ROW = 8
-
-# Number of lowest-count candidate columns examined per pivot step.
-_PIVOT_CANDIDATES = 4
 
 
 class ReconstructionError(RuntimeError):
@@ -206,17 +205,17 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
     The peel keeps each column as the list of rows it started with and a
     live count; the column sets of the core are built from what is left.
 
-    The Markowitz/Bareiss core then runs on what is left, with its own
-    pivot sequence starting at 1, so the peeled entries never scale its
-    rows.  The determinant is the sign of the row and column pivot orders
-    times the peeled product times the core's last Bareiss pivot.
+    The Bareiss core then runs on what is left, with its own pivot
+    sequence starting at 1, so the peeled entries never scale its rows.
+    The determinant is the sign of the row and column pivot orders times
+    the peeled product times the core's last Bareiss pivot.
 
-    Core pivots are chosen Markowitz-style: among the lowest-population columns
-    the entry minimizing (row_count - 1) * (col_count - 1), ties broken by
-    lowest (row, col).  Rows that do not meet a pivot column are rescaled
-    lazily: by the minor identity their true value at step k equals the
-    stored value times pivot_k / pivot_t, where t is the step at which the
-    row last participated, and that division is exact.
+    The core's pivot rule: lowest-count column, then its shortest row, ties
+    going to the lowest column and row index.  Rows that do not meet a
+    pivot column are rescaled lazily: by the minor identity their true
+    value at step k equals the stored value times pivot_k / pivot_t, where
+    t is the step at which the row last participated, and that division is
+    exact.
     """
     # Peel phase: pivot on singleton columns and rows with no arithmetic.
     # A column's entries leave the rows only when it is pivoted, so its
@@ -282,7 +281,7 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
         for j in ri:
             cols.setdefault(j, set()).add(i)
 
-    # Markowitz/Bareiss core on what is left; step indexes its own pivots.
+    # Bareiss core on what is left; step indexes its own pivots.
     heap: list[tuple[int, int]] = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
     pivots = [1]
@@ -306,30 +305,15 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
         if s:
             heapq.heappush(heap, (len(s), j))
 
-    while True:
-        candidates: list[tuple[int, int]] = []
-        while heap and len(candidates) < _PIVOT_CANDIDATES:
-            cnt, j = heapq.heappop(heap)
-            s = cols.get(j)
-            if s is None:
-                continue
-            if len(s) != cnt:
-                heapq.heappush(heap, (len(s), j))
-                continue
-            candidates.append((cnt, j))
-        for item in candidates:
-            heapq.heappush(heap, item)
-        if not candidates:
-            break
-
-        best = None
-        for cnt, j in candidates:
-            i = min(cols[j], key=lambda row: (len(rows[row]), row))
-            key = ((len(rows[i]) - 1) * (cnt - 1), i, j)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        _, pr, pc = best
+    while heap:
+        cnt, pc = heapq.heappop(heap)
+        s = cols.get(pc)
+        if s is None:
+            continue
+        if len(s) != cnt:
+            heapq.heappush(heap, (len(s), pc))
+            continue
+        pr = min(s, key=lambda row: (len(rows[row]), row))
 
         prev = pivots[step]
         materialize(pr, step)
@@ -421,14 +405,20 @@ _prime_cache: list[int] = []
 _prime_lock = threading.Lock()
 
 
-def _extend_primes(count: int) -> None:
+@cache
+def _small_primes() -> list[int]:
+    """The primes up to sqrt(_PRIME_CEILING), sieved once per process."""
     limit = isqrt(_PRIME_CEILING) + 1
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p:limit:p] = bytearray(len(range(p * p, limit, p)))
-    small = [p for p in range(2, limit) if sieve[p]]
+    return [p for p in range(2, limit) if sieve[p]]
+
+
+def _extend_primes(count: int) -> None:
+    small = _small_primes()
     candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_CEILING - 1
     while len(_prime_cache) < count:
         is_prime = True

@@ -287,9 +287,12 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
     counting order over the dictionary-ordered hyperedges.
 
     With ``homogeneous_only`` the stream is filtered to equal part sizes.
-    Raises ResourceCapError when the label codes walked, d ** C(n, r) of
-    them whether filtered or not, would exceed ``cap``.
+    Raises ValueError when d < 1, and ResourceCapError when the label codes
+    walked, d ** C(n, r) of them whether filtered or not, would exceed
+    ``cap``.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1 parts, got d={d}")
     m = comb(n, r)
     if homogeneous_only and m % d != 0:
         return
@@ -297,7 +300,7 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
     if walked > cap:
         raise ResourceCapError(
             f"enumeration walks {walked} label codes, exceeding cap {cap}")
-    share = m // d if d else 0
+    share = m // d
     for labels in product(range(1, d + 1), repeat=m):
         if homogeneous_only and any(labels.count(lab) != share
                                     for lab in range(1, d + 1)):

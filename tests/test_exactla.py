@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hgdet import exactla
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
@@ -137,7 +138,7 @@ def test_det_exact_dispatch():
         det_exact(m, backend="gauss")
 
 
-def test_modular_primes_properties():
+def test_modular_primes_properties(monkeypatch):
     primes = modular_primes(40)
     assert len(set(primes)) == 40
     assert all(p < 2 ** 31 for p in primes)
@@ -146,6 +147,10 @@ def test_modular_primes_properties():
         assert pow(2, p - 1, p) == 1  # Fermat spot-check
     # deterministic across calls
     assert modular_primes(10) == primes[:10]
+    # growing an empty cache twice gives the same prefix
+    monkeypatch.setattr(exactla, "_prime_cache", [])
+    assert modular_primes(3) == primes[:3]
+    assert modular_primes(4) == primes[:4]
 
 
 def test_crt_combine():
@@ -223,7 +228,7 @@ def test_multimodular_big_integer_residues():
     assert det_multimodular(ExactMatrix.from_rows([[big, big], [big, big]])) == 0
 
 
-# --- peel phase: singleton rows and columns ahead of the Markowitz core ------
+# --- peel phase: singleton rows and columns ahead of the Bareiss core --------
 
 def nonzero(rng):
     return rng.choice((-3, -2, -1, 1, 2, 3))
@@ -247,7 +252,7 @@ def planted_core(k, rng, core=4):
     """[[A, 0], [B, C]] with A a dense k x k lower triangle, B and C dense.
 
     Every column has at least ``core`` entries, so peeling runs through the
-    row singletons of A and leaves C to the Markowitz core; the transpose
+    row singletons of A and leaves C to the Bareiss core; the transpose
     peels through column singletons instead.
     """
     n = k + core
@@ -334,7 +339,7 @@ def test_peel_singular_repeated_core_column():
         assert check_against_oracles(permuted(core, rng), sympy) == 0
 
 
-# --- Markowitz core on rational matrices that do not peel -------------------
+# --- Bareiss core on rational matrices that do not peel ---------------------
 
 def unpeelable(n, c, rng, fill):
     """Seeded n x c rational matrix in which every row and every column

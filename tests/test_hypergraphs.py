@@ -240,6 +240,12 @@ def test_enumerate_counts():
         list(enumerate_partitions(6, 3, 2, cap=1000))
 
 
+@pytest.mark.parametrize("d, homogeneous_only", [(0, False), (0, True), (-1, False)])
+def test_enumerate_rejects_fewer_than_one_part(d, homogeneous_only):
+    with pytest.raises(ValueError, match="d=-?[0-9]"):
+        list(enumerate_partitions(2, 2, d, homogeneous_only=homogeneous_only))
+
+
 def test_enumerate_homogeneous_count():
     count = sum(1 for _ in enumerate_partitions(6, 3, 2, homogeneous_only=True))
     assert count == comb(20, 10)
