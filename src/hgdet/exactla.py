@@ -340,11 +340,12 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
             materialize(i, step - 1)
             ri = rows[i]
             b = ri.pop(pc)
-            # Off the pivot row's columns the update only rescales, and the
-            # column counts stay as they are.
-            for j, a in ri.items():
-                if j not in prow:
-                    ri[j] = a * piv // prev
+            # Off the pivot row's columns the update only rescales (a no-op
+            # when piv == prev), and the column counts stay as they are.
+            if piv != prev:
+                for j, a in ri.items():
+                    if j not in prow:
+                        ri[j] = a * piv // prev
             for j, w in prow.items():
                 if j == pc:
                     continue

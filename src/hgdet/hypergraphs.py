@@ -3,13 +3,28 @@
 Every sub-hypergraph of the complete r-uniform hypergraph spans an
 (r-1)-dimensional cell complex: one cell for each s-subset contained in some
 hyperedge, plus a single empty cell in degree -1 that makes the homology
-reduced.  Betti numbers are dimensions over the rationals, computed from
-exact boundary ranks.
+reduced.  Betti numbers are dimensions over the rationals,
+b_k = dim C_k - rank d_k - rank d_{k+1}, and the skeleta are built once per
+hypergraph by ``_skeleta``.  The boundary ranks follow from the skeleta
+wherever a rule gives them, so only the rest are eliminated:
+
+* rank d_0 = 1 when there is any vertex, else 0;
+* rank d_1 = |V| - (number of components), by union-find over the
+  1-skeleton;
+* rank d_k = C(n-1, k) when every (k+1)-subset of 1..n is a cell;
+* any other boundary is built straight into the integer row form and its
+  rank taken by one exact elimination.
+
+For r = 3 only the top map d_2 is eliminated, and for r = 2 nothing is.
+``chain_complex`` with ``rank_exact`` on every map is the generic path,
+kept as the oracle the tests compare against.
 
 The classification pipeline ties everything together: a d-partition of the
 complete hypergraph on rd vertices has nonzero subset determinant exactly
 when it is pre-homogeneous and every part has vanishing top Betti number,
-and any such partition is automatically homogeneous.
+and any such partition is automatically homogeneous.  ``classify_partition``
+reads the deficiency and the Betti numbers of each part from the same
+skeleta, with at most one elimination per part for r = 3.
 
 Everything here is a pure function of immutable values; classifying
 distinct partitions is safe to run in parallel.
@@ -19,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
 from .determinant import basis_det
-from .exactla import ExactMatrix, _rank_rows, rank_exact
+from .exactla import ExactMatrix, IntRows, _rank_rows
 from .system import basis_rows
 from .tensors import BasisAssignment, ParseError, _read_records
 
@@ -57,14 +73,27 @@ class Hypergraph:
         return cls(n, r, frozenset(combinations(range(1, n + 1), r)))
 
 
+def _skeleta(edges: Iterable[tuple[int, ...]], r: int) -> list[set[tuple[int, ...]]]:
+    """The cells of the complex spanned by ``edges``: ``levels[s]`` holds
+    the s-subsets contained in some hyperedge, for 0 <= s <= r, so
+    ``levels[k + 1]`` are the cells of degree k and ``levels[0]`` is the
+    empty cell.  Each level is read off the one above it."""
+    levels = [set(edges)] if r else []
+    for s in range(r - 1, 0, -1):
+        level: set[tuple[int, ...]] = set()
+        for cell in levels[-1]:
+            level.update(combinations(cell, s))
+        levels.append(level)
+    levels.append({()})
+    levels.reverse()
+    return levels
+
+
 def skeleton_edges(h: Hypergraph, s: int) -> set[tuple[int, ...]]:
     """All s-subsets contained in at least one hyperedge."""
     if not 1 <= s <= h.r:
         raise ValueError(f"skeleton level must be in 1..{h.r}, got {s}")
-    out: set[tuple[int, ...]] = set()
-    for e in h.edges:
-        out.update(combinations(e, s))
-    return out
+    return _skeleta(h.edges, h.r)[s]
 
 
 @dataclass(frozen=True)
@@ -83,10 +112,10 @@ class ChainComplex:
 
 
 def chain_complex(h: Hypergraph) -> ChainComplex:
-    generators: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
-    for s in range(1, h.r + 1):
-        cells = sorted(skeleton_edges(h, s))
+    generators: dict[int, list[tuple[int, ...]]] = {}
+    index: dict[int, dict[tuple[int, ...], int]] = {}
+    for s, level in enumerate(_skeleta(h.edges, h.r)):
+        cells = sorted(level)
         generators[s - 1] = cells
         index[s - 1] = {cell: i for i, cell in enumerate(cells)}
     boundary: dict[int, ExactMatrix] = {}
@@ -103,7 +132,7 @@ def chain_complex(h: Hypergraph) -> ChainComplex:
     return ChainComplex(h.r, generators, boundary)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiVector:
     """Reduced Betti numbers indexed by degree -1 .. r-1."""
 
@@ -121,24 +150,81 @@ class BettiVector:
         return not any(self.values)
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _shared(value):
+    """The first instance seen of an immutable value equal to ``value``.
+    Classification reports repeat a few Betti vectors, deficiencies and
+    determinants many times over, so they hold shared instances."""
+    return value
+
+
+def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """|V| - (number of components) of a graph on 1..n: the edges that
+    union-find merges."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merged = 0
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            merged += 1
+    return merged
+
+
+def _boundary_rows(levels: list[set[tuple[int, ...]]],
+                   k: int) -> tuple[IntRows, int, int]:
+    """The transpose of the boundary map d_k in the integer row form: one
+    row per cell of degree k, holding the alternating signs of its faces.
+    Returns (rows, nrows, ncols); the rank is that of d_k."""
+    index = {face: i for i, face in enumerate(levels[k])}
+    rows: IntRows = {}
+    for j, cell in enumerate(levels[k + 1]):
+        rows[j] = {index[cell[:q] + cell[q + 1:]]: -1 if q % 2 else 1
+                   for q in range(k + 1)}
+    return rows, len(levels[k + 1]), len(levels[k])
+
+
+def _boundary_rank(levels: list[set[tuple[int, ...]]], n: int, k: int) -> int:
+    """rank d_k over Q, by the rules in the module docstring; only a map
+    that none of them covers is eliminated."""
+    cells = levels[k + 1]
+    if not cells:
+        return 0
+    if len(cells) == comb(n, k + 1):
+        return comb(n - 1, k)
+    if k == 0:
+        return 1
+    if k == 1:
+        return _spanning_forest_size(n, cells)
+    return _rank_rows(*_boundary_rows(levels, k))
+
+
+def _betti(levels: list[set[tuple[int, ...]]], n: int) -> BettiVector:
+    """Reduced Betti numbers of the complex whose skeleta are ``levels``."""
+    r = len(levels) - 1
+    # ranks[k + 1] = rank d_k; the maps out of degree -1 and into r-1 are 0.
+    ranks = [0, *(_boundary_rank(levels, n, k) for k in range(r)), 0]
+    return _shared(BettiVector(tuple(len(levels[s]) - ranks[s] - ranks[s + 1]
+                                     for s in range(r + 1))))
+
+
 def betti_numbers(h: Hypergraph) -> BettiVector:
     """b_k = dim C_k - rank boundary_k - rank boundary_{k+1}, over Q."""
-    cx = chain_complex(h)
-    ranks = {k: rank_exact(m) for k, m in cx.boundary.items()}
-    values = []
-    for k in range(-1, h.r):
-        dim = len(cx.generators[k])
-        values.append(dim - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    return BettiVector(tuple(values))
+    return _betti(_skeleta(h.edges, h.r), h.n)
 
 
 def euler_characteristic(h: Hypergraph) -> int:
     """Alternating cell count sum_{s=0}^{r} (-1)^s |E_s|, the empty cell
     counting as E_0.  Equals -sum_k (-1)^k b_k over the reduced degrees."""
-    total = 1
-    for s in range(1, h.r + 1):
-        total += (-1) ** s * len(skeleton_edges(h, s))
-    return total
+    return sum((-1) ** s * len(level)
+               for s, level in enumerate(_skeleta(h.edges, h.r)))
 
 
 # --- partitions --------------------------------------------------------------
@@ -202,17 +288,23 @@ def partition_from_labels(n: int, r: int, d: int,
     return DPartition(n, r, tuple(frozenset(s) for s in parts))
 
 
+def _deficiency(n: int, skeleta: Iterable[list[set[tuple[int, ...]]]]
+                ) -> tuple[int, int, int, int] | None:
+    """First (part, level, count, expected) whose skeleton below the top
+    level is not full, given each part's ``_skeleta``."""
+    for i, levels in enumerate(skeleta, start=1):
+        for k in range(1, len(levels) - 1):
+            count = len(levels[k])
+            expected = comb(n, k)
+            if count != expected:
+                return (i, k, count, expected)
+    return None
+
+
 def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) violating fullness of a skeleton
     below the top level, or None when every part is fully pre-homogeneous."""
-    for i in range(p.d):
-        h = p.part_hypergraph(i)
-        for k in range(1, p.r):
-            count = len(skeleton_edges(h, k))
-            expected = comb(p.n, k)
-            if count != expected:
-                return (i + 1, k, count, expected)
-    return None
+    return _deficiency(p.n, (_skeleta(part, p.r) for part in p.parts))
 
 
 def is_prehomogeneous(p: DPartition) -> bool:
@@ -233,19 +325,20 @@ def is_homogeneous(p: DPartition) -> bool:
 def boundary_rank_matches_system(p: DPartition) -> bool:
     """Compare rank of the direct sum of top boundary maps with the rank of
     the full (untruncated) system matrix of the partition's basis tensor,
-    assembled by the label-aware route.  Requires a pre-homogeneous
-    partition."""
-    if not is_prehomogeneous(p):
+    assembled by the label-aware route.  Both ranks are eliminated, with no
+    rank rule.  Requires a pre-homogeneous partition."""
+    if p.n != p.r * p.d:
+        raise ValueError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+    skeleta = [_skeleta(part, p.r) for part in p.parts]
+    if _deficiency(p.n, skeleta) is not None:
         raise ValueError("rank comparison requires a pre-homogeneous partition")
-    boundary_rank = 0
-    for i in range(p.d):
-        cx = chain_complex(p.part_hypergraph(i))
-        boundary_rank += rank_exact(cx.boundary[p.r - 1])
+    boundary_rank = sum(_rank_rows(*_boundary_rows(levels, p.r - 1))
+                        for levels in skeleta)
     rows, nrows, ncols = basis_rows(basis_from_partition(p), p.n)
     return boundary_rank == _rank_rows(rows, nrows, ncols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     """Joint verdict of the determinant and homology tests on a partition."""
 
@@ -268,17 +361,18 @@ def classify_partition(p: DPartition, backend: str = "auto",
     if p.n != p.r * p.d:
         raise InvalidPartitionError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
     det = basis_det(basis_from_partition(p), backend=backend, threads=threads)
-    deficiency = skeleton_deficiency(p)
+    skeleta = [_skeleta(part, p.r) for part in p.parts]
+    deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None
     share = comb(p.n - 1, p.r - 1)
     hom = prehom and all(len(part) == share for part in p.parts)
-    betti = tuple(betti_numbers(p.part_hypergraph(i)) for i in range(p.d))
+    betti = tuple(_betti(levels, p.n) for levels in skeleta)
     det_nonzero = det != 0
     all_zero = prehom and all(b.all_zero() for b in betti)
     top_zero = prehom and all(b.top() == 0 for b in betti)
     consistent = det_nonzero == all_zero == top_zero
-    return ClassificationReport(p.n, p.r, p.d, det, prehom, hom, betti,
-                                deficiency, consistent)
+    return ClassificationReport(p.n, p.r, p.d, _shared(det), prehom, hom,
+                                _shared(betti), _shared(deficiency), consistent)
 
 
 def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
@@ -312,21 +406,9 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
 
 
 def graph_is_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Cycle detection by union-find."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    """Cycle detection by union-find: every edge joins two components."""
+    edges = list(edges)
+    return _spanning_forest_size(n, edges) == len(edges)
 
 
 def partition_is_cycle_free(p: DPartition) -> bool:

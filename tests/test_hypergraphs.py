@@ -1,7 +1,9 @@
 """Chain complexes, Betti numbers, homogeneity, and the classification pipeline."""
 
 import io
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdet.exactla import rank_exact
-from hgdet.hypergraphs import (DPartition, Hypergraph, InvalidPartitionError,
+from hgdet import hypergraphs
+from hgdet.hypergraphs import (BettiVector, ClassificationReport, DPartition,
+                               Hypergraph, InvalidPartitionError,
                                ResourceCapError, basis_from_partition,
                                betti_numbers, boundary_rank_matches_system,
                                chain_complex, classify_partition,
@@ -18,7 +22,8 @@ from hgdet.hypergraphs import (DPartition, Hypergraph, InvalidPartitionError,
                                graph_is_forest, is_homogeneous,
                                is_prehomogeneous, partition_from_basis,
                                partition_from_labels, partition_is_cycle_free,
-                               read_partition, skeleton_edges, write_partition)
+                               read_partition, skeleton_deficiency,
+                               skeleton_edges, write_partition)
 from hgdet.tensors import canonical_witness
 from hgdet.verify import random_partition
 
@@ -87,6 +92,147 @@ def test_boundary_squares_to_zero_random(data):
     cx = chain_complex(Hypergraph(n, r, frozenset(edges)))
     for k in range(1, r):
         assert cx.boundary[k - 1].matmul(cx.boundary[k]).is_zero()
+
+
+def generic_betti(h):
+    """Oracle: every boundary of the chain complex eliminated by rank_exact."""
+    cx = chain_complex(h)
+    ranks = {k: rank_exact(m) for k, m in cx.boundary.items()}
+    return tuple(len(cx.generators[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                 for k in range(-1, h.r))
+
+
+def generic_deficiency(p):
+    """Oracle: the first part and level below the top whose k-subsets are
+    not all contained in a hyperedge of the part."""
+    for i, part in enumerate(p.parts, start=1):
+        for k in range(1, p.r):
+            count = sum(1 for s in combinations(range(1, p.n + 1), k)
+                        if any(set(s) <= set(e) for e in part))
+            if count != comb(p.n, k):
+                return (i, k, count, comb(p.n, k))
+    return None
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_betti_matches_generic_oracle(data):
+    r = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(r, 7 if r < 4 else 8))
+    universe = list(combinations(range(1, n + 1), r))
+    edges = data.draw(st.sets(st.sampled_from(universe), min_size=0,
+                              max_size=len(universe)))
+    h = Hypergraph(n, r, frozenset(edges))
+    assert betti_numbers(h).values == generic_betti(h)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_betti_rules_on_empty_full_and_sparse(r):
+    for n in range(r, r + 4):
+        full = Hypergraph.complete(n, r)
+        assert betti_numbers(full).values == generic_betti(full)
+        empty = Hypergraph(n, r, frozenset())
+        assert betti_numbers(empty).values == (1,) + (0,) * r
+        # Every other hyperedge: not pre-homogeneous as soon as n > r + 1.
+        some = Hypergraph(n, r, frozenset(sorted(full.edges)[::2]))
+        assert betti_numbers(some).values == generic_betti(some)
+    assert betti_numbers(Hypergraph(0, r, frozenset())).values == (1,) + (0,) * r
+
+
+def counting_rank_rows(monkeypatch):
+    """Count the eliminations the Betti path runs."""
+    calls = []
+    rank_rows = hypergraphs._rank_rows
+
+    def counting(rows, nrows, ncols):
+        calls.append((nrows, ncols))
+        return rank_rows(rows, nrows, ncols)
+
+    monkeypatch.setattr(hypergraphs, "_rank_rows", counting)
+    return calls
+
+
+def test_betti_r4_with_non_full_middle_level(monkeypatch):
+    # Two 4-sets sharing the pair {1, 2} plus a closed 3-sphere on 5..9:
+    # levels 2 and 3 are neither empty nor full, so d_2 and d_3 are both
+    # eliminated.
+    edges = {(1, 2, 3, 4), (1, 2, 5, 6)} | set(combinations(range(5, 10), 4))
+    h = Hypergraph(9, 4, frozenset(edges))
+    assert 0 < len(skeleton_edges(h, 2)) < comb(9, 2)
+    assert 0 < len(skeleton_edges(h, 3)) < comb(9, 3)
+    calls = counting_rank_rows(monkeypatch)
+    assert betti_numbers(h).values == (0, 0, 0, 0, 1)
+    assert len(calls) == 2
+    assert betti_numbers(h).values == generic_betti(h)
+
+
+@pytest.mark.parametrize("n, r, d", [(6, 3, 2), (8, 4, 2), (9, 3, 3), (4, 2, 2),
+                                     (6, 2, 3)])
+def test_partition_parts_match_generic_oracle(n, r, d):
+    rng = random.Random(n * 100 + r * 10 + d)
+    for trial in range(12):
+        p = random_partition(n, r, d, rng, equal_sizes=trial % 2 == 1)
+        report = classify_partition(p)
+        assert report.deficiency == skeleton_deficiency(p) == generic_deficiency(p)
+        for i, b in enumerate(report.betti):
+            h = p.part_hypergraph(i)
+            assert b.values == betti_numbers(h).values == generic_betti(h)
+        assert report.consistent
+
+
+def test_one_elimination_per_part(monkeypatch):
+    calls = counting_rank_rows(monkeypatch)
+    rng = random.Random(23)
+    for trial in range(40):
+        p = random_partition(6, 3, 2, rng, equal_sizes=trial % 2 == 1)
+        calls.clear()
+        report = classify_partition(p)
+        assert len(calls) <= p.d
+        if report.prehomogeneous:
+            assert len(calls) == p.d  # only the top map d_2 is eliminated
+        calls.clear()
+        betti_numbers(p.part_hypergraph(0))
+        assert len(calls) <= 1
+    for trial in range(40):
+        p = random_partition(6, 2, 3, rng, equal_sizes=trial % 2 == 1)
+        calls.clear()
+        classify_partition(p)
+        assert calls == []
+
+
+def test_classification_report_value_semantics():
+    p = partition_from_basis(canonical_witness(3, 2))
+    report = classify_partition(p)
+    again = classify_partition(p)
+    assert report == again and hash(report) == hash(again)
+    assert len({report, again}) == 1
+    clone = pickle.loads(pickle.dumps(report))
+    assert clone == report and hash(clone) == hash(report)
+    assert isinstance(clone, ClassificationReport)
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        report.det = 1
+    other = classify_partition(partition_from_labels(
+        6, 3, 2, [1 if 6 not in e else 2 for e in combinations(range(1, 7), 3)]))
+    assert other != report
+
+
+def test_betti_vector_behaviour():
+    b = BettiVector((0, 0, 1, 2))
+    assert [b[k] for k in range(-1, 3)] == [0, 0, 1, 2]
+    for degree in (-2, 3):
+        with pytest.raises(IndexError):
+            b[degree]
+    assert b.top() == 2
+    assert not b.all_zero() and BettiVector((0, 0, 0)).all_zero()
+    assert b == BettiVector((0, 0, 1, 2)) and hash(b) == hash(BettiVector((0, 0, 1, 2)))
+    assert pickle.loads(pickle.dumps(b)) == b
+    assert not hasattr(b, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        b.values = ()
+    # Equal vectors from the Betti path are one shared instance.
+    k43 = Hypergraph.complete(4, 3)
+    assert betti_numbers(k43) is betti_numbers(k43)
 
 
 def test_euler_characteristic_examples():
