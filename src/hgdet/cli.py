@@ -55,6 +55,10 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+#: A command's report, or None when it prints none, and its exit code.
+Outcome = tuple[RunReport | None, int]
+
+
 def _digest_file(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -62,10 +66,6 @@ def _digest_file(path: str) -> str:
 
 def _digest_args(*parts) -> str:
     return hashlib.sha256(" ".join(map(str, parts)).encode()).hexdigest()
-
-
-def _emit(report: RunReport, fmt: str) -> None:
-    print(report.to_json() if fmt == "json" else report.to_text())
 
 
 def _load_assignment(path: str):
@@ -81,8 +81,7 @@ def _load_assignment(path: str):
     raise ParseError(1, f"expected a 2- or 3-integer header, got {head}")
 
 
-def cmd_det(args) -> int:
-    t0 = time.perf_counter()
+def cmd_det(args) -> Outcome:
     assignment = _load_assignment(args.file)
     det = basis_det if isinstance(assignment, BasisAssignment) else tensor_det
     value = det(assignment, backend=args.backend, threads=args.threads)
@@ -91,31 +90,24 @@ def cmd_det(args) -> int:
     report.outputs["d"] = str(assignment.d)
     report.outputs["dimension"] = str(system_dimension(assignment.r, assignment.d))
     report.outputs["det"] = str(value)
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    t0 = time.perf_counter()
+def cmd_witness(args) -> Outcome:
     basis = canonical_witness(args.r, args.d)
     if args.out == "-":
         write_basis(basis, sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            write_basis(basis, fh)
+        return None, EXIT_OK
+    with open(args.out, "w") as fh:
+        write_basis(basis, fh)
     report = RunReport(f"witness {args.r} {args.d}", _digest_args(args.r, args.d),
                        "none")
     report.outputs["entries"] = str(len(basis.labels))
     report.outputs["written"] = args.out
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    if args.out != "-":
-        _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_matrix(args) -> int:
-    t0 = time.perf_counter()
+def cmd_matrix(args) -> Outcome:
     assignment = _load_assignment(args.file)
     if isinstance(assignment, BasisAssignment):
         assignment = tensor_from_basis(assignment)
@@ -126,13 +118,10 @@ def cmd_matrix(args) -> int:
     report.outputs["dimension"] = str(sm.size)
     report.outputs["nnz"] = str(len(sm.matrix.entries))
     report.outputs["written"] = args.out
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_table(args) -> int:
-    t0 = time.perf_counter()
+def cmd_table(args) -> Outcome:
     report = RunReport(f"table max-dim={args.max_dim}",
                        _digest_args("table", args.max_dim), args.backend)
     for r, d in sorted(KNOWN_WITNESS_DETS.keys() | set(table_cells(args.max_dim))):
@@ -145,13 +134,10 @@ def cmd_table(args) -> int:
         known = KNOWN_WITNESS_DETS.get((r, d))
         agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
         report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_classify(args) -> Outcome:
     with open(args.file) as fh:
         partition = read_partition(fh)
     rep = classify_partition(partition, backend=args.backend, threads=args.threads)
@@ -167,13 +153,10 @@ def cmd_classify(args) -> int:
     for i, b in enumerate(rep.betti, start=1):
         report.outputs[f"betti-part-{i}"] = " ".join(map(str, b.values))
     report.outputs["consistent"] = str(rep.consistent).lower()
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK if rep.consistent else EXIT_VIOLATION
+    return report, EXIT_OK if rep.consistent else EXIT_VIOLATION
 
 
-def cmd_betti(args) -> int:
-    t0 = time.perf_counter()
+def cmd_betti(args) -> Outcome:
     with open(args.file) as fh:
         h = read_hypergraph(fh)
     b = betti_numbers(h)
@@ -182,17 +165,14 @@ def cmd_betti(args) -> int:
     report.outputs["betti"] = " ".join(map(str, b.values))
     report.outputs["degrees"] = " ".join(str(k) for k in range(-1, h.r))
     report.outputs["euler-characteristic"] = str(euler_characteristic(h))
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> Outcome:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
-        return EXIT_USAGE
+        return None, EXIT_USAGE
     result = run_suite(args.suite, seed=args.seed, trials=args.trials)
     report = RunReport(f"verify {args.suite}",
                        _digest_args(args.suite, args.seed, args.trials), "auto")
@@ -202,9 +182,7 @@ def cmd_verify(args) -> int:
         report.outputs[f"detail-{i}"] = line
     for i, line in enumerate(result.failures):
         report.outputs[f"failure-{i}"] = line
-    report.elapsed_ms = 1000 * (time.perf_counter() - t0)
-    _emit(report, args.format)
-    return EXIT_OK if result.passed else EXIT_VIOLATION
+    return report, EXIT_OK if result.passed else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,16 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        print(f"error: --threads must be at least 1, got {threads}", file=sys.stderr)
-        return EXIT_USAGE
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
-        return EXIT_USAGE
+    for option in ("threads", "trials"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            print(f"error: --{option} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            report.elapsed_ms = 1000 * (time.perf_counter() - t0)
+            print(report.to_json() if args.format == "json" else report.to_text())
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

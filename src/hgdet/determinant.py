@@ -1,20 +1,19 @@
 """The subset determinant: determinant of the truncated insertion system.
 
-A rational tensor goes through the tensor route: its system is assembled as
-an :class:`~hgdet.exactla.ExactMatrix` and handed to ``det_exact``.  A basis
-assignment (a labelling, such as the canonical witness or a d-partition)
-goes through the label-aware route: ``system.basis_rows`` writes the ±1
-system straight into the integer row form, which elimination consumes as
-it is.  Both routes give the same matrix and so the same value, under the
-same backend selection.
+A rational tensor and a basis assignment (a labelling, such as the
+canonical witness or a d-partition) both reach elimination as rows from the
+one insertion walk of ``system``, never as a matrix: a labelling's rows are
+integers already (``system.basis_rows``), a tensor's are rational and have
+their denominators cleared row by row (``system.tensor_rows``).  A
+labelling and its expanded tensor give the same rows and so the same value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactla import _det_rows, det_exact
-from .system import basis_rows, system_matrix
+from .exactla import _clear_denominators, _det_rows
+from .system import basis_rows, tensor_rows
 from .tensors import BasisAssignment, TensorAssignment, canonical_witness
 
 
@@ -25,8 +24,9 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     facets assigned the same vector; under a slotwise linear map M it scales
     by det(M) ** C(rd-1, r-1).
     """
-    sm = system_matrix(tensor)
-    return det_exact(sm.matrix, backend=backend, threads=threads)
+    rows, n, _ = tensor_rows(tensor, tensor.n - 1)
+    divisor = _clear_denominators(rows)
+    return _det_rows(rows, n, divisor, backend, threads)
 
 
 def basis_det(basis: BasisAssignment, backend: str = "auto", threads: int = 1) -> Fraction:

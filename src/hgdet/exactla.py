@@ -2,18 +2,21 @@
 
 Every determinant and rank goes through one integer row form: a dict from
 row index to a dict from column index to a nonzero int, with empty rows
-absent, plus a divisor.  ``_integer_rows`` builds it from an
-:class:`ExactMatrix` in one pass over ``entries``, scaling each row that
-holds a fraction by the lcm of its denominators; the divisor is the product
-of those scales.  Assemblies that produce integers directly (the
-label-aware insertion system in ``system.basis_rows``) hand their rows to
-``_det_rows`` and ``_rank_rows`` without building a matrix.  Elimination
-consumes the rows it is given.
+absent, plus a divisor.  ``_integer_rows`` groups the entries of an
+:class:`ExactMatrix` by row in one pass, and ``_clear_denominators`` scales
+each row that holds a fraction by the lcm of its denominators; the divisor
+is the product of those scales.  The insertion systems never become a
+matrix on their way to a determinant or rank: the one walk of ``system``
+writes them as rows, integers for a labelling and rationals for a tensor,
+whose rows go through ``_clear_denominators`` alone, and both are handed to
+``_det_rows`` and ``_rank_rows``.  Elimination consumes the rows it is
+given.
 
 Two determinant backends are provided and must always agree.  ``_det_rows``
 is the one dispatcher: it alone validates the backend name, resolves
-"auto" and handles n = 0.  ``det_exact``, ``det_bareiss``,
-``det_multimodular`` and the label-aware ``basis_det`` all reach it.
+"auto" and handles n = 0.  ``det_exact``, ``det_bareiss`` and
+``det_multimodular`` reach it, and so do ``tensor_det`` and ``basis_det``
+of ``determinant``.
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
   in sparse storage.  Singleton rows and columns are peeled off first with
@@ -51,6 +54,8 @@ Rational = Union[int, Fraction]
 
 #: The integer row form: row -> column -> nonzero int, empty rows absent.
 IntRows = dict[int, dict[int, int]]
+#: The same with rational values, before ``_clear_denominators``.
+RationalRows = dict[int, dict[int, Rational]]
 
 # Mean nonzeros per row above which backend "auto" picks the multimodular
 # backend.  On random p/q matrices of 60 and 120 rows the two backends tie
@@ -141,15 +146,10 @@ class ExactMatrix:
 
 
 def _integer_rows(matrix: ExactMatrix) -> tuple[IntRows, int]:
-    """The integer row form of ``matrix`` and its divisor.
-
-    One pass over ``entries`` groups them by row; each row holding a
-    fraction is then scaled by the lcm of its denominators, so
-    det(matrix) == det(rows) / divisor.  The row dicts are new, so the
-    caller may hand them to elimination.
-    """
-    rows: IntRows = {}
-    fractional: set[int] = set()
+    """The integer row form of ``matrix`` and its divisor: one pass over
+    ``entries`` groups them into new row dicts, which the caller may hand
+    to elimination, and ``_clear_denominators`` makes them integers."""
+    rows: RationalRows = {}
     for (i, j), v in matrix.entries.items():
         if not v:
             continue
@@ -157,17 +157,21 @@ def _integer_rows(matrix: ExactMatrix) -> tuple[IntRows, int]:
         if row is None:
             rows[i] = row = {}
         row[j] = v
-        if isinstance(v, Fraction):
-            fractional.add(i)
+    return rows, _clear_denominators(rows)
+
+
+def _clear_denominators(rows: RationalRows) -> int:
+    """Scale each row holding a fraction, in place, by the lcm of its
+    denominators, so that every value is an int; returns the product of the
+    scales, so det(before) == det(after) / product."""
     divisor = 1
-    for i in fractional:
-        row = rows[i]
-        scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
-        for j, v in row.items():
-            row[j] = (v.numerator * (scale // v.denominator)
-                      if isinstance(v, Fraction) else v * scale)
-        divisor *= scale
-    return rows, divisor
+    for row in rows.values():
+        if Fraction in map(type, row.values()):
+            scale = lcm(*(v.denominator for v in row.values()))
+            for j, v in row.items():
+                row[j] = v.numerator * (scale // v.denominator)
+            divisor *= scale
+    return divisor
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:

@@ -12,16 +12,16 @@ Rows are ordered by dictionary order on the equation bases, coordinates
 ordering is fixed once and for all: changing it would only flip the global
 sign of the determinant.
 
-Two routes assemble the same system.  The tensor route
-(:func:`system_matrix`, :func:`full_system_matrix`) walks
-:func:`equation_block` and builds a tuple-keyed :class:`ExactMatrix`; it
-serves any rational tensor, the ``hgdet matrix`` dump and the tests as an
-oracle.  The label-aware route (:func:`basis_rows`) serves a
-:class:`BasisAssignment`, whose vectors are unit vectors: inserting s into
-a base at 0-based position pos puts the single entry (-1)**(s + pos + 1) at
-row block*d + label - 1, in the column of the enlarged subset.  It writes
-the integer row form of ``exactla`` directly, with no tensor, no
-per-coordinate loop and no tuple-keyed matrix.
+One walk, ``_insertion_rows``, writes every insertion system: inserting s
+into a base at 0-based position pos puts one entry (-1)**(s + pos + 1) at
+row block*d + label - 1, in the column of the enlarged subset.  The labels
+of a :class:`BasisAssignment` stand for unit vectors, so its walk is the
+integer row form of ``exactla`` as it is (:func:`basis_rows`).  A rational
+tensor runs the walk with d = 1 and every label 1 and multiplies each +-1
+pattern row by its coordinates (:func:`tensor_rows`).  The ExactMatrix
+wrappers serve the ``hgdet matrix`` dump and the tests; :func:`equation_block`
+builds one equation from the tensor, for :func:`relation_holds` and as the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import comb
 from typing import IO, Iterable, Sequence
 
 from .combi import check_subset, insertion_sign
-from .exactla import ExactMatrix, IntRows
+from .exactla import ExactMatrix, IntRows, RationalRows
 from .tensors import (BasisAssignment, Rational, TensorAssignment,
                       format_rational, subsets)
 
@@ -74,48 +74,16 @@ class SystemMatrix:
         return self.matrix.rows
 
 
-def _assemble(tensor: TensorAssignment, top: int) -> ExactMatrix:
-    """One equation block per (r-1)-subset of 1..top, in dictionary order.
-
-    Block ``b`` fills rows b*d .. b*d + d - 1; the columns are all r-subsets
-    of 1..rd in dictionary order.
+def _insertion_rows(r: int, n: int, d: int, label: Sequence[int],
+                    top: int) -> tuple[IntRows, int, int]:
+    """The insertion walk over the (r-1)-subsets of 1..top, with its row and
+    column counts.  ``label`` holds a label in 1..d per r-subset of 1..n in
+    dictionary order, and each insertion writes one +-1 at row
+    block*d + label - 1.  A column is located by its dictionary rank,
+    C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for c_1 < ... < c_r: the base
+    contributes a prefix and a suffix of that sum around the inserted
+    element, so no subset tuple is built.
     """
-    r, d, n = tensor.r, tensor.d, tensor.n
-    column = {subset: j for j, subset in enumerate(subsets(r, n))}
-    entries: dict[tuple[int, int], Rational] = {}
-    for block_no, base in enumerate(subsets(r - 1, top)):
-        for (c, subset), value in equation_block(tensor, base).items():
-            entries[(block_no * d + (c - 1), column[subset])] = value
-    return ExactMatrix(d * comb(top, r - 1), len(column), entries)
-
-
-def system_matrix(tensor: TensorAssignment) -> SystemMatrix:
-    """Assemble the truncated system: equation bases with max element < rd."""
-    return SystemMatrix(tensor.r, tensor.d, _assemble(tensor, tensor.n - 1))
-
-
-def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
-    """The untruncated system: one equation block per (r-1)-subset of 1..rd.
-
-    Shape d * C(rd, r-1) by C(rd, r); used for the rank comparison with the
-    top boundary map and for relation checking.
-    """
-    return _assemble(tensor, tensor.n)
-
-
-def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
-    """The insertion system of ``basis`` over the (r-1)-subsets of 1..top,
-    in the integer row form, with its row and column counts.
-
-    The rows and columns are those of ``_assemble(tensor_from_basis(basis),
-    top)``: ``top = rd - 1`` gives the square system, ``top = rd`` the full
-    one.  A column is located by its dictionary rank, which for
-    c_1 < ... < c_r in 1..n is C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k):
-    the base contributes a prefix and a suffix of that sum around the
-    inserted element, so no subset tuple is built.
-    """
-    r, d, n = basis.r, basis.d, basis.n
-    label = [basis.labels[subset] for subset in subsets(r, n)]
     # term[k][c]: the rank term of element c at 1-based position k.
     term = [[comb(n - c, r + 1 - k) for c in range(n + 1)] for k in range(r + 2)]
     last = comb(n, r) - 1
@@ -139,6 +107,52 @@ def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
                 rows[i] = row = {}
             row[col] = 1 if (s + pos) & 1 else -1
     return rows, d * comb(top, r - 1), last + 1
+
+
+def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
+    """The insertion system of ``basis`` over the (r-1)-subsets of 1..top
+    (rd - 1 for the square system, rd for the full one) in the integer row
+    form, with its row and column counts: the walk on its labels."""
+    label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
+    return _insertion_rows(basis.r, basis.n, basis.d, label, top)
+
+
+def tensor_rows(tensor: TensorAssignment, top: int) -> tuple[RationalRows, int, int]:
+    """The insertion system of ``tensor`` over the (r-1)-subsets of 1..top
+    as rational rows, with its row and column counts.  The walk with d = 1
+    and every label 1 gives each base's +-1 pattern row; times coordinate c
+    of each column's vector, it is row block*d + c, left out when empty."""
+    r, d, n = tensor.r, tensor.d, tensor.n
+    vectors = [tensor.entries[subset] for subset in subsets(r, n)]
+    pattern, nblocks, ncols = _insertion_rows(r, n, 1, [1] * len(vectors), top)
+    coords = [[vec[c] for vec in vectors] for c in range(d)]
+    rows: RationalRows = {}
+    for block, signs in pattern.items():
+        for c, coord in enumerate(coords):
+            row = {col: sign * v for col, sign in signs.items() if (v := coord[col])}
+            if row:
+                rows[block * d + c] = row
+    return rows, d * nblocks, ncols
+
+
+def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:
+    rows, nrows, ncols = tensor_rows(tensor, top)
+    return ExactMatrix(nrows, ncols, {(i, j): v for i, row in rows.items()
+                                      for j, v in row.items()})
+
+
+def system_matrix(tensor: TensorAssignment) -> SystemMatrix:
+    """Assemble the truncated system: equation bases with max element < rd."""
+    return SystemMatrix(tensor.r, tensor.d, _matrix(tensor, tensor.n - 1))
+
+
+def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
+    """The untruncated system: one equation block per (r-1)-subset of 1..rd.
+
+    Shape d * C(rd, r-1) by C(rd, r); used for the rank comparison with the
+    top boundary map and for relation checking.
+    """
+    return _matrix(tensor, tensor.n)
 
 
 def relation_sign(s: int, base: Sequence[int]) -> int:

@@ -4,18 +4,20 @@ import io
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 
 import hgdet.system as system
 from hgdet.combi import rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
-from hgdet.exactla import ExactMatrix, _integer_rows, _rank_rows, rank_exact
+from hgdet.exactla import (ExactMatrix, _integer_rows, _rank_rows, det_bareiss,
+                           rank_exact)
+from hgdet.hypergraphs import classify_partition, partition_from_labels
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
 from hgdet.system import (basis_rows, equation_block, facet_column_relation,
                           combine_columns, full_system_matrix, relation_holds,
-                          system_matrix, write_matrix)
+                          system_matrix, tensor_rows, write_matrix)
 from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
                            subsets, tensor_from_basis)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
@@ -266,7 +268,42 @@ def test_det_against_cofactor_for_small_system():
     assert tensor_det(tensor) == cofactor_det(sm.matrix.to_dense())
 
 
-# --- label-aware assembly against the tensor route -------------------------
+# --- the insertion walk against an equation_block oracle ------------------
+
+
+def oracle_rows(tensor, top):
+    """The insertion system over the (r-1)-subsets of 1..top, one
+    equation_block per base: rows (row -> column -> value) and shape."""
+    column = {subset: j for j, subset in enumerate(subsets(tensor.r, tensor.n))}
+    rows = {}
+    for block, base in enumerate(subsets(tensor.r - 1, top)):
+        for (c, subset), value in equation_block(tensor, base).items():
+            rows.setdefault(block * tensor.d + c - 1, {})[column[subset]] = value
+    return rows, tensor.d * comb(top, tensor.r - 1), len(column)
+
+
+def oracle_matrix(tensor, top):
+    rows, nrows, ncols = oracle_rows(tensor, top)
+    return ExactMatrix(nrows, ncols, {(i, j): v for i, row in rows.items()
+                                      for j, v in row.items()})
+
+
+def check_tensor_route(tensor):
+    """tensor_rows, the ExactMatrix wrappers and their integer row form
+    equal the oracle, for the square and the full system."""
+    for top, matrix in ((tensor.n - 1, system_matrix(tensor).matrix),
+                        (tensor.n, full_system_matrix(tensor))):
+        expected = oracle_rows(tensor, top)
+        assert tensor_rows(tensor, top) == expected
+        assert matrix == oracle_matrix(tensor, top)
+        rows, _, _ = expected
+        scale = {i: lcm(*(Fraction(v).denominator for v in row.values()))
+                 for i, row in rows.items()}
+        ints, divisor = _integer_rows(matrix)
+        assert ints == {i: {j: v * scale[i] for j, v in row.items()}
+                        for i, row in rows.items()}
+        assert all(type(v) is int for row in ints.values() for v in row.values())
+        assert divisor == prod(scale.values())
 
 
 def witness_cells(max_dim):
@@ -285,19 +322,25 @@ def random_basis(r, d, rng):
     return BasisAssignment(r, d, {s: rng.randint(1, d) for s in subsets(r, r * d)})
 
 
+def sparse_rational_tensor(r, d, rng):
+    """Entries p/q with |p| <= 2, so about one coordinate in five is zero
+    and some nonzero ones are integers held as Fractions."""
+    return TensorAssignment(r, d, {
+        s: tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(d))
+        for s in subsets(r, r * d)})
+
+
 def check_label_route(basis, backend="bareiss"):
-    """The label-aware rows equal the integer rows of the tensor route, for
-    the square and the full system, and determinant and rank agree."""
+    """The label rows equal the oracle rows of the expanded tensor, for the
+    square and the full system, the tensor route does too, and determinant
+    and rank agree."""
     tensor = tensor_from_basis(basis)
-    square = system_matrix(tensor).matrix
-    full = full_system_matrix(tensor)
-    for top, matrix in ((basis.n - 1, square), (basis.n, full)):
-        rows, nrows, ncols = basis_rows(basis, top)
-        assert (nrows, ncols) == (matrix.rows, matrix.cols)
-        assert rows == _integer_rows(matrix)[0]
+    for top in (basis.n - 1, basis.n):
+        assert basis_rows(basis, top) == oracle_rows(tensor, top)
+    check_tensor_route(tensor)
     assert basis_det(basis, backend=backend) == tensor_det(tensor, backend=backend)
     rows, nrows, ncols = basis_rows(basis, basis.n)
-    assert _rank_rows(rows, nrows, ncols) == rank_exact(full)
+    assert _rank_rows(rows, nrows, ncols) == rank_exact(full_system_matrix(tensor))
 
 
 def test_label_rows_match_tensor_route_on_witness_cells():
@@ -322,6 +365,45 @@ def test_label_rows_match_tensor_route_on_random_bases(r, d):
         check_label_route(random_basis(r, d, rng), backend="auto")
 
 
+@pytest.mark.parametrize("r, d", [(1, 4), (2, 1), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_tensor_rows_match_oracle_on_rational_tensors_with_zeros(r, d):
+    rng = random.Random(2000 * r + d)
+    for _ in range(3):
+        tensor = sparse_rational_tensor(r, d, rng)
+        check_tensor_route(tensor)
+        assert tensor_det(tensor) == det_bareiss(oracle_matrix(tensor, tensor.n - 1))
+
+
+@pytest.mark.parametrize("r, d, c", [(2, 3, 0), (3, 2, 1), (3, 3, 2), (1, 3, 1)])
+def test_zero_coordinate_leaves_its_rows_absent(r, d, c):
+    """A coordinate that is 0 in every slot empties its row of every block:
+    those rows are absent, the shape is unchanged and det is 0."""
+    rng = random.Random(3000 * r + 10 * d + c)
+    tensor = sparse_rational_tensor(r, d, rng)
+    tensor = TensorAssignment(r, d, {
+        s: vec[:c] + (0,) + vec[c + 1:] for s, vec in tensor.entries.items()})
+    check_tensor_route(tensor)
+    rows, nrows, ncols = tensor_rows(tensor, tensor.n - 1)
+    assert (nrows, ncols) == (system_dimension(r, d), comb(r * d, r))
+    assert not any(i % d == c for i in rows)
+    assert system_matrix(tensor).size == nrows
+    for backend in ("bareiss", "multimodular", "auto"):
+        assert tensor_det(tensor, backend=backend) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_r1_is_the_ordinary_determinant_up_to_sign(d):
+    """For r = 1 the one equation base is empty, the slots are the rows of
+    a d x d matrix M, and the subset determinant is (-1)**(d // 2) det M."""
+    rng = random.Random(4000 + d)
+    m = [random_vector(d, rng) for _ in range(d)]
+    tensor = TensorAssignment(1, d, {(i,): row for i, row in enumerate(m, start=1)})
+    expected = (-1) ** (d // 2) * det_bareiss(ExactMatrix.from_rows(m))
+    assert expected != 0
+    for backend in ("bareiss", "multimodular", "auto"):
+        assert tensor_det(tensor, backend=backend) == expected
+
+
 def test_off_grid_witness_cell_3_11():
     """(3, 11) lies outside the known-values grid; its value is -1."""
     assert (3, 11) not in KNOWN_WITNESS_DETS
@@ -332,14 +414,24 @@ def test_off_grid_witness_cell_3_11():
 
 
 def test_witness_path_builds_no_tuple_keyed_matrix(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("tuple-keyed system built on the witness path")
+    """No determinant path assembles an equation block or an ExactMatrix:
+    labellings, witness tensors, rational tensors and classification."""
+    rational = random_tensor(3, 2, random.Random(14))
+    rational_det = det_bareiss(oracle_matrix(rational, rational.n - 1))
+    witness = tensor_from_basis(canonical_witness(3, 3))
+    partition = partition_from_labels(6, 3, 2, [1, 2] * 10)
 
-    monkeypatch.setattr(system, "_assemble", forbidden)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tuple-keyed system built on a determinant path")
+
     monkeypatch.setattr(system, "equation_block", forbidden)
     monkeypatch.setattr(ExactMatrix, "__init__", forbidden)
     assert witness_det(3, 3) == KNOWN_WITNESS_DETS[(3, 3)]
     assert witness_det(3, 3, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 3)]
+    for backend in ("bareiss", "multimodular", "auto"):
+        assert tensor_det(rational, backend=backend) == rational_det
+        assert tensor_det(witness, backend=backend) == KNOWN_WITNESS_DETS[(3, 3)]
+    assert classify_partition(partition).consistent
 
 
 def test_basis_det_rejects_an_unknown_backend():
