@@ -1,22 +1,26 @@
 """Exact determinant and rank of integer and rational matrices.
 
-Every determinant and rank goes through one integer row form: a dict from
-row index to a dict from column index to a nonzero int, with empty rows
-absent, plus a divisor.  ``_integer_rows`` groups the entries of an
-:class:`ExactMatrix` by row in one pass, and ``_clear_denominators`` scales
-each row that holds a fraction by the lcm of its denominators; the divisor
-is the product of those scales.  The insertion systems never become a
-matrix on their way to a determinant or rank: the one walk of ``system``
-writes them as rows, integers for a labelling and rationals for a tensor,
-whose rows go through ``_clear_denominators`` alone, and both are handed to
-``_det_rows`` and ``_rank_rows``.  Elimination consumes the rows it is
-given.
+Every rank, and every determinant but those of large labellings, goes
+through one integer row form: a dict from row index to a dict from column
+index to a nonzero int, with empty rows absent, plus a divisor.
+``_integer_rows`` groups the entries of an :class:`ExactMatrix` by row in
+one pass, and ``_clear_denominators`` scales each row that holds a
+fraction by the lcm of its denominators; the divisor is the product of
+those scales.  The insertion systems never become a matrix on their way to
+a determinant or rank: the one walk of ``system`` writes them as rows,
+integers for a labelling and rationals for a tensor, whose rows go through
+``_clear_denominators`` alone, and both are handed to ``_det_rows`` and
+``_rank_rows``.  Elimination consumes the rows it is given.  A large
+labelling whose backend is "bareiss" reaches ``_peel_det`` instead, as
+coordinate arrays: a wave peel with numpy, then ``_eliminate`` on the core
+that is left, as integer rows.
 
-Two determinant backends are provided and must always agree.  ``_det_rows``
-is the one dispatcher: it alone validates the backend name, resolves
-"auto" and handles n = 0.  ``det_exact``, ``det_bareiss`` and
-``det_multimodular`` reach it, and so do ``tensor_det`` and ``basis_det``
-of ``determinant``.
+Two determinant backends are provided and must always agree.
+``_pick_backend`` alone validates the backend name and resolves "auto";
+``_det_rows`` and the route choice of ``determinant`` both call it.
+``_det_rows`` handles n = 0; ``det_exact``, ``det_bareiss`` and
+``det_multimodular`` reach it, and so do ``tensor_det`` and small
+labellings.
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
   in sparse storage.  Singleton rows and columns are peeled off first with
@@ -43,7 +47,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -386,6 +390,80 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
     return rank, det
 
 
+def _array_permutation_sign(perm: np.ndarray) -> int:
+    """Sign of the permutation k -> perm[k], from its cycle count.  Pointer
+    doubling gives each point the least point of its cycle within 2**k
+    steps; once a doubling changes nothing, the window covers every
+    cycle."""
+    least = np.arange(len(perm))
+    step = perm
+    while True:
+        merged = np.minimum(least, least[step])
+        if np.array_equal(merged, least):
+            break
+        least = merged
+        step = step[step]
+    cycles = np.count_nonzero(least == np.arange(len(perm)))
+    return 1 if (len(perm) - cycles) % 2 == 0 else -1
+
+
+def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
+    """det of the n x n integer matrix with nonzeros ``vals`` at (rows, cols),
+    each position at most once: a wave peel, then ``_eliminate`` on the
+    core.
+
+    Each wave pivots on every singleton column and every singleton row at
+    once.  Two singleton columns on one row, or two singleton rows on one
+    column, are proportional, and a live row or column with no entry left
+    is zero: each gives det 0.  Otherwise the wave's pivots lie on distinct
+    rows and columns, and Laplace expansion along each in turn multiplies
+    the determinant of what is left by their values.  When no singleton
+    remains, the core (the live rows and columns, renumbered in increasing
+    order) goes to ``_eliminate`` as integer rows, even when it is empty.
+    Then det = sgn(sigma) * (product of the pivots) * det(core), where sigma
+    sends each peeled row to its pivot column and the k-th live row to the
+    k-th live column.
+    """
+    perm = np.empty(n, dtype=np.intp)
+    dead_row = np.zeros(n, dtype=bool)
+    dead_col = np.zeros(n, dtype=bool)
+    product = 1
+    peeled = 0
+    while True:
+        row_count = np.bincount(rows, minlength=n)
+        col_count = np.bincount(cols, minlength=n)
+        if (row_count[~dead_row] == 0).any() or (col_count[~dead_col] == 0).any():
+            return 0
+        pivot = (row_count[rows] == 1) | (col_count[cols] == 1)
+        if not pivot.any():
+            break
+        pr, pc = rows[pivot], cols[pivot]
+        peeled += len(pr)
+        dead_row[pr] = True
+        dead_col[pc] = True
+        if np.count_nonzero(dead_row) < peeled or np.count_nonzero(dead_col) < peeled:
+            return 0
+        perm[pr] = pc
+        product *= prod(vals[pivot].tolist())
+        live = ~(dead_row[rows] | dead_col[cols])
+        rows, cols, vals = rows[live], cols[live], vals[live]
+
+    # The core, renumbered; sigma pairs its rows and columns in order.
+    live_rows = np.flatnonzero(~dead_row)
+    perm[live_rows] = np.flatnonzero(~dead_col)
+    new_row = np.cumsum(~dead_row) - 1
+    new_col = np.cumsum(~dead_col) - 1
+    core: IntRows = {}
+    for i, j, v in zip(new_row[rows].tolist(), new_col[cols].tolist(), vals.tolist()):
+        row = core.get(i)
+        if row is None:
+            core[i] = row = {}
+        row[j] = v
+    m = len(live_rows)
+    _, core_det = _eliminate(core, m, m, want_det=True)
+    return _array_permutation_sign(perm) * product * core_det
+
+
 def _rank_rows(rows: IntRows, nrows: int, ncols: int) -> int:
     """Rank of an nrows x ncols matrix in the integer row form; consumes
     ``rows``."""
@@ -551,20 +629,23 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     return x
 
 
-def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
-              threads: int = 1) -> Fraction:
-    """det(rows) / divisor for an n x n matrix in the integer row form.
-    Consumes ``rows``.
-
-    This is the one place that picks the backend: "auto" takes the
-    multimodular backend above 8 nonzeros per row on average, and
-    fraction-free elimination otherwise.
-    """
+def _pick_backend(backend: str, nnz: int, n: int) -> str:
+    """The backend that runs for ``backend`` on an n x n matrix with ``nnz``
+    nonzeros; the one place that decides it.  "auto" takes the multimodular
+    backend above 8 nonzeros per row on average, and fraction-free
+    elimination otherwise.  Raises ValueError on an unknown name."""
     if backend == "auto":
-        nnz = sum(map(len, rows.values()))
-        backend = "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"
+        return "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"
     if backend not in ("bareiss", "multimodular"):
         raise ValueError(f"unknown backend {backend!r}")
+    return backend
+
+
+def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
+              threads: int = 1) -> Fraction:
+    """det(rows) / divisor for an n x n matrix in the integer row form,
+    with the backend of :func:`_pick_backend`.  Consumes ``rows``."""
+    backend = _pick_backend(backend, sum(map(len, rows.values())), n)
     if n == 0:
         return Fraction(1)
     if backend == "bareiss":

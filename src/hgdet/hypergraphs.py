@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
@@ -380,26 +380,50 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
     """All ordered d-partitions of K^r_n as label assignments, in base-d
     counting order over the dictionary-ordered hyperedges.
 
-    With ``homogeneous_only`` the stream is filtered to equal part sizes.
-    Raises ValueError when d < 1, and ResourceCapError when the label codes
-    walked, d ** C(n, r) of them whether filtered or not, would exceed
-    ``cap``.
+    With ``homogeneous_only`` only the label sequences with equal part
+    sizes are generated, in the same order, and no other is walked.
+    Raises ValueError when d < 1, and ResourceCapError when the label
+    sequences walked, d ** C(n, r) of them or the multinomial
+    C(n, r)! / (C(n, r) / d)! ** d equal-size ones, would exceed ``cap``.
     """
     if d < 1:
         raise ValueError(f"need d >= 1 parts, got d={d}")
     m = comb(n, r)
     if homogeneous_only and m % d != 0:
         return
-    walked = d ** m
+    if homogeneous_only:
+        share = m // d
+        walked = factorial(m) // factorial(share) ** d
+        sequences = _equal_size_labels(d, share)
+    else:
+        walked = d ** m
+        sequences = product(range(1, d + 1), repeat=m)
     if walked > cap:
         raise ResourceCapError(
-            f"enumeration walks {walked} label codes, exceeding cap {cap}")
-    share = m // d
-    for labels in product(range(1, d + 1), repeat=m):
-        if homogeneous_only and any(labels.count(lab) != share
-                                    for lab in range(1, d + 1)):
-            continue
+            f"enumeration walks {walked} label sequences, exceeding cap {cap}")
+    for labels in sequences:
         yield partition_from_labels(n, r, d, labels)
+
+
+def _equal_size_labels(d: int, share: int) -> Iterator[tuple[int, ...]]:
+    """Every sequence holding each label 1..d exactly ``share`` times, in
+    increasing lexicographic order: from the sorted sequence, each step
+    raises the rightmost position that can grow to the next larger label
+    to its right and sorts the tail (Knuth's algorithm L)."""
+    a = [lab for lab in range(1, d + 1) for _ in range(share)]
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = last
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 # --- independent oracles for r = 2 -------------------------------------------

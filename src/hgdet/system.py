@@ -16,12 +16,15 @@ One walk, ``_insertion_rows``, writes every insertion system: inserting s
 into a base at 0-based position pos puts one entry (-1)**(s + pos + 1) at
 row block*d + label - 1, in the column of the enlarged subset.  The labels
 of a :class:`BasisAssignment` stand for unit vectors, so its walk is the
-integer row form of ``exactla`` as it is (:func:`basis_rows`).  A rational
-tensor runs the walk with d = 1 and every label 1 and multiplies each +-1
-pattern row by its coordinates (:func:`tensor_rows`).  The ExactMatrix
-wrappers serve the ``hgdet matrix`` dump and the tests; :func:`equation_block`
-builds one equation from the tensor, for :func:`relation_holds` and as the
-tests' oracle.
+integer row form of ``exactla`` as it is (:func:`basis_rows`).
+``_insertion_arrays`` is the same walk on numpy arrays, for large
+labellings: it gives the entries as coordinate arrays, in the same order,
+for the wave peel of ``exactla._peel_det``.  A rational tensor runs the
+walk with d = 1 and every label 1 and multiplies each +-1 pattern row by
+its coordinates (:func:`tensor_rows`).  The ExactMatrix wrappers serve the
+``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
+equation from the tensor, for :func:`relation_holds` and as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .combi import check_subset, insertion_sign
 from .exactla import ExactMatrix, IntRows, RationalRows
 from .tensors import (BasisAssignment, Rational, TensorAssignment,
-                      format_rational, subsets)
+                      format_rational, subset_array, subsets)
 
 
 def equation_block(tensor: TensorAssignment,
@@ -74,6 +79,12 @@ class SystemMatrix:
         return self.matrix.rows
 
 
+def _rank_terms(r: int, n: int) -> list[list[int]]:
+    """term[k][c]: the rank term of element c at 1-based position k of an
+    r-subset of 1..n, C(n - c, r + 1 - k)."""
+    return [[comb(n - c, r + 1 - k) for c in range(n + 1)] for k in range(r + 2)]
+
+
 def _insertion_rows(r: int, n: int, d: int, label: Sequence[int],
                     top: int) -> tuple[IntRows, int, int]:
     """The insertion walk over the (r-1)-subsets of 1..top, with its row and
@@ -84,8 +95,7 @@ def _insertion_rows(r: int, n: int, d: int, label: Sequence[int],
     contributes a prefix and a suffix of that sum around the inserted
     element, so no subset tuple is built.
     """
-    # term[k][c]: the rank term of element c at 1-based position k.
-    term = [[comb(n - c, r + 1 - k) for c in range(n + 1)] for k in range(r + 2)]
+    term = _rank_terms(r, n)
     last = comb(n, r) - 1
     rows: IntRows = {}
     for block, base in enumerate(subsets(r - 1, top)):
@@ -107,6 +117,47 @@ def _insertion_rows(r: int, n: int, d: int, label: Sequence[int],
                 rows[i] = row = {}
             row[col] = 1 if (s + pos) & 1 else -1
     return rows, d * comb(top, r - 1), last + 1
+
+
+def _insertion_arrays(r: int, n: int, d: int, label: np.ndarray,
+                      top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk of :func:`_insertion_rows` as coordinate arrays
+    ``(rows, cols, signs)``, one entry per insertion in the same order:
+    bases in dictionary order, inserted elements increasing.  ``label`` is
+    an array of the labels in dictionary order of the r-subsets.  The
+    column is the same dictionary-rank formula from the same term table,
+    evaluated for all insertions at once.
+    """
+    term = np.array(_rank_terms(r, n), dtype=np.int64)
+    bases = subset_array(r - 1, top)
+    nbases = len(bases)
+    # member[b, s]: s lies in base b.  Its running count at an s outside
+    # the base is the insertion position.
+    member = np.zeros((nbases, n + 1), dtype=bool)
+    member[np.arange(nbases)[:, None], bases] = True
+    below = np.cumsum(member, axis=1, dtype=np.int16)
+    # split[b, p]: the rank terms of base b when p of its elements precede
+    # the inserted one, those keeping position k + 1 and the rest k + 2.
+    k = np.arange(1, r)
+    kept = term[k, bases]
+    moved = term[k + 1, bases]
+    split = np.zeros((nbases, r), dtype=np.int64)
+    np.cumsum(kept, axis=1, out=split[:, 1:])
+    split[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1]
+    block, s = np.nonzero(~member[:, 1:])
+    del member, kept, moved
+    s += 1
+    pos = below[block, s]
+    del below
+    col = split[block, pos]
+    col += term[pos + 1, s]
+    np.subtract(comb(n, r) - 1, col, out=col)
+    signs = ((s + pos) & 1).astype(np.int8) * 2 - 1
+    del s, pos
+    block *= d
+    block += label[col]
+    block -= 1
+    return block, col, signs
 
 
 def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:

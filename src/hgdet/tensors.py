@@ -5,7 +5,10 @@ every r-subset; a :class:`BasisAssignment` attaches a basis index in 1..d
 instead and corresponds to a d-partition of the complete r-uniform
 hypergraph.  The canonical witness assignment labels each subset through a
 residue rule on its index sum and is the standard nonvanishing input for the
-determinant map.
+determinant map.  The rule runs once, on arrays: :func:`witness_labels`
+gives every label in dictionary order of the subsets (``subset_array``),
+which ``witness_det`` walks directly and :func:`canonical_witness` turns
+into its dict.
 """
 
 from __future__ import annotations
@@ -16,12 +19,33 @@ from itertools import combinations
 from math import comb
 from typing import IO, Callable, Iterable, Sequence, Union
 
+import numpy as np
+
 Rational = Union[int, Fraction]
 
 
 def subsets(r: int, n: int) -> Iterable[tuple[int, ...]]:
     """All r-subsets of 1..n in dictionary order."""
     return combinations(range(1, n + 1), r)
+
+
+def subset_array(r: int, n: int) -> np.ndarray:
+    """All r-subsets of 1..n in dictionary order, one per row of a
+    C(n, r) x r array of the smallest unsigned type that holds n.
+
+    The j-subsets whose least element exceeds c are the last C(n - c, j) of
+    all j-subsets in dictionary order, so the (j+1)-subsets are each
+    c = 1, 2, ... followed by such a suffix.
+    """
+    dtype = np.min_scalar_type(n)
+    out = np.zeros((1, 0), dtype=dtype)
+    for j in range(r):
+        lengths = [comb(n - c, j) for c in range(1, n - j + 1)]
+        firsts = np.repeat(np.arange(1, n - j + 1, dtype=dtype), lengths)
+        tails = np.concatenate([np.arange(len(out) - k, len(out)) for k in lengths]
+                               or [np.zeros(0, dtype=np.intp)])
+        out = np.column_stack((firsts, out[tails]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,16 +118,23 @@ def canonical_witness(r: int, d: int) -> BasisAssignment:
     insertion system is nonzero on this assignment in every case computed so
     far, which makes it the standard nontriviality witness.
     """
+    labels = witness_labels(r, d).tolist()
+    return BasisAssignment(r, d, dict(zip(subsets(r, r * d), labels)))
+
+
+def witness_labels(r: int, d: int) -> np.ndarray:
+    """The labels of :func:`canonical_witness` in dictionary order of the
+    r-subsets, as an array: the block-residue rule applied to every row of
+    ``subset_array(r, rd)`` at once."""
     if r < 2:
         raise ValueError(f"witness requires r >= 2, got {r}")
     if d < 1:
         raise ValueError(f"witness requires d >= 1, got {d}")
-    labels = {}
-    for subset in subsets(r, r * d):
-        t = sum(subset) % r
-        i_t = subset[t]
-        labels[subset] = (i_t + r - 1) // r
-    return BasisAssignment(r, d, labels)
+    rows = subset_array(r, r * d)
+    t = rows.sum(axis=1, dtype=np.intp) % r
+    i_t = rows[np.arange(len(rows)), t]
+    # ceil(i_t / r) without leaving the unsigned type.
+    return (i_t - 1) // r + 1
 
 
 def tensor_from_basis(basis: BasisAssignment) -> TensorAssignment:

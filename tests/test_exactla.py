@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgdet import exactla
@@ -465,3 +466,88 @@ def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
     rows, divisor = ex._integer_rows(ExactMatrix.from_rows(dense))
     assert route(lambda: ex._det_rows(rows, 10, divisor)) == (
         "multimodular", Fraction(int(sympy.Matrix(dense).det())))
+
+
+# --- wave peel over coordinate arrays ---------------------------------------
+
+def wave_peel_det(rows):
+    """``_peel_det`` of a square integer matrix, given as its nonzeros."""
+    nz = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    coords = [np.array(x, dtype=np.int64) for x in zip(*nz)] or [
+        np.zeros(0, dtype=np.int64)] * 3
+    return exactla._peel_det(*coords, len(rows))
+
+
+def core_spy(monkeypatch):
+    """Record the size of every core that reaches ``_eliminate``."""
+    cores = []
+    eliminate = exactla._eliminate
+
+    def spy(rows, nrows, ncols, want_det):
+        cores.append(nrows)
+        return eliminate(rows, nrows, ncols, want_det)
+
+    monkeypatch.setattr(exactla, "_eliminate", spy)
+    return cores
+
+
+def test_wave_peel_matches_bareiss(monkeypatch):
+    """Random sparse, permuted triangular and planted-core matrices: the
+    wave peel and the row elimination give the same determinant, sign
+    included, with and without a core left after peeling."""
+    cores = core_spy(monkeypatch)
+    rng = random.Random(914)
+    seen = {"singular": 0, "peeled": 0, "core": 0}
+    for k in range(900):
+        n = rng.randint(1, 9)
+        if k % 3 == 0:
+            rows = permuted(lower_triangle(n, rng, fill=rng.choice((0.2, 0.6))), rng)
+        elif k % 3 == 1:
+            rows = permuted(planted_core(rng.randint(0, 5), rng, core=rng.randint(2, 4)),
+                            rng)
+        else:
+            fill = rng.choice((0.15, 0.25, 0.4))
+            rows = [[nonzero(rng) if rng.random() < fill else 0 for _ in range(n)]
+                    for _ in range(n)]
+        cores.clear()
+        value = wave_peel_det(rows)
+        core = cores[0] if cores else 0
+        assert value == det_bareiss(ExactMatrix.from_rows(rows))
+        if value == 0:
+            seen["singular"] += 1
+        else:
+            seen["core" if core else "peeled"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_wave_peel_singleton_lines_sharing_a_line():
+    """Two singleton columns on one row, or two singleton rows on one
+    column, make the matrix singular; the rest is a nonsingular block."""
+    rows = [[1, 1, 0, 0, 0],
+            [0, 0, 2, 1, 1],
+            [0, 0, 1, 3, 1],
+            [0, 0, 1, 1, 4],
+            [0, 0, 5, 0, 1]]
+    transpose = [list(col) for col in zip(*rows)]
+    for case in (rows, transpose):
+        assert det_bareiss(ExactMatrix.from_rows(case)) == 0
+        assert wave_peel_det(case) == 0
+
+
+def test_wave_peel_emptied_row_needs_no_core(monkeypatch):
+    """Rows 0 and 1 are singletons on columns 0 and 1, so row 2 empties in
+    the first wave: the peel proves det 0 without eliminating a core."""
+    cores = core_spy(monkeypatch)
+    rows = [[1, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+            [0, 0, 1, 2, 3],
+            [0, 0, 4, 5, 7]]
+    assert wave_peel_det(rows) == 0
+    assert wave_peel_det([[0, 0], [1, 1]]) == 0
+    assert cores == []
+    # With row 2 moved onto the last three columns, a 3 x 3 core is left.
+    rows[2] = [0, 0, 1, 1, 1]
+    value = wave_peel_det(rows)
+    assert cores == [3]
+    assert value == det_bareiss(ExactMatrix.from_rows(rows)) != 0

@@ -397,10 +397,25 @@ def test_enumerate_homogeneous_count():
     assert count == comb(20, 10)
 
 
+@pytest.mark.parametrize("n, r, d", [(4, 2, 2), (3, 1, 3), (6, 1, 3), (4, 1, 2), (5, 2, 2)])
+def test_enumerate_homogeneous_is_the_filtered_stream(n, r, d):
+    share = comb(n, r) // d
+    expected = [p for p in enumerate_partitions(n, r, d)
+                if all(len(part) == share for part in p.parts)]
+    if comb(n, r) % d:
+        expected = []
+    assert list(enumerate_partitions(n, r, d, homogeneous_only=True)) == expected
+
+
 def test_enumerate_cap_counts_codes_walked():
-    # 184756 homogeneous partitions, but the filter walks 2**20 codes.
+    # The homogeneous walk visits exactly the C(20, 10) = 184756 equal-size
+    # label sequences; the full walk visits 2**20 codes.
     with pytest.raises(ResourceCapError):
-        next(enumerate_partitions(6, 3, 2, homogeneous_only=True, cap=200_000))
+        next(enumerate_partitions(6, 3, 2, homogeneous_only=True, cap=184_755))
+    first = next(enumerate_partitions(6, 3, 2, homogeneous_only=True, cap=184_756))
+    assert [len(part) for part in first.parts] == [10, 10]
+    with pytest.raises(ResourceCapError):
+        next(enumerate_partitions(6, 3, 2, cap=2 ** 20 - 1))
 
 
 def test_forest_oracle():

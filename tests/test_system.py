@@ -6,20 +6,23 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
 
+import numpy as np
 import pytest
 
+import hgdet.exactla as exactla
 import hgdet.system as system
 from hgdet.combi import rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
-from hgdet.exactla import (ExactMatrix, _integer_rows, _rank_rows, det_bareiss,
-                           rank_exact)
-from hgdet.hypergraphs import classify_partition, partition_from_labels
+from hgdet.exactla import (ExactMatrix, _det_rows, _integer_rows, _peel_det,
+                           _rank_rows, det_bareiss, rank_exact)
+from hgdet.hypergraphs import (classify_partition, partition_from_basis,
+                               partition_from_labels)
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
 from hgdet.system import (basis_rows, equation_block, facet_column_relation,
                           combine_columns, full_system_matrix, relation_holds,
                           system_matrix, tensor_rows, write_matrix)
 from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
-                           subsets, tensor_from_basis)
+                           subsets, tensor_from_basis, witness_labels)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
 
 
@@ -437,3 +440,117 @@ def test_witness_path_builds_no_tuple_keyed_matrix(monkeypatch):
 def test_basis_det_rejects_an_unknown_backend():
     with pytest.raises(ValueError):
         basis_det(canonical_witness(2, 2), backend="gauss")
+
+
+# --- the array route against the row route ----------------------------------
+
+
+def row_route_det(r, d, label):
+    """The labelling's determinant from the integer rows, by Bareiss."""
+    rows, size, _ = system._insertion_rows(r, r * d, d, list(label), r * d - 1)
+    return _det_rows(rows, size, backend="bareiss")
+
+
+def array_route_det(r, d, label):
+    """The array walk and the wave peel, whatever the size."""
+    n = r * d
+    arrays = system._insertion_arrays(r, n, d, np.asarray(label), n - 1)
+    return _peel_det(*arrays, system_dimension(r, d))
+
+
+def test_array_route_matches_row_route_on_witness_cells():
+    cells = witness_cells(20_000)
+    assert (2, 100) in cells and (3, 16) in cells and (8, 2) in cells
+    for r, d in cells:
+        label = witness_labels(r, d)
+        value = array_route_det(r, d, label)
+        assert value == row_route_det(r, d, label.tolist()), (r, d)
+        assert abs(value) == 1
+        if (r, d) in KNOWN_WITNESS_DETS:
+            assert value == KNOWN_WITNESS_DETS[(r, d)], (r, d)
+
+
+def swapped_witness(r, d, rng):
+    """The witness labels with one or two pairs of entries swapped: near
+    the witness, so some stay nonsingular and some leave a peel core."""
+    label = witness_labels(r, d).tolist()
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.randrange(len(label)), rng.randrange(len(label))
+        label[i], label[j] = label[j], label[i]
+    return label
+
+
+def test_array_route_matches_row_route_on_random_labellings(monkeypatch):
+    """Seeded labellings forced through the array route agree with the row
+    route and with the multimodular determinant of the expanded tensor.
+    Uniform labellings are singular; labellings near the witness include
+    nonsingular ones and ones that leave a non-empty core."""
+    cores = []
+    eliminate = exactla._eliminate
+
+    def spy(rows, nrows, ncols, want_det):
+        cores.append(nrows)
+        return eliminate(rows, nrows, ncols, want_det)
+
+    monkeypatch.setattr(exactla, "_eliminate", spy)
+    seen = {"singular": 0, "nonsingular": 0, "core": 0, "nonsingular core": 0}
+    rng = random.Random(5000)
+    for r, d in ((3, 3), (4, 2), (3, 4), (2, 10)):
+        subsets_rd = list(subsets(r, r * d))
+        singular = 0
+        for k in range(40):
+            if k < 5:
+                label = [rng.randint(1, d) for _ in subsets_rd]
+            else:
+                label = swapped_witness(r, d, rng)
+            cores.clear()
+            value = array_route_det(r, d, label)
+            core = cores[0] if cores else 0
+            basis = BasisAssignment(r, d, dict(zip(subsets_rd, label)))
+            assert value == row_route_det(r, d, label)
+            assert value == tensor_det(tensor_from_basis(basis), backend="multimodular")
+            singular += value == 0
+            seen["singular" if value == 0 else "nonsingular"] += 1
+            seen["core"] += core > 0
+            seen["nonsingular core"] += core > 0 and value != 0
+        assert singular >= 5, (r, d)
+    assert all(seen.values()), seen
+
+
+def test_witness_det_takes_the_array_route(monkeypatch):
+    """Large labellings never build integer rows; a small one does."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("row walk on a large labelling")
+
+    monkeypatch.setattr(system, "_insertion_rows", forbidden)
+    assert witness_det(5, 5) == KNOWN_WITNESS_DETS[(5, 5)] == 1
+    assert witness_det(5, 5, backend="bareiss") == 1
+    assert basis_det(canonical_witness(4, 3)) == KNOWN_WITNESS_DETS[(4, 3)]
+    with pytest.raises(AssertionError):
+        witness_det(3, 2)
+
+
+def test_small_and_multimodular_labellings_take_the_row_route(monkeypatch):
+    """Classification of K^3_6 partitions and every multimodular
+    determinant stay off the array walk."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("array walk on a small or multimodular labelling")
+
+    monkeypatch.setattr(system, "_insertion_arrays", forbidden)
+    report = classify_partition(partition_from_labels(6, 3, 2, [1, 2] * 10))
+    assert report.consistent
+    assert classify_partition(partition_from_basis(canonical_witness(3, 2))).det == -1
+    assert witness_det(3, 5, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 5)]
+    with pytest.raises(AssertionError):
+        witness_det(3, 5)
+
+
+def test_off_grid_frontier_cells_9_2_and_10_2():
+    """(9, 2) and (10, 2) lie outside the known-values grid; both routes
+    give -1."""
+    for r, d, dim in ((9, 2, 48_620), (10, 2, 184_756)):
+        assert (r, d) not in KNOWN_WITNESS_DETS
+        assert system_dimension(r, d) == dim
+        value = witness_det(r, d)
+        assert value == -1
+        assert row_route_det(r, d, witness_labels(r, d).tolist()) == value

@@ -4,13 +4,16 @@ import io
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from hgdet.reference import system_dimension
 from hgdet.tensors import (BasisAssignment, ParseError, TensorAssignment,
                            apply_matrix, canonical_witness,
-                           find_degenerate_simplex, read_tensor, subsets,
-                           tensor_from_basis, write_basis, write_tensor)
+                           find_degenerate_simplex, read_tensor, subset_array,
+                           subsets, tensor_from_basis, witness_labels,
+                           write_basis, write_tensor)
 from hgdet.verify import random_tensor
 
 
@@ -55,10 +58,11 @@ def test_witness_labels_are_well_formed():
 
 
 def test_witness_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        canonical_witness(1, 3)
-    with pytest.raises(ValueError):
-        canonical_witness(3, 0)
+    for make in (canonical_witness, witness_labels):
+        with pytest.raises(ValueError):
+            make(1, 3)
+        with pytest.raises(ValueError):
+            make(3, 0)
 
 
 def test_tensor_from_basis_unit_vectors():
@@ -184,3 +188,35 @@ def test_write_basis_format():
     assert lines[0] == "4 2 2"
     assert len(lines) == 7
     assert lines[1].startswith("1 2 -> ")
+
+
+def old_witness_labels(r, d):
+    """The witness rule applied one subset at a time."""
+    labels = {}
+    for subset in subsets(r, r * d):
+        t = sum(subset) % r
+        labels[subset] = (subset[t] + r - 1) // r
+    return labels
+
+
+def test_witness_labels_match_the_per_subset_rule():
+    """Every witness cell up to dimension 20 000: the array rule gives the
+    labels of the per-subset loop, as ints, in dictionary order."""
+    cells = [(r, d) for r in range(2, 9) for d in range(1, 101)
+             if system_dimension(r, d) <= 20_000]
+    assert len(cells) > 130
+    for r, d in cells:
+        labels = canonical_witness(r, d).labels
+        expected = old_witness_labels(r, d)
+        assert labels == expected
+        assert list(labels) == list(expected)
+        assert all(type(v) is int for v in labels.values())
+        assert witness_labels(r, d).tolist() == list(expected.values())
+
+
+@pytest.mark.parametrize("r, n", [(0, 0), (0, 4), (1, 5), (3, 3), (3, 7), (4, 3),
+                                  (5, 12), (2, 300)])
+def test_subset_array_is_dictionary_order(r, n):
+    rows = subset_array(r, n)
+    assert rows.shape == (comb(n, r), r)
+    assert [tuple(map(int, row)) for row in rows] == list(subsets(r, n))
