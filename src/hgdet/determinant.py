@@ -2,10 +2,16 @@
 
 A rational tensor and a basis assignment (a labelling, such as the
 canonical witness or a d-partition) both reach elimination from the one
-insertion walk of ``system``, never as a matrix.  A tensor's rows are
-rational and have their denominators cleared row by row
-(``system.tensor_rows``).  A labelling takes one of two routes, picked by
-its number of insertions, which is its number of nonzeros:
+insertion walk of ``system``, never as a matrix.  A tensor has its
+denominators cleared column by column before the walk: each vector is
+scaled by the lcm of its coordinates' denominators
+(:func:`_integer_vectors`), so the walk writes integer rows
+(``system._vector_rows``).  A column holds the d coordinates of one vector
+while a row mixes rd - r + 1 vectors, so this divisor, and the Hadamard
+bound of the integer system, are smaller than row clearing gives.
+
+A labelling takes one of two routes, picked by its number of insertions,
+which is its number of nonzeros:
 
 * small systems: the walk writes integer rows (``system._insertion_rows``)
   for ``exactla._det_rows``;
@@ -21,14 +27,13 @@ the two backends shares no peel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 import numpy as np
 
 from . import system
-from .exactla import _clear_denominators, _det_rows, _peel_det, _pick_backend
-from .system import tensor_rows
+from .exactla import _det_rows, _peel_det, _pick_backend
 from .tensors import BasisAssignment, TensorAssignment, subsets, witness_labels
 
 # Insertions above which a labelling takes the array route.  Per call, on
@@ -47,9 +52,27 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     facets assigned the same vector; under a slotwise linear map M it scales
     by det(M) ** C(rd-1, r-1).
     """
-    rows, n, _ = tensor_rows(tensor, tensor.n - 1)
-    divisor = _clear_denominators(rows)
+    vectors, divisor = _integer_vectors(tensor)
+    rows, n, _ = system._vector_rows(tensor.r, tensor.d, vectors, tensor.n - 1)
     return _det_rows(rows, n, divisor, backend, threads)
+
+
+def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], int]:
+    """Each vector of ``tensor``, in dictionary order of the r-subsets,
+    times the lcm of its coordinates' denominators, and the product of
+    those lcms.  Column j of the system holds only coordinates of vector j,
+    so this clears its denominators column by column: det(system) is
+    det(integer system) / product."""
+    vectors = []
+    divisor = 1
+    for subset in subsets(tensor.r, tensor.n):
+        vec = tensor.entries[subset]
+        if Fraction in map(type, vec):
+            scale = lcm(*(v.denominator for v in vec))
+            vec = tuple(v.numerator * (scale // v.denominator) for v in vec)
+            divisor *= scale
+        vectors.append(vec)
+    return vectors, divisor
 
 
 def _labelled_det(r: int, d: int, label: Sequence[int] | np.ndarray,

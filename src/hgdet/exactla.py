@@ -7,10 +7,12 @@ index to a nonzero int, with empty rows absent, plus a divisor.
 one pass, and ``_clear_denominators`` scales each row that holds a
 fraction by the lcm of its denominators; the divisor is the product of
 those scales.  The insertion systems never become a matrix on their way to
-a determinant or rank: the one walk of ``system`` writes them as rows,
-integers for a labelling and rationals for a tensor, whose rows go through
-``_clear_denominators`` alone, and both are handed to ``_det_rows`` and
-``_rank_rows``.  Elimination consumes the rows it is given.  A large
+a determinant or rank: the one walk of ``system`` writes them as rows and
+hands them to ``_det_rows`` and ``_rank_rows``.  A labelling's rows are
+integers; ``tensor_det`` clears a tensor's denominators column by column
+before the walk (``determinant._integer_vectors``), since a column holds
+the d coordinates of one vector while a row mixes rd - r + 1 of them.
+Elimination consumes the rows it is given.  A large
 labelling whose backend is "bareiss" reaches ``_peel_det`` instead, as
 coordinate arrays: a wave peel with numpy, then ``_eliminate`` on the core
 that is left, as integer rows.
@@ -29,13 +31,27 @@ labellings.
   there.  Its pivot rule: lowest-count column, then its shortest row.
   Intermediate entries are minors of the core, so every division is exact
   and no rationals appear.
-* ``det_multimodular``: the determinant modulo a batch of 31-bit primes,
-  recombined by the Chinese remainder theorem.  The prime batch is sized so
-  that its product exceeds twice the Hadamard bound, plus one safety prime
-  whose residue must match the reconstruction.  The row indices, column
-  indices and values of the integer rows are built once per determinant;
-  each prime scatters the values mod p into a dense array and runs the
-  lazily reducing elimination of ``_kernels.det_mod_p``.
+* ``det_multimodular``: a certified divisor s of the determinant by p-adic
+  lifting, then t = det / s modulo a batch of 31-bit primes, recombined by
+  the Chinese remainder theorem (Abbott, Bronstein and Mulders, ISSAC
+  1999).  ``_lift_divisor`` inverts the matrix A modulo one lifting prime
+  p < 2**25 and lifts the solution of A x = b, for a fixed small integer
+  b, until p**k exceeds 2 N H, with N a Hadamard bound of the Cramer
+  numerators and H of det (Dixon, Numer. Math. 40, 1982).  Rational
+  reconstruction of the components gives s, the lcm of their
+  denominators.  The certificate is exact: y = s x must solve A y = s b in
+  Python ints, and s is divided by gcd(s, y_1, ..., y_n); every
+  denominator of A^-1 b divides det by Cramer's rule, and so does s.  The
+  CRT batch then skips the primes dividing s and is sized so that its
+  product, with the lifting prime's residue of t, exceeds 2 ceil(H / s);
+  each residue is det mod q times s^-1 mod q.  One safety prime's residue
+  must match the reconstruction.  With s = 1 and no lifting residue this is
+  plain CRT on det, the path taken when A is singular mod p, when an int64
+  bound of the lift would not hold, when the certificate fails, and when
+  the plain batch has fewer than ``_LIFT_MIN_PRIMES`` primes.  The row
+  indices, column indices and values of the integer rows are built once
+  per determinant; each prime scatters the values mod q into a dense array
+  and runs the lazily reducing elimination of ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -47,12 +63,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from ._kernels import _PRIME_CEILING, det_mod_p
+from ._kernels import _PRIME_CEILING, det_mod_p, inverse_mod_p
 
 Rational = Union[int, Fraction]
 
@@ -62,11 +78,34 @@ IntRows = dict[int, dict[int, int]]
 RationalRows = dict[int, dict[int, Rational]]
 
 # Mean nonzeros per row above which backend "auto" picks the multimodular
-# backend.  On random p/q matrices of 60 and 120 rows the two backends tie
-# between 6.4 and 7.5 per row; at 4.5 per row fraction-free elimination is
-# 2.4-3x faster, at 14 per row multimodular is 2-3x faster.  Witness systems
-# have at most 4.5 per row.
-_DENSE_NNZ_PER_ROW = 8
+# backend.  Protocol: 5 nonsingular random p/q matrices per point (a signed
+# p/q with 1 <= p, q <= 9 on the diagonal and on k - 1 other random columns
+# of each row), median time per backend on one core.  Before the lift the
+# two tied at about 10 per row on 60 rows and 6.5 on 120 rows (recorded
+# earlier as 6.4-7.5).  With it they tie at 4.5-5 per row on 60 and 120
+# rows and at 6.5 on 30 rows; at 7 per row multimodular is 1.2x (30 rows),
+# 1.6x (60) and 3.8x (120) faster, and at 4 per row fraction-free
+# elimination is 2-2.4x faster.
+# The rule stays above 6.5 per row: the witness cell (r, 2) has
+# r - (r - 1) / 2 per row, 6.5 on (12, 2), whose 2.7 million rows peel in
+# linear time but would need a dense n x n array.  Witness cells of the
+# known-values table have at most 4.5 per row, K^3_6 partitions 2.
+_DENSE_NNZ_PER_ROW = 7
+
+# The lifting prime of the multimodular backend, the largest below 2**25.
+# With it n * p * p < 2**63 up to n = 8192, so the in-place inverse of
+# ``_kernels.inverse_mod_p`` never reduces a block, and A x stays in int64
+# while n * max|a| * p does.  On one core the inverse costs 1.5-1.9 calls of
+# ``det_mod_p`` on the dense tensor systems of 120-220 rows, and 0.2 on the
+# (6, 2) witness system of 924 rows, where most factors are zero.
+_LIFT_PRIME = 33_554_393
+
+# Plain CRT batches (safety prime included) of fewer primes skip the lift.
+# The lift against plain CRT, per determinant on one core: dense integer
+# matrices with entries in [-9, 9] take 0.99-1.6x as long at 2-3 primes,
+# 0.74x at 4, 0.39-0.60x at 5-12; unimodular witness systems and sparse
+# +-1 matrices take 1.08-1.27x at 2-4 primes and 0.69-1.01x at 5-12.
+_LIFT_MIN_PRIMES = 5
 
 
 class ReconstructionError(RuntimeError):
@@ -578,11 +617,147 @@ def _residue_mod_p(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
 def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     """Exact determinant by CRT over 31-bit primes with a Hadamard certificate.
 
-    The batch of primes is the smallest whose product exceeds twice the
-    Hadamard bound, plus one safety prime.  A mismatch between the safety
+    A divisor s of det is lifted first: A x = b is solved p-adically modulo
+    the lifting prime, s is the lcm of the denominators of x, and it is
+    certified exactly (A y = s b with y = s x, then s / gcd(s, y)).  CRT
+    then reconstructs det / s: the batch is the shortest run of primes not
+    dividing s whose product, times the lifting prime, exceeds twice the
+    Hadamard bound over s, plus one safety prime, and each residue is
+    multiplied by s^-1.  When the matrix is singular modulo the lifting
+    prime, an int64 bound of the lift fails, the certificate fails, or the
+    plain batch for det would hold fewer than ``_LIFT_MIN_PRIMES`` primes,
+    s = 1 and the batch is the plain one.  A mismatch between the safety
     residue and the reconstructed value raises ReconstructionError.
     """
     return det_exact(matrix, backend="multimodular", threads=threads)
+
+
+def _crt_primes(target: int, s: int, modulus: int) -> tuple[list[int], int]:
+    """The shortest prefix of ``modular_primes``, skipping the divisors of
+    s, whose product times ``modulus`` exceeds ``target``, and the next
+    such prime, the safety prime."""
+    # Every prime exceeds 2**30, so this many reach the target when none
+    # divides s; each one that does asks for one more.
+    count = target.bit_length() // 30 + 2
+    while True:
+        base: list[int] = []
+        product = modulus
+        for q in modular_primes(count):
+            if s % q == 0:
+                continue
+            if product > target:
+                return base, q
+            base.append(q)
+            product *= q
+        count += 1
+
+
+def _rational_reconstruction(u: int, m: int, num_bound: int,
+                             den_bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b * u (mod m), |a| <= num_bound and
+    0 < b <= den_bound, or None; unique when m > 2 * num_bound * den_bound
+    (Wang's half extended Euclid)."""
+    r0, r1 = m, u % m
+    t0, t1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if not 0 < t1 <= den_bound:
+        return None
+    return r1, t1
+
+
+def _lift_divisor(rows: IntRows, coords: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  n: int, bound: int, p: int) -> tuple[int, int] | None:
+    """(s, det mod p) for a divisor s of the determinant of the n x n
+    integer matrix A = ``rows`` (nonzeros ``coords``), certified exactly;
+    None when A is singular mod p, an int64 bound would not hold, or the
+    certificate fails.
+
+    Dixon's p-adic lifting solves A x = b for a fixed b of small
+    integers: with C = A^-1 mod p and r_0 = b, each digit is
+    x_i = C r_i mod p and r_(i+1) = (r_i - A x_i) / p, exactly, so the
+    residual stays below |b| + n * max|a| and the digits form one k x n
+    int64 array.  By Cramer's rule x_j = det(A_j) / det(A), A_j being A
+    with column j replaced by b, so |det(A_j)| <= N, the column Hadamard
+    bound of the worst A_j, and det(A) <= ``bound``; once p**k exceeds
+    2 * N * bound, each s * x_j is the unique fraction with those bounds.
+    s starts at 1; y_j = s * x_j mod p**k is an integer of magnitude at
+    most N exactly when the denominator of x_j divides s, and otherwise it
+    is rationally reconstructed, s takes its denominator and the earlier
+    y_i are scaled to match.
+
+    The certificate is exact: A y = s b is checked in Python ints, and s is
+    divided by gcd(s, y_1, ..., y_n).  Then x = A^-1 b = y / s in lowest
+    terms, so s is the lcm of the denominators of A^-1 b, each of which
+    divides det(A) by Cramer's rule.
+    """
+    rows_idx, cols_idx, vals = coords
+    # b: integers in [-8, 8] from a multiplicative hash of the row index,
+    # so that no row structure of the system repeats in it.
+    rhs = [(i + 1) * 2654435761 % 2 ** 32 % 17 - 8 for i in range(n)]
+    amax = max(map(abs, vals))
+    # C r_i sums n products below p * p; r_i - A x_i stays below
+    # max|b| + n * max|a| * p.
+    if n * p * p >= 1 << 63 or 8 + n * amax * p >= 1 << 63:
+        return None
+    a = np.zeros((n, n), dtype=np.int64)
+    a[rows_idx, cols_idx] = vals
+    inverse = a % p
+    det_p = inverse_mod_p(inverse, p)
+    if not det_p:
+        return None
+
+    col_sq = [0] * n
+    for row in rows.values():
+        for j, v in row.items():
+            col_sq[j] += v * v
+    num_bound = isqrt(sum(v * v for v in rhs) * prod(col_sq) // min(col_sq)) + 1
+    limit = 2 * num_bound * bound
+    modulus, k = p, 1
+    while modulus <= limit:
+        modulus *= p
+        k += 1
+
+    digits = np.empty((k, n), dtype=np.int64)
+    residual = np.array(rhs, dtype=np.int64)
+    for i in range(k):
+        x = inverse @ (residual % p)
+        x %= p
+        digits[i] = x
+        residual -= a @ x
+        residual //= p
+    del a, inverse, residual
+    # Horner over digit pairs: a pair is below p * p < 2**63.
+    pairs = digits[0::2].copy()
+    pairs[:k // 2] += digits[1::2] * p
+    del digits
+    x = pairs[-1].astype(object)
+    for pair in pairs[-2::-1]:
+        x = x * (p * p) + pair
+    del pairs
+
+    half = modulus // 2
+    s = 1
+    y: list[int] = []
+    for xj in x.tolist():
+        yj = (s * xj + half) % modulus - half
+        if abs(yj) > num_bound:
+            found = _rational_reconstruction(yj, modulus, num_bound, bound)
+            if found is None:
+                return None
+            yj, den = found
+            y = [v * den for v in y]
+            s *= den
+        y.append(yj)
+
+    for i, row in rows.items():
+        if sum(v * y[j] for j, v in row.items()) != s * rhs[i]:
+            return None
+    return s // gcd(s, *y), det_p
 
 
 def _multimodular(rows: IntRows, n: int, threads: int) -> int:
@@ -590,17 +765,6 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     bound = _hadamard_rows(rows, n)
     if bound == 0:
         return 0
-
-    # Every prime exceeds 2**30, so this many always reach the target.
-    target = 2 * bound
-    base: list[int] = []
-    modulus = 1
-    for p in modular_primes(target.bit_length() // 30 + 1):
-        base.append(p)
-        modulus *= p
-        if modulus > target:
-            break
-    safety = modular_primes(len(base) + 1)[-1]
 
     nnz = sum(map(len, rows.values()))
     row_idx = np.fromiter((i for i, row in rows.items() for _ in row),
@@ -611,28 +775,44 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     vals[:] = [v for row in rows.values() for v in row.values()]
     coords = (row_idx, col_idx, vals)
 
-    def residue(p: int) -> int:
-        return _residue_mod_p(coords, n, p)
+    # t = det / s is reconstructed; s = 1 and no residue known is the plain
+    # CRT path, taken when the lift fails or would not pay.
+    s = 1
+    known: dict[int, int] = {}
+    base, safety = _crt_primes(2 * bound, 1, 1)
+    if len(base) + 1 >= _LIFT_MIN_PRIMES:
+        p = _LIFT_PRIME
+        lifted = _lift_divisor(rows, coords, n, bound, p)
+        if lifted is not None:
+            s, det_p = lifted
+            known[p] = det_p * pow(s, -1, p) % p
+            base, safety = _crt_primes(2 * -(-bound // s), s, p)
+
+    def residue(q: int) -> int:
+        r = _residue_mod_p(coords, n, q)
+        return r if s == 1 else r * pow(s, -1, q) % q
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             residues = list(pool.map(residue, base + [safety]))
     else:
-        residues = [residue(p) for p in base + [safety]]
+        residues = [residue(q) for q in base + [safety]]
 
-    x = crt_combine(residues[:-1], base)
+    moduli = [*known, *base]
+    x = crt_combine([*known.values(), *residues[:-1]], moduli)
+    modulus = prod(moduli)
     if x > modulus // 2:
         x -= modulus
     if x % safety != residues[-1]:
         raise ReconstructionError(
             f"safety prime {safety} disagrees with reconstruction")
-    return x
+    return x * s
 
 
 def _pick_backend(backend: str, nnz: int, n: int) -> str:
     """The backend that runs for ``backend`` on an n x n matrix with ``nnz``
     nonzeros; the one place that decides it.  "auto" takes the multimodular
-    backend above 8 nonzeros per row on average, and fraction-free
+    backend above 7 nonzeros per row on average, and fraction-free
     elimination otherwise.  Raises ValueError on an unknown name."""
     if backend == "auto":
         return "multimodular" if nnz > _DENSE_NNZ_PER_ROW * n else "bareiss"

@@ -21,7 +21,8 @@ integer row form of ``exactla`` as it is (:func:`basis_rows`).
 labellings: it gives the entries as coordinate arrays, in the same order,
 for the wave peel of ``exactla._peel_det``.  A rational tensor runs the
 walk with d = 1 and every label 1 and multiplies each +-1 pattern row by
-its coordinates (:func:`tensor_rows`).  The ExactMatrix wrappers serve the
+its coordinates (:func:`tensor_rows` and, from any list of vectors,
+:func:`_vector_rows`).  The ExactMatrix wrappers serve the
 ``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
 equation from the tensor, for :func:`relation_holds` and as the tests'
 oracle.
@@ -170,12 +171,19 @@ def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
 
 def tensor_rows(tensor: TensorAssignment, top: int) -> tuple[RationalRows, int, int]:
     """The insertion system of ``tensor`` over the (r-1)-subsets of 1..top
-    as rational rows, with its row and column counts.  The walk with d = 1
-    and every label 1 gives each base's +-1 pattern row; times coordinate c
-    of each column's vector, it is row block*d + c, left out when empty."""
-    r, d, n = tensor.r, tensor.d, tensor.n
-    vectors = [tensor.entries[subset] for subset in subsets(r, n)]
-    pattern, nblocks, ncols = _insertion_rows(r, n, 1, [1] * len(vectors), top)
+    as rational rows, with its row and column counts."""
+    vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
+    return _vector_rows(tensor.r, tensor.d, vectors, top)
+
+
+def _vector_rows(r: int, d: int, vectors: Sequence[Sequence[Rational]],
+                 top: int) -> tuple[RationalRows, int, int]:
+    """:func:`tensor_rows` of the tensor whose vectors are ``vectors``, in
+    dictionary order of the r-subsets.  The walk with d = 1 and every label
+    1 gives each base's +-1 pattern row; times coordinate c of each
+    column's vector, it is row block*d + c, left out when empty.  Column j
+    holds only the coordinates of vector j."""
+    pattern, nblocks, ncols = _insertion_rows(r, r * d, 1, [1] * len(vectors), top)
     coords = [[vec[c] for vec in vectors] for c in range(d)]
     rows: RationalRows = {}
     for block, signs in pattern.items():

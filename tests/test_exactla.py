@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from hgdet import exactla
+from hgdet import determinant, exactla
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
-from hgdet.determinant import basis_det
+from hgdet.determinant import basis_det, tensor_det
 from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
+from hgdet.verify import plant_degenerate_simplex, random_tensor
 
 
 def cofactor_det(rows):
@@ -551,3 +553,123 @@ def test_wave_peel_emptied_row_needs_no_core(monkeypatch):
     value = wave_peel_det(rows)
     assert cores == [3]
     assert value == det_bareiss(ExactMatrix.from_rows(rows)) != 0
+
+
+# --- multimodular: a lifted divisor of det, then CRT on the cofactor --------
+
+def lift_spy(monkeypatch):
+    """Record what every ``_lift_divisor`` call returns."""
+    lifts = []
+    lift = exactla._lift_divisor
+
+    def spy(*args):
+        lifts.append(lift(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(exactla, "_lift_divisor", spy)
+    return lifts
+
+
+def integer_det(tensor, value):
+    """det of the column-cleared integer system of ``tensor``, whose
+    determinant is ``value``."""
+    _, divisor = determinant._integer_vectors(tensor)
+    det = value * divisor
+    assert det.denominator == 1
+    return det.numerator
+
+
+@pytest.mark.parametrize("r, d", [(2, 4), (3, 3), (2, 6), (3, 4)])
+def test_lift_matches_bareiss_on_rational_tensors(monkeypatch, r, d):
+    tensor = random_tensor(r, d, random.Random(40 + 10 * r + d))
+    expected = tensor_det(tensor, backend="bareiss")
+    lifts = lift_spy(monkeypatch)
+    assert tensor_det(tensor, backend="multimodular") == expected != 0
+    assert len(lifts) == 1 and lifts[0] is not None
+    s, _ = lifts[0]
+    assert integer_det(tensor, expected) % s == 0
+
+
+def test_lift_singular_fallback_on_degenerate_simplex(monkeypatch):
+    """The vanishing property through the lift: a degenerate simplex makes
+    the system singular mod the lifting prime, and CRT gives exactly 0."""
+    lifts = lift_spy(monkeypatch)
+    rng = random.Random(51)
+    for r, d in ((2, 4), (3, 3)):
+        tensor = plant_degenerate_simplex(random_tensor(r, d, rng), rng)
+        assert tensor_det(tensor, backend="multimodular") == 0
+    assert lifts == [None, None]
+
+
+def test_lifted_divisor_leaves_a_small_cofactor(monkeypatch):
+    tensor = random_tensor(3, 4, random.Random(52))
+    lifts = lift_spy(monkeypatch)
+    det = integer_det(tensor, tensor_det(tensor, backend="multimodular"))
+    (s, det_p), = lifts
+    assert det % s == 0
+    assert abs(det // s) < 2 ** 64
+    assert det_p == det % exactla._LIFT_PRIME
+
+
+def small_prime_factor(m, low):
+    """The least prime factor of m from ``low`` up, below 2**16."""
+    for q in range(low | 1, 1 << 16, 2):
+        if m % q == 0 and all(q % f for f in range(3, isqrt(q) + 1, 2)):
+            return q
+    raise AssertionError("no prime factor below 2**16")
+
+
+def test_lifting_prime_dividing_det_falls_back(monkeypatch):
+    tensor = random_tensor(2, 6, random.Random(53))
+    expected = tensor_det(tensor, backend="bareiss")
+    p = small_prime_factor(integer_det(tensor, expected), 101)
+    monkeypatch.setattr(exactla, "_LIFT_PRIME", p)
+    lifts = lift_spy(monkeypatch)
+    assert tensor_det(tensor, backend="multimodular") == expected
+    assert lifts == [None]
+
+
+def test_certificate_rejects_a_wrong_denominator(monkeypatch):
+    """Reconstruction returns its first denominator plus one, and 1 after
+    that, so s ends wrong and the lift reaches its certificate, which
+    rejects s; CRT alone gives the value."""
+    tensor = random_tensor(3, 3, random.Random(54))
+    expected = tensor_det(tensor, backend="bareiss")
+    lifts = lift_spy(monkeypatch)
+    reconstruct = exactla._rational_reconstruction
+    calls = []
+
+    def wrong(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            return 0, 1
+        num, den = reconstruct(*args)
+        return num, den + 1
+
+    monkeypatch.setattr(exactla, "_rational_reconstruction", wrong)
+    assert tensor_det(tensor, backend="multimodular") == expected
+    assert calls and lifts == [None]
+
+
+def test_certificate_reduces_a_denominator_too_large(monkeypatch):
+    """A reconstruction that multiplies its fraction through by a prime k
+    not dividing det still solves A y = s b; the gcd of s and y removes k
+    again, so s divides det."""
+    tensor = random_tensor(3, 3, random.Random(54))
+    expected = tensor_det(tensor, backend="bareiss")
+    det = integer_det(tensor, expected)
+    k = 2 ** 61 - 1
+    assert det % k
+    lifts = lift_spy(monkeypatch)
+    reconstruct = exactla._rational_reconstruction
+    calls = []
+
+    def scaled(*args):
+        num, den = reconstruct(*args)
+        calls.append(args)
+        return (num * k, den * k) if len(calls) == 1 else (num, den)
+
+    monkeypatch.setattr(exactla, "_rational_reconstruction", scaled)
+    assert tensor_det(tensor, backend="multimodular") == expected
+    (s, _), = lifts
+    assert calls and det % s == 0

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from hgdet._kernels import KERNEL_BACKEND, det_mod_p
+from hgdet import exactla
+from hgdet._kernels import KERNEL_BACKEND, det_mod_p, inverse_mod_p
 from hgdet.exactla import ExactMatrix, det_bareiss, modular_primes
 
 P = modular_primes(1)[0]
@@ -160,3 +161,66 @@ def test_modulus_outside_range_is_rejected():
     rows = [[rng.randrange(2) for _ in range(12)] for _ in range(12)]
     for p in (2, (1 << 31) - 1):
         assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
+
+
+# --- modular inverse: the lifting prime's Gauss-Jordan kernel ---------------
+
+LIFT_PRIMES = (exactla._LIFT_PRIME, 1009)
+
+
+def check_inverse(rows, p):
+    """inverse_mod_p of ``rows`` is a two-sided inverse mod p, and its
+    determinant is the oracle's."""
+    a = np.array(rows, dtype=np.int64) % p
+    inverse = a.copy()
+    det = inverse_mod_p(inverse, p)
+    assert det == oracle_det_mod_p(rows, p)
+    if det:
+        assert ((inverse >= 0) & (inverse < p)).all()
+        eye = np.eye(len(rows), dtype=np.int64)
+        assert ((a @ inverse) % p == eye).all()
+        assert ((inverse @ a) % p == eye).all()
+    return det
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_inverse_dense_and_sparse(p):
+    """Dense rows take the full rank-one update, sparse ones the update of
+    the rows with a nonzero factor; both need row swaps."""
+    rng = random.Random(p + 5)
+    for n in (1, 2, 5, 17, 40):
+        for fill in (1.0, 0.5, 0.1):
+            rows = [[rng.randrange(p) if rng.random() < fill else 0 for _ in range(n)]
+                    for _ in range(n)]
+            for i in range(n):
+                rows[i][rng.randrange(n)] = rng.randrange(1, p)
+            check_inverse(rows, p)
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_inverse_permuted_triangular_needs_late_swaps(p):
+    """A permuted triangular matrix meets a zero pivot at almost every
+    step, so nearly every step swaps rows."""
+    rng = random.Random(p + 6)
+    for n in (6, 20, 45):
+        upper = [[0] * i + [rng.randrange(1, p)]
+                 + [rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n - i - 1)]
+                 for i in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        assert check_inverse([upper[i] for i in order], p) != 0
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_inverse_singular(p):
+    rng = random.Random(p + 7)
+    for n in (2, 9, 30):
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        c = rng.randrange(1, p)
+        rows.insert(rng.randrange(n), [(x + c * y) % p for x, y in zip(rows[0], rows[-1])])
+        assert check_inverse(rows, p) == 0
+    with pytest.raises(ValueError):
+        inverse_mod_p(np.zeros((2, 3), dtype=np.int64), 1009)
+    # n * p * p must stay below 2**63.
+    with pytest.raises(ValueError):
+        inverse_mod_p(np.zeros((2, 2), dtype=np.int64), 1 << 31)

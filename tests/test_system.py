@@ -377,6 +377,45 @@ def test_tensor_rows_match_oracle_on_rational_tensors_with_zeros(r, d):
         assert tensor_det(tensor) == det_bareiss(oracle_matrix(tensor, tensor.n - 1))
 
 
+def divisor_spy(monkeypatch):
+    """Record the integer rows and the divisor every ``tensor_det`` hands
+    to elimination."""
+    import hgdet.determinant as determinant
+
+    seen = []
+    det_rows = determinant._det_rows
+
+    def spy(rows, n, divisor=1, backend="auto", threads=1):
+        seen.append(({i: dict(row) for i, row in rows.items()}, divisor))
+        return det_rows(rows, n, divisor, backend, threads)
+
+    monkeypatch.setattr(determinant, "_det_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("r, d", [(1, 4), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_tensor_det_clears_denominators_by_column(monkeypatch, r, d):
+    """tensor_det scales each column by the lcm of its denominators: the
+    integer rows are the system's times those lcms, the divisor is their
+    product, and the value is the row-cleared matrix's determinant."""
+    seen = divisor_spy(monkeypatch)
+    rng = random.Random(2500 * r + d)
+    for tensor in (random_tensor(r, d, rng), sparse_rational_tensor(r, d, rng)):
+        matrix = system_matrix(tensor).matrix
+        dens = {}
+        for (_, j), v in matrix.entries.items():
+            dens.setdefault(j, []).append(Fraction(v).denominator)
+        scale = {j: lcm(*ds) for j, ds in dens.items()}
+        seen.clear()
+        for backend in ("bareiss", "multimodular", "auto"):
+            assert tensor_det(tensor, backend=backend) == det_bareiss(matrix)
+        rows, _, _ = tensor_rows(tensor, tensor.n - 1)
+        expected = {i: {j: v * scale[j] for j, v in row.items()} for i, row in rows.items()}
+        assert seen == [(expected, prod(scale.values()))] * 3
+        ints, _ = seen[0]
+        assert all(type(v) is int for row in ints.values() for v in row.values())
+
+
 @pytest.mark.parametrize("r, d, c", [(2, 3, 0), (3, 2, 1), (3, 3, 2), (1, 3, 1)])
 def test_zero_coordinate_leaves_its_rows_absent(r, d, c):
     """A coordinate that is 0 in every slot empties its row of every block:
