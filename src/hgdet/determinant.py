@@ -3,25 +3,25 @@
 A rational tensor and a basis assignment (a labelling, such as the
 canonical witness or a d-partition) both reach elimination from the one
 insertion walk of ``system``, never as a matrix.  A tensor has its
-denominators cleared column by column before the walk: each vector is
+denominators cleared column by column before the fill: each vector is
 scaled by the lcm of its coordinates' denominators
-(:func:`_integer_vectors`), so the walk writes integer rows
-(``system._vector_rows``).  A column holds the d coordinates of one vector
+(:func:`_integer_vectors`).  A column holds the d coordinates of one vector
 while a row mixes rd - r + 1 vectors, so this divisor, and the Hadamard
 bound of the integer system, are smaller than row clearing gives.
 
 A labelling takes one of two routes, picked by its number of insertions,
 which is its number of nonzeros:
 
-* small systems: the walk writes integer rows (``system._insertion_rows``)
-  for ``exactla._det_rows``;
-* large systems whose backend resolves to ``bareiss``: the walk writes
-  coordinate arrays (``system._insertion_arrays``) for the wave peel of
-  ``exactla._peel_det``, which hands only the core to elimination.
+* small systems, and every ``multimodular`` one: ``system._vector_rows``
+  fills the cached pattern with the labels' unit vectors, giving integer
+  rows for ``exactla._det_rows``;
+* large systems whose backend resolves to ``bareiss``: the entries of the
+  uncached walk (``system._insertion_arrays``) move to row
+  block*d + label - 1 in place, for the wave peel of ``exactla._peel_det``.
+  ``hgdet table`` builds each such system once, so a cache would only keep
+  it alive.
 
-Both routes give every labelling the value of its expanded tensor.  The
-``multimodular`` backend always takes the rows, so the cross-check between
-the two backends shares no peel.
+Both routes give every labelling the value of its expanded tensor.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ from .exactla import _det_rows, _peel_det, _pick_backend
 from .tensors import BasisAssignment, TensorAssignment, subsets, witness_labels
 
 # Insertions above which a labelling takes the array route.  Per call, on
-# one core: 40 insertions (a 2-partition of K^3_6) take 0.04 ms as rows
-# and 0.10 ms as arrays on random labellings; the routes tie at about 200
-# insertions on random labellings, which mostly exit early as singular, and
-# at about 290 on witness cells, which peel completely; at 550 ((3, 4))
-# arrays take 0.27 ms against 0.50 ms for rows.
+# one core: 40 insertions (a 2-partition of K^3_6) take 0.03 ms as rows
+# and 0.08 ms as arrays on random labellings; the routes tie at about 210
+# insertions both on random labellings, which mostly exit early as
+# singular, and on witness cells, which peel completely; at 550 ((3, 4))
+# arrays take 0.10 ms against 0.17 ms for rows on random labellings, and
+# 0.21 against 0.35 ms on the witness.  Up to 250 the routes differ by at
+# most 10%.
 _ARRAY_ROUTE_INSERTIONS = 250
 
 
@@ -53,7 +55,8 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     by det(M) ** C(rd-1, r-1).
     """
     vectors, divisor = _integer_vectors(tensor)
-    rows, n, _ = system._vector_rows(tensor.r, tensor.d, vectors, tensor.n - 1)
+    rows, n, _ = system._vector_rows(tensor.r, tensor.d, system._nonzeros(vectors),
+                                     tensor.n - 1)
     return _det_rows(rows, n, divisor, backend, threads)
 
 
@@ -84,11 +87,12 @@ def _labelled_det(r: int, d: int, label: Sequence[int] | np.ndarray,
     insertions = bases * (n - r + 1)
     if (insertions > _ARRAY_ROUTE_INSERTIONS
             and _pick_backend(backend, insertions, d * bases) == "bareiss"):
-        arrays = system._insertion_arrays(r, n, d, np.asarray(label), n - 1)
-        return Fraction(_peel_det(*arrays, d * bases))
-    if isinstance(label, np.ndarray):
-        label = label.tolist()
-    rows, size, _ = system._insertion_rows(r, n, d, label, n - 1)
+        block, col, sign = system._insertion_arrays(r, n, n - 1)
+        block *= d
+        block += np.asarray(label)[col]
+        block -= 1
+        return Fraction(_peel_det(block, col, sign, d * bases))
+    rows, size, _ = system._vector_rows(r, d, system._unit_vectors(d, label), n - 1)
     return _det_rows(rows, size, backend=backend, threads=threads)
 
 

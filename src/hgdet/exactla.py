@@ -7,15 +7,14 @@ index to a nonzero int, with empty rows absent, plus a divisor.
 one pass, and ``_clear_denominators`` scales each row that holds a
 fraction by the lcm of its denominators; the divisor is the product of
 those scales.  The insertion systems never become a matrix on their way to
-a determinant or rank: the one walk of ``system`` writes them as rows and
-hands them to ``_det_rows`` and ``_rank_rows``.  A labelling's rows are
-integers; ``tensor_det`` clears a tensor's denominators column by column
-before the walk (``determinant._integer_vectors``), since a column holds
-the d coordinates of one vector while a row mixes rd - r + 1 of them.
-Elimination consumes the rows it is given.  A large
-labelling whose backend is "bareiss" reaches ``_peel_det`` instead, as
-coordinate arrays: a wave peel with numpy, then ``_eliminate`` on the core
-that is left, as integer rows.
+a determinant or rank: ``system`` fills its cached +-1 pattern with their
+vectors as rows for ``_det_rows`` and ``_rank_rows``, integer rows for a
+labelling, and for a tensor once ``tensor_det`` has cleared its
+denominators column by column (a column holds the d coordinates of one
+vector, a row mixes rd - r + 1 of them).  Elimination consumes the rows it
+is given.  A large labelling whose backend is "bareiss" reaches
+``_peel_det`` instead, as the coordinate arrays of the uncached walk: a
+wave peel with numpy, then ``_eliminate`` on the core, as integer rows.
 
 Two determinant backends are provided and must always agree.
 ``_pick_backend`` alone validates the backend name and resolves "auto";

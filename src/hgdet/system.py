@@ -12,25 +12,23 @@ Rows are ordered by dictionary order on the equation bases, coordinates
 ordering is fixed once and for all: changing it would only flip the global
 sign of the determinant.
 
-One walk, ``_insertion_rows``, writes every insertion system: inserting s
-into a base at 0-based position pos puts one entry (-1)**(s + pos + 1) at
-row block*d + label - 1, in the column of the enlarged subset.  The labels
-of a :class:`BasisAssignment` stand for unit vectors, so its walk is the
-integer row form of ``exactla`` as it is (:func:`basis_rows`).
-``_insertion_arrays`` is the same walk on numpy arrays, for large
-labellings: it gives the entries as coordinate arrays, in the same order,
-for the wave peel of ``exactla._peel_det``.  A rational tensor runs the
-walk with d = 1 and every label 1 and multiplies each +-1 pattern row by
-its coordinates (:func:`tensor_rows` and, from any list of vectors,
-:func:`_vector_rows`).  The ExactMatrix wrappers serve the
-``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
-equation from the tensor, for :func:`relation_holds` and as the tests'
-oracle.
+One walk, ``_insertion_arrays``, gives the +-1 pattern of every insertion
+system, the system with d = 1: inserting s into a base at 0-based position
+pos puts (-1)**(s + pos + 1) in the column of the enlarged subset.  It
+depends only on r, n and the top base vertex, so ``_pattern`` caches it.
+One fill, :func:`_vector_rows`, writes pattern row ``block`` times
+coordinate c of each column's vector as row block*d + c: from a rational
+tensor's vectors (:func:`tensor_rows`) or a labelling's unit vectors
+(:func:`basis_rows`, integer rows).  Large labellings skip both: see
+``determinant``.  The ExactMatrix wrappers serve the ``hgdet matrix`` dump
+and the tests; :func:`equation_block` builds one equation from the tensor,
+for :func:`relation_holds` and as the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import IO, Iterable, Sequence
 
@@ -80,56 +78,23 @@ class SystemMatrix:
         return self.matrix.rows
 
 
-def _rank_terms(r: int, n: int) -> list[list[int]]:
-    """term[k][c]: the rank term of element c at 1-based position k of an
-    r-subset of 1..n, C(n - c, r + 1 - k)."""
-    return [[comb(n - c, r + 1 - k) for c in range(n + 1)] for k in range(r + 2)]
+# Patterns that _pattern keeps.  A run repeats few shapes: classification
+# one, a tensor batch one per (r, d).  A pattern takes 9 bytes per
+# insertion, so a sweep over many shapes keeps only the last few.
+_PATTERN_CACHE_SIZE = 8
 
 
-def _insertion_rows(r: int, n: int, d: int, label: Sequence[int],
-                    top: int) -> tuple[IntRows, int, int]:
-    """The insertion walk over the (r-1)-subsets of 1..top, with its row and
-    column counts.  ``label`` holds a label in 1..d per r-subset of 1..n in
-    dictionary order, and each insertion writes one +-1 at row
-    block*d + label - 1.  A column is located by its dictionary rank,
-    C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for c_1 < ... < c_r: the base
-    contributes a prefix and a suffix of that sum around the inserted
-    element, so no subset tuple is built.
-    """
-    term = _rank_terms(r, n)
-    last = comb(n, r) - 1
-    rows: IntRows = {}
-    for block, base in enumerate(subsets(r - 1, top)):
-        offset = block * d - 1
-        # Terms of the base elements before and after the insertion point.
-        before = 0
-        after = sum(term[k + 2][c] for k, c in enumerate(base))
-        pos = 0
-        for s in range(1, n + 1):
-            if pos < r - 1 and base[pos] == s:
-                before += term[pos + 1][s]
-                after -= term[pos + 2][s]
-                pos += 1
-                continue
-            col = last - before - after - term[pos + 1][s]
-            i = offset + label[col]
-            row = rows.get(i)
-            if row is None:
-                rows[i] = row = {}
-            row[col] = 1 if (s + pos) & 1 else -1
-    return rows, d * comb(top, r - 1), last + 1
-
-
-def _insertion_arrays(r: int, n: int, d: int, label: np.ndarray,
-                      top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walk of :func:`_insertion_rows` as coordinate arrays
-    ``(rows, cols, signs)``, one entry per insertion in the same order:
-    bases in dictionary order, inserted elements increasing.  ``label`` is
-    an array of the labels in dictionary order of the r-subsets.  The
-    column is the same dictionary-rank formula from the same term table,
-    evaluated for all insertions at once.
-    """
-    term = np.array(_rank_terms(r, n), dtype=np.int64)
+def _insertion_arrays(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk over the (r-1)-subsets of 1..top, for the r-subsets of
+    1..n, as arrays ``(block, col, sign)`` with one entry per insertion:
+    bases in dictionary order, each with its n - r + 1 inserted elements
+    increasing.  s inserted at 0-based position pos has ``sign``
+    (-1)**(s + pos + 1), and ``col`` is the dictionary rank of the enlarged
+    subset, C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for c_1 < ... < c_r,
+    for all insertions at once with no subset built."""
+    # term[k, c]: the rank term of element c at 1-based position k.
+    term = np.array([[comb(n - c, r + 1 - k) for c in range(n + 1)]
+                     for k in range(r + 2)], dtype=np.int64)
     bases = subset_array(r - 1, top)
     nbases = len(bases)
     # member[b, s]: s lies in base b.  Its running count at an s outside
@@ -153,45 +118,68 @@ def _insertion_arrays(r: int, n: int, d: int, label: np.ndarray,
     col = split[block, pos]
     col += term[pos + 1, s]
     np.subtract(comb(n, r) - 1, col, out=col)
-    signs = ((s + pos) & 1).astype(np.int8) * 2 - 1
-    del s, pos
-    block *= d
-    block += label[col]
-    block -= 1
-    return block, col, signs
+    sign = ((s + pos) & 1).astype(np.int8) * 2 - 1
+    return block, col, sign
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(col, sign)`` of :func:`_insertion_arrays`, cached and read-only, so
+    that calls and threads share them; each base's entries are consecutive,
+    so the fill needs no block array."""
+    _, col, sign = _insertion_arrays(r, n, top)
+    col.flags.writeable = sign.flags.writeable = False
+    return col, sign
+
+
+def _vector_rows(r: int, d: int, vectors: Sequence[Sequence[tuple[int, Rational]]],
+                 top: int) -> tuple[RationalRows, int, int]:
+    """The insertion system over the (r-1)-subsets of 1..top as rows, with
+    its row and column counts, for ``vectors`` in dictionary order of the
+    r-subsets, each as its nonzero coordinates (c, v), c in 0..d-1.  Rows
+    come in order of block, then c; empty rows are left out."""
+    n = r * d
+    col, sign = _pattern(r, n, top)
+    per = n - r + 1
+    rows: RationalRows = {}
+    i = 0
+    for cols, signs in zip(col.reshape(-1, per).tolist(), sign.reshape(-1, per).tolist()):
+        block_rows: list[dict[int, Rational]] = [{} for _ in range(d)]
+        for j, s in zip(cols, signs):
+            for c, v in vectors[j]:
+                block_rows[c][j] = s * v
+        for row in block_rows:
+            if row:
+                rows[i] = row
+            i += 1
+    return rows, d * comb(top, r - 1), comb(n, r)
+
+
+def _nonzeros(vectors: Iterable[Sequence[Rational]]) -> list[list[tuple[int, Rational]]]:
+    """Each vector as its nonzero coordinates (c, v), c from 0."""
+    return [[(c, v) for c, v in enumerate(vec) if v] for vec in vectors]
+
+
+def _unit_vectors(d: int, label: Iterable[int]) -> list[tuple[tuple[int, int]]]:
+    """The vectors of a labelling, e_label for each label in 1..d, as
+    nonzero coordinates."""
+    units = [((c, 1),) for c in range(d)]
+    return [units[k - 1] for k in label]
 
 
 def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
     """The insertion system of ``basis`` over the (r-1)-subsets of 1..top
     (rd - 1 for the square system, rd for the full one) in the integer row
-    form, with its row and column counts: the walk on its labels."""
+    form, with its row and column counts: the rows of its unit vectors."""
     label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
-    return _insertion_rows(basis.r, basis.n, basis.d, label, top)
+    return _vector_rows(basis.r, basis.d, _unit_vectors(basis.d, label), top)
 
 
 def tensor_rows(tensor: TensorAssignment, top: int) -> tuple[RationalRows, int, int]:
     """The insertion system of ``tensor`` over the (r-1)-subsets of 1..top
     as rational rows, with its row and column counts."""
     vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
-    return _vector_rows(tensor.r, tensor.d, vectors, top)
-
-
-def _vector_rows(r: int, d: int, vectors: Sequence[Sequence[Rational]],
-                 top: int) -> tuple[RationalRows, int, int]:
-    """:func:`tensor_rows` of the tensor whose vectors are ``vectors``, in
-    dictionary order of the r-subsets.  The walk with d = 1 and every label
-    1 gives each base's +-1 pattern row; times coordinate c of each
-    column's vector, it is row block*d + c, left out when empty.  Column j
-    holds only the coordinates of vector j."""
-    pattern, nblocks, ncols = _insertion_rows(r, r * d, 1, [1] * len(vectors), top)
-    coords = [[vec[c] for vec in vectors] for c in range(d)]
-    rows: RationalRows = {}
-    for block, signs in pattern.items():
-        for c, coord in enumerate(coords):
-            row = {col: sign * v for col, sign in signs.items() if (v := coord[col])}
-            if row:
-                rows[block * d + c] = row
-    return rows, d * nblocks, ncols
+    return _vector_rows(tensor.r, tensor.d, _nonzeros(vectors), top)
 
 
 def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:

@@ -7,9 +7,13 @@ import pytest
 
 from hgdet import cli
 from hgdet.hypergraphs import write_hypergraph, Hypergraph
-from hgdet.tensors import canonical_witness, write_basis, write_tensor
+from hgdet.system import write_matrix
+from hgdet.tensors import (canonical_witness, tensor_from_basis, write_basis,
+                           write_tensor)
 from hgdet.verify import random_tensor
 import random
+
+from test_system import oracle_matrix, sparse_rational_tensor
 
 
 @pytest.fixture
@@ -86,10 +90,21 @@ def test_witness_stdout(capsys):
 
 
 def test_matrix_dump(tmp_path, witness_file, capsys):
-    out = tmp_path / "matrix.txt"
-    assert cli.main(["matrix", witness_file, str(out)]) == 0
-    head = out.read_text().splitlines()[0].split()
-    assert head[0] == "20" and head[1] == "20"
+    """The whole dump, of a label file and of a rational tensor file with
+    zero coordinates, is the oracle system built one equation at a time."""
+    tensor = sparse_rational_tensor(3, 2, random.Random(6))
+    assert any(0 in vec for vec in tensor.entries.values())
+    tensor_file = tmp_path / "tensor.txt"
+    with open(tensor_file, "w") as fh:
+        write_tensor(tensor, fh)
+    witness = tensor_from_basis(canonical_witness(3, 2))
+    for path, source in ((witness_file, witness), (str(tensor_file), tensor)):
+        out = tmp_path / "matrix.txt"
+        assert cli.main(["matrix", path, str(out)]) == 0
+        expected = io.StringIO()
+        write_matrix(oracle_matrix(source, source.n - 1), expected)
+        assert out.read_text() == expected.getvalue()
+        assert out.read_text().splitlines()[0].split()[:2] == ["20", "20"]
 
 
 def test_table_small(capsys):

@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import hgdet.determinant as determinant
 import hgdet.exactla as exactla
 import hgdet.system as system
 from hgdet.combi import rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
-from hgdet.exactla import (ExactMatrix, _det_rows, _integer_rows, _peel_det,
-                           _rank_rows, det_bareiss, rank_exact)
+from hgdet.exactla import (ExactMatrix, _det_rows, _integer_rows, _rank_rows,
+                           det_bareiss, rank_exact)
 from hgdet.hypergraphs import (classify_partition, partition_from_basis,
                                partition_from_labels)
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
@@ -380,8 +382,6 @@ def test_tensor_rows_match_oracle_on_rational_tensors_with_zeros(r, d):
 def divisor_spy(monkeypatch):
     """Record the integer rows and the divisor every ``tensor_det`` hands
     to elimination."""
-    import hgdet.determinant as determinant
-
     seen = []
     det_rows = determinant._det_rows
 
@@ -485,16 +485,18 @@ def test_basis_det_rejects_an_unknown_backend():
 
 
 def row_route_det(r, d, label):
-    """The labelling's determinant from the integer rows, by Bareiss."""
-    rows, size, _ = system._insertion_rows(r, r * d, d, list(label), r * d - 1)
+    """The labelling's determinant from the integer rows of its unit
+    vectors, by Bareiss."""
+    vectors = system._unit_vectors(d, label)
+    rows, size, _ = system._vector_rows(r, d, vectors, r * d - 1)
     return _det_rows(rows, size, backend="bareiss")
 
 
 def array_route_det(r, d, label):
-    """The array walk and the wave peel, whatever the size."""
-    n = r * d
-    arrays = system._insertion_arrays(r, n, d, np.asarray(label), n - 1)
-    return _peel_det(*arrays, system_dimension(r, d))
+    """The labelling's determinant by the uncached walk and the wave peel,
+    whatever the size."""
+    with mock.patch.object(determinant, "_ARRAY_ROUTE_INSERTIONS", 0):
+        return determinant._labelled_det(r, d, label, "bareiss", 1)
 
 
 def test_array_route_matches_row_route_on_witness_cells():
@@ -556,32 +558,74 @@ def test_array_route_matches_row_route_on_random_labellings(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_witness_det_takes_the_array_route(monkeypatch):
-    """Large labellings never build integer rows; a small one does."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("row walk on a large labelling")
+def peel_spy(monkeypatch):
+    """Count the calls that reach the wave peel."""
+    calls = []
+    peel = determinant._peel_det
 
-    monkeypatch.setattr(system, "_insertion_rows", forbidden)
+    def spy(*args):
+        calls.append(args[-1])
+        return peel(*args)
+
+    monkeypatch.setattr(determinant, "_peel_det", spy)
+    return calls
+
+
+def test_witness_det_takes_the_array_route(monkeypatch):
+    """Large labellings with backend bareiss reach the wave peel and never
+    the row fill; a small one takes the row fill."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("row fill on a large labelling")
+
+    monkeypatch.setattr(system, "_vector_rows", forbidden)
+    calls = peel_spy(monkeypatch)
     assert witness_det(5, 5) == KNOWN_WITNESS_DETS[(5, 5)] == 1
     assert witness_det(5, 5, backend="bareiss") == 1
     assert basis_det(canonical_witness(4, 3)) == KNOWN_WITNESS_DETS[(4, 3)]
+    assert calls == [system_dimension(5, 5)] * 2 + [system_dimension(4, 3)]
     with pytest.raises(AssertionError):
         witness_det(3, 2)
 
 
 def test_small_and_multimodular_labellings_take_the_row_route(monkeypatch):
     """Classification of K^3_6 partitions and every multimodular
-    determinant stay off the array walk."""
+    determinant stay off the wave peel."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("array walk on a small or multimodular labelling")
+        raise AssertionError("wave peel on a small or multimodular labelling")
 
-    monkeypatch.setattr(system, "_insertion_arrays", forbidden)
+    monkeypatch.setattr(determinant, "_peel_det", forbidden)
     report = classify_partition(partition_from_labels(6, 3, 2, [1, 2] * 10))
     assert report.consistent
     assert classify_partition(partition_from_basis(canonical_witness(3, 2))).det == -1
     assert witness_det(3, 5, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 5)]
     with pytest.raises(AssertionError):
         witness_det(3, 5)
+
+
+# --- the cached pattern -----------------------------------------------------
+
+
+def test_pattern_is_shared_and_read_only():
+    first = system._pattern(3, 6, 5)
+    assert system._pattern(3, 6, 5) is first
+    for array, fresh in zip(first, system._insertion_arrays(3, 6, 5)[1:]):
+        assert np.array_equal(array, fresh)
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_pattern_cache_stays_bounded():
+    shapes = [(2, n, n - 1) for n in range(2, system._PATTERN_CACHE_SIZE + 6)]
+    assert len(shapes) > system._PATTERN_CACHE_SIZE
+    for shape in shapes:
+        system._pattern(*shape)
+        assert system._pattern.cache_info().currsize <= system._PATTERN_CACHE_SIZE
+
+
+def test_large_labellings_leave_the_pattern_cache_alone():
+    before = system._pattern.cache_info()
+    assert witness_det(5, 5) == 1
+    assert system._pattern.cache_info() == before
 
 
 def test_off_grid_frontier_cells_9_2_and_10_2():
