@@ -51,6 +51,7 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
     half = p // 2
     det = 1
     pending = 0
+    sparse = True
     for k in range(n):
         col = a[k:, k]
         col %= p
@@ -69,7 +70,16 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
         factors = (a[k + 1:, k] * pow(piv, -1, p) + half) % p - half
         row = (a[k, k + 1:] + half) % p - half
         block = a[k + 1:, k + 1:]
-        block -= factors[:, None] * row[None, :]
+        # As in ``inverse_mod_p``: only the rows with a nonzero factor,
+        # while they are fewer than half.  Fill-in makes the trailing block
+        # denser as elimination goes on, so after the first step with at
+        # least half the factors nonzero the count is no longer taken.
+        if sparse and 2 * np.count_nonzero(factors) < len(factors):
+            live = factors.nonzero()[0]
+            block[live] -= factors[live, None] * row[None, :]
+        else:
+            sparse = False
+            block -= factors[:, None] * row[None, :]
         pending += 1
         if pending == _LAZY_UPDATES:
             np.fmod(block, p, out=block)

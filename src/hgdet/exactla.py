@@ -33,24 +33,32 @@ labellings.
 * ``det_multimodular``: a certified divisor s of the determinant by p-adic
   lifting, then t = det / s modulo a batch of 31-bit primes, recombined by
   the Chinese remainder theorem (Abbott, Bronstein and Mulders, ISSAC
-  1999).  ``_lift_divisor`` inverts the matrix A modulo one lifting prime
+  1999).  Both steps are sized by a bound B on |det|, the smaller of the
+  Hadamard bound H and the bound of ``_float_det_bound``: with a unit upper
+  triangular Z that makes the columns of AZ nearly orthogonal in float64,
+  |det A| = |det(AZ)| <= prod_j ||col_j(AZ)||, and a rounding-error term
+  (Higham, Accuracy and Stability of Numerical Algorithms, section 3.5)
+  makes the computed norms an upper bound.  On the dense tensor systems B
+  lies 1-2 bits above |det| where H lies 90-170 bits above.
+  ``_lift_divisor`` inverts the matrix A modulo one lifting prime
   p < 2**25 and lifts the solution of A x = b, for a fixed small integer
-  b, until p**k exceeds 2 N H, with N a Hadamard bound of the Cramer
-  numerators and H of det (Dixon, Numer. Math. 40, 1982).  Rational
-  reconstruction of the components gives s, the lcm of their
-  denominators.  The certificate is exact: y = s x must solve A y = s b in
-  Python ints, and s is divided by gcd(s, y_1, ..., y_n); every
-  denominator of A^-1 b divides det by Cramer's rule, and so does s.  The
-  CRT batch then skips the primes dividing s and is sized so that its
-  product, with the lifting prime's residue of t, exceeds 2 ceil(H / s);
-  each residue is det mod q times s^-1 mod q.  One safety prime's residue
-  must match the reconstruction.  With s = 1 and no lifting residue this is
-  plain CRT on det, the path taken when A is singular mod p, when an int64
-  bound of the lift would not hold, when the certificate fails, and when
-  the plain batch has fewer than ``_LIFT_MIN_PRIMES`` primes.  The row
-  indices, column indices and values of the integer rows are built once
-  per determinant; each prime scatters the values mod q into a dense array
-  and runs the lazily reducing elimination of ``_kernels.det_mod_p``.
+  b, until p**k exceeds 2 N B, with N a Hadamard bound of the Cramer
+  numerators (Dixon, Numer. Math. 40, 1982).  Rational reconstruction of
+  the components gives s, the lcm of their denominators.  The certificate
+  is exact: y = s x must solve A y = s b in Python ints, and s is divided
+  by gcd(s, y_1, ..., y_n); every denominator of A^-1 b divides det by
+  Cramer's rule, and so does s.  The CRT batch then skips the primes
+  dividing s and is sized so that its product, with the lifting prime's
+  residue of t, exceeds 2 ceil(B / s); each residue is det mod q times
+  s^-1 mod q.  One safety prime's residue must match the reconstruction.
+  With s = 1 and no lifting residue this is plain CRT on det, the path
+  taken when A is singular mod p, when an int64 bound of the lift would
+  not hold, when the certificate fails, and when the plain batch has fewer
+  than ``_LIFT_MIN_PRIMES`` primes, as for a unimodular witness system,
+  which takes 2 primes.  The row indices, column indices and values of the
+  integer rows are built once per determinant; each prime scatters the
+  values mod q into a dense array and runs the lazily reducing elimination
+  of ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -62,7 +70,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm, prod
+from math import ceil, fsum, gcd, isqrt, lcm, prod
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -81,10 +89,10 @@ RationalRows = dict[int, dict[int, Rational]]
 # p/q with 1 <= p, q <= 9 on the diagonal and on k - 1 other random columns
 # of each row), median time per backend on one core.  Before the lift the
 # two tied at about 10 per row on 60 rows and 6.5 on 120 rows (recorded
-# earlier as 6.4-7.5).  With it they tie at 4.5-5 per row on 60 and 120
-# rows and at 6.5 on 30 rows; at 7 per row multimodular is 1.2x (30 rows),
-# 1.6x (60) and 3.8x (120) faster, and at 4 per row fraction-free
-# elimination is 2-2.4x faster.
+# earlier as 6.4-7.5).  With it they tie at 5 per row on 60 rows, 4-4.5
+# on 120 and 7 on 30; at 7 per row multimodular is 1.9x (60 rows) and 5.4x
+# (120) faster, and as fast on 30, and at 4 per row fraction-free
+# elimination is 1.1x (120), 1.9x (60) and 2.4x (30) faster.
 # The rule stays above 6.5 per row: the witness cell (r, 2) has
 # r - (r - 1) / 2 per row, 6.5 on (12, 2), whose 2.7 million rows peel in
 # linear time but would need a dense n x n array.  Witness cells of the
@@ -94,16 +102,20 @@ _DENSE_NNZ_PER_ROW = 7
 # The lifting prime of the multimodular backend, the largest below 2**25.
 # With it n * p * p < 2**63 up to n = 8192, so the in-place inverse of
 # ``_kernels.inverse_mod_p`` never reduces a block, and A x stays in int64
-# while n * max|a| * p does.  On one core the inverse costs 1.5-1.9 calls of
-# ``det_mod_p`` on the dense tensor systems of 120-220 rows, and 0.2 on the
-# (6, 2) witness system of 924 rows, where most factors are zero.
+# while n * max|a| * p does.  On one core the inverse costs 1.4-1.6 calls of
+# ``det_mod_p`` on the dense tensor systems of 120-220 rows, and 0.8 on the
+# (6, 2) witness system of 924 rows, where both kernels skip the many rows
+# whose factor is zero.
 _LIFT_PRIME = 33_554_393
 
 # Plain CRT batches (safety prime included) of fewer primes skip the lift.
-# The lift against plain CRT, per determinant on one core: dense integer
-# matrices with entries in [-9, 9] take 0.99-1.6x as long at 2-3 primes,
-# 0.74x at 4, 0.39-0.60x at 5-12; unimodular witness systems and sparse
-# +-1 matrices take 1.08-1.27x at 2-4 primes and 0.69-1.01x at 5-12.
+# The lift against plain CRT, per determinant on one core, with both sized
+# by the smaller of the Hadamard and floating-point bounds: dense integer
+# matrices with entries in [-9, 9] take 0.93-1.6x as long at 2-3 primes,
+# 0.75-0.77x at 4 and 0.31-0.62x at 5-14; unimodular witness systems, now
+# all at 2 primes, 1.00-1.39x; sparse +-1 matrices with 3 or 6 nonzeros
+# per row 1.15-1.29x at 2 primes, 0.77-0.87x at 3, 0.68x at 4 and
+# 0.55-0.63x at 5-6.
 _LIFT_MIN_PRIMES = 5
 
 
@@ -603,6 +615,105 @@ def _hadamard_rows(rows: IntRows, n: int) -> int:
     return isqrt(b2) + 1
 
 
+def _coords(rows: IntRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of ``rows``: row indices, column indices and an object
+    array of the int values."""
+    nnz = sum(map(len, rows.values()))
+    row_idx = np.fromiter((i for i, row in rows.items() for _ in row),
+                          dtype=np.intp, count=nnz)
+    col_idx = np.fromiter((j for row in rows.values() for j in row),
+                          dtype=np.intp, count=nnz)
+    vals = np.empty(nnz, dtype=object)
+    vals[:] = [v for row in rows.values() for v in row.values()]
+    return row_idx, col_idx, vals
+
+
+def _float_det_bound(coords: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     n: int) -> int | None:
+    """A power of two bounding |det A| for the n x n integer matrix A whose
+    nonzeros are ``coords``, certified by rounding-error analysis; None
+    when an entry has magnitude 2**52 or more, a diagonal entry of R is
+    0, ``inv`` raises, or an intermediate is not finite.  Near-orthogonal
+    columns make it about 1 bit above |det|, where the Hadamard bound of A
+    may be 100 or more.
+
+    R is the factor of A = QR in float64.  Z is R^-1 diag(R), computed,
+    then forced to be unit upper triangular: zero below the diagonal and
+    exactly 1.0 on it.  Whatever the rounding, Z is then a matrix of reals
+    with det Z = 1, so det A = det(AZ), and AZ is close to Q diag(R),
+    whose columns are orthogonal.  Hadamard's inequality on the columns
+    gives |det A| <= prod_j ||col_j(AZ)||_2; the rest bounds AZ entrywise.
+
+    Assumptions: IEEE binary64 with round-to-nearest, unit roundoff
+    u = 2**-53, and a conventional matrix product (each entry a sum of n
+    products in some order, with or without fused multiply-add; no
+    Strassen-like scheme).  A is exact in float64 since its entries are
+    integers below 2**52.  The computed G = fl(AZ) then satisfies
+    |G - AZ| <= gamma_n |A||Z| + eta entrywise, gamma_n = nu / (1 - nu)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.5), and eta covers underflow.  Entries of Z below 2**-900
+    are set to 0 first, so no product of an entry of |A| and one of |Z|
+    underflows, and a sum that does errs by less than 2**-1022, even when
+    flushed to zero: eta = n 2**-1022 is enough.  |A| and |Z| are exact,
+    their terms are nonnegative, and fl(|A||Z|) >= (1 - gamma_n) |A||Z|
+    - eta, so
+        |G - AZ| <= gamma_n / (1 - gamma_n) fl(|A||Z|) + n 2**-1000 = E.
+    The constant is raised by a factor 1 + 2**-40 so that the three
+    roundings in forming E (the constant, the product and the sum), each
+    a relative 1 + u, cannot take it below the true value.  Hence
+    |AZ| <= |G| + E entrywise and
+        |det A| <= prod_j ||col_j(|G| + E)||_2.
+    Forming |G| + E, the squares, their sum and the square root changes
+    each computed norm by a relative (n + 4) u at most; log2 adds a few
+    ulp of a value below 2**11, and ``math.fsum`` adds a relative u to
+    the total.  For n < 2**20, which any n x n float64 array in memory
+    satisfies, all of that moves the sum of the log2 norms by less than
+    2**-10, and a margin of one bit covers it.  A norm below 2**-400 gives
+    None, so that no square is lost to underflow.
+    """
+    rows, cols, vals = coords
+    try:
+        values = vals.astype(np.float64)
+    except OverflowError:
+        return None
+    # A value of 2**52 or more rounds to at least 2**52 in float64.
+    if not np.abs(values).max() < 2.0 ** 52:
+        return None
+    a = np.zeros((n, n))
+    a[rows, cols] = values
+    with np.errstate(all="ignore"):
+        r = np.linalg.qr(a, mode="r")
+        diag = r.diagonal().copy()
+        if not diag.all():
+            return None
+        try:
+            z = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            return None
+        del r
+        z *= diag
+        z = np.triu(z)
+        z[np.abs(z) < 2.0 ** -900] = 0.0
+        np.fill_diagonal(z, 1.0)
+        g = np.matmul(a, z)
+        unit = 2.0 ** -53
+        gamma = n * unit / (1 - n * unit)
+        np.abs(a, out=a)
+        np.abs(z, out=z)
+        err = np.matmul(a, z)
+        del a, z
+        err *= gamma / (1 - gamma) * (1 + 2.0 ** -40)
+        err += n * 2.0 ** -1000
+        np.abs(g, out=g)
+        g += err
+        del err
+        norms = np.linalg.norm(g, axis=0)
+        if not (np.isfinite(norms).all() and (norms >= 2.0 ** -400).all()):
+            return None
+        log_det = fsum(np.log2(norms).tolist())
+    return 1 << max(0, ceil(log_det + 1))
+
+
 def _residue_mod_p(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
                    p: int) -> int:
     """det mod p of the n x n matrix whose nonzeros are ``coords``: row
@@ -614,19 +725,23 @@ def _residue_mod_p(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
 
 
 def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
-    """Exact determinant by CRT over 31-bit primes with a Hadamard certificate.
+    """Exact determinant by CRT over 31-bit primes, sized by a certified
+    bound on |det|.
 
-    A divisor s of det is lifted first: A x = b is solved p-adically modulo
-    the lifting prime, s is the lcm of the denominators of x, and it is
-    certified exactly (A y = s b with y = s x, then s / gcd(s, y)).  CRT
-    then reconstructs det / s: the batch is the shortest run of primes not
-    dividing s whose product, times the lifting prime, exceeds twice the
-    Hadamard bound over s, plus one safety prime, and each residue is
-    multiplied by s^-1.  When the matrix is singular modulo the lifting
-    prime, an int64 bound of the lift fails, the certificate fails, or the
-    plain batch for det would hold fewer than ``_LIFT_MIN_PRIMES`` primes,
-    s = 1 and the batch is the plain one.  A mismatch between the safety
-    residue and the reconstructed value raises ReconstructionError.
+    The bound B is the smaller of the Hadamard bound and the floating-point
+    bound of ``_float_det_bound``, which lies a bit or two above |det| on
+    well-conditioned matrices.  A divisor s of det is lifted first: A x = b
+    is solved p-adically modulo the lifting prime, s is the lcm of the
+    denominators of x, and it is certified exactly (A y = s b with
+    y = s x, then s / gcd(s, y)).  CRT then reconstructs det / s: the batch
+    is the shortest run of primes not dividing s whose product, times the
+    lifting prime, exceeds 2 ceil(B / s), plus one safety prime, and each
+    residue is multiplied by s^-1.  When the matrix is singular modulo the
+    lifting prime, an int64 bound of the lift fails, the certificate
+    fails, or the plain batch for det would hold fewer than
+    ``_LIFT_MIN_PRIMES`` primes, s = 1 and the batch is the plain one.  A
+    mismatch between the safety residue and the reconstructed value raises
+    ReconstructionError.
     """
     return det_exact(matrix, backend="multimodular", threads=threads)
 
@@ -765,14 +880,10 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if bound == 0:
         return 0
 
-    nnz = sum(map(len, rows.values()))
-    row_idx = np.fromiter((i for i, row in rows.items() for _ in row),
-                          dtype=np.intp, count=nnz)
-    col_idx = np.fromiter((j for row in rows.values() for j in row),
-                          dtype=np.intp, count=nnz)
-    vals = np.empty(nnz, dtype=object)
-    vals[:] = [v for row in rows.values() for v in row.values()]
-    coords = (row_idx, col_idx, vals)
+    coords = _coords(rows)
+    float_bound = _float_det_bound(coords, n)
+    if float_bound is not None:
+        bound = min(bound, float_bound)
 
     # t = det / s is reconstructed; s = 1 and no residue known is the plain
     # CRT path, taken when the lift fails or would not pay.

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -673,3 +673,216 @@ def test_certificate_reduces_a_denominator_too_large(monkeypatch):
     assert tensor_det(tensor, backend="multimodular") == expected
     (s, _), = lifts
     assert calls and det % s == 0
+
+
+# --- the floating-point bound on |det| ---------------------------------------
+
+def float_bound(rows):
+    """``_float_det_bound`` of the square integer matrix ``rows`` (a list of
+    lists) and its exact |det|, by fraction-free elimination."""
+    m = ExactMatrix.from_rows(rows)
+    ints, divisor = exactla._integer_rows(m)
+    assert divisor == 1
+    return exactla._float_det_bound(exactla._coords(ints), len(rows)), abs(det_bareiss(m))
+
+
+def dense_integers(n, rng, bits=4):
+    high = (1 << bits) - 1
+    return [[rng.randint(-high, high) for _ in range(n)] for _ in range(n)]
+
+
+def witness_rows(r, d):
+    return system_matrix(tensor_from_basis(canonical_witness(r, d))).matrix.to_dense()
+
+
+def lower_minus_ones(n):
+    """Unit lower triangular with -1 below the diagonal: det 1, and the
+    entries of its inverse reach 2**(n - 2)."""
+    return [[1 if j == i else -1 if j < i else 0 for j in range(n)] for i in range(n)]
+
+
+def wilkinson(n):
+    """``lower_minus_ones`` with a last column of ones: det 2**(n - 1)."""
+    rows = lower_minus_ones(n)
+    for row in rows:
+        row[-1] = 1
+    return rows
+
+
+def scaled_hilbert(n):
+    scale = lcm(*range(1, 2 * n))
+    return [[scale // (i + j + 1) for j in range(n)] for i in range(n)]
+
+
+def vandermonde(nodes):
+    return [[x ** k for k in range(len(nodes))] for x in nodes]
+
+
+def near_singular(n, rng):
+    """A product B C with inner dimension n - 1 (singular), plus one unit
+    entry: det is that entry's cofactor, small against the entries."""
+    b = [[rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n)]
+    c = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+    rows = [[sum(b[i][k] * c[k][j] for k in range(n - 1)) for j in range(n)]
+            for i in range(n)]
+    singular = [row[:] for row in rows]
+    rows[rng.randrange(n)][rng.randrange(n)] += 1
+    return singular, rows
+
+
+def assert_valid(rows):
+    bound, det = float_bound(rows)
+    assert bound is None or bound >= det, (bound, det)
+    return bound, det
+
+
+def test_float_bound_holds_and_is_tight_on_dense_and_witness_systems():
+    rng = random.Random(61)
+    cases = [[[-7]]] + [dense_integers(n, rng) for n in (2, 3, 8, 30, 80)]
+    cases += [dense_integers(n, rng, bits=40) for n in (2, 12)]
+    cases += [witness_rows(r, d) for r, d in ((2, 3), (3, 3), (2, 4), (4, 2))]
+    for rows in cases:
+        bound, det = assert_valid(rows)
+        assert det and bound is not None and bound <= 8 * det, (bound, det)
+
+
+def test_float_bound_holds_on_ill_conditioned_families():
+    bounds = []
+    for n in (2, 10, 30, 60):
+        bounds.append(assert_valid(lower_minus_ones(n)))
+        bounds.append(assert_valid(wilkinson(n)))
+    for n in range(2, 16):
+        bounds.append(assert_valid(scaled_hilbert(n)))
+    for n in range(2, 15):
+        bounds.append(assert_valid(vandermonde(range(1, n + 1))))
+        bounds.append(assert_valid(vandermonde(range(-(n // 2), n - n // 2))))
+    # The families are not all beyond float64: most bounds are certified.
+    assert sum(b is not None for b, _ in bounds) > len(bounds) // 2
+
+
+def test_float_bound_holds_on_near_singular_and_singular_matrices():
+    rng = random.Random(62)
+    for n in (3, 6, 12, 25):
+        singular, rows = near_singular(n, rng)
+        assert_valid(singular)
+        assert_valid(rows)
+    for rows in ([[1, 2], [2, 4]], [[3, 3, 1], [5, 5, 2], [7, 7, 9]]):
+        assert_valid(rows)
+
+
+def test_float_bound_falls_back(monkeypatch):
+    top = 1 << 52
+    assert float_bound([[top - 1, 1], [1, 1]])[0] is not None
+    assert float_bound([[top, 1], [1, 1]])[0] is None
+    assert float_bound([[-top, 1], [1, 1]])[0] is None
+    assert float_bound([[1 << 2000, 1], [1, 1]])[0] is None
+    # A zero column leaves a zero on the diagonal of R.
+    assert float_bound([[0, 1, 2], [0, 3, 4], [0, 5, 7]])[0] is None
+
+    def singular(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert float_bound([[2, 1], [1, 2]])[0] is None
+
+
+def test_float_bound_holds_whatever_inv_returns(monkeypatch):
+    """Z is forced to be unit upper triangular, so any inverse keeps the
+    bound valid; here one with random entries and a diagonal that would
+    make Z's diagonal 2**-20."""
+    rng = np.random.default_rng(63)
+
+    def garbage(r):
+        z = rng.standard_normal(r.shape)
+        np.fill_diagonal(z, 2.0 ** -20 / r.diagonal())
+        return z
+
+    monkeypatch.setattr(np.linalg, "inv", garbage)
+    pyrng = random.Random(63)
+    for n in (2, 5, 20):
+        bound, _ = assert_valid(dense_integers(n, pyrng))
+        assert bound is not None
+
+
+def test_float_bound_margin_absorbs_rounding_of_the_log_sum(monkeypatch):
+    """The margin covers up to 2**-10 of rounding in the sum of the log2
+    norms.  The columns of this matrix are orthogonal and det = 2**20 + 1,
+    just above a power of two, so a sum rounded down by 2**-11 needs it."""
+    log2 = np.log2
+    monkeypatch.setattr(np, "log2", lambda x: log2(x) - 2.0 ** -11 / len(x))
+    bound, det = assert_valid([[1024, -1], [1, 1024]])
+    assert det == 2 ** 20 + 1 and bound == 2 ** 21
+
+
+def test_float_bound_rounding_term_covers_a_worst_case_product(monkeypatch):
+    """Each entry of a float product may be off by gamma_n times the
+    product of the absolute values.  A matmul that moves every entry that
+    far towards zero (keeping a 2**-30 share of it) leaves the bound valid;
+    on the Hilbert matrices of order 12-14, Q diag(R) is far below |A||Z|,
+    so without the rounding term the bound would drop below |det|."""
+    matmul = np.matmul
+
+    def towards_zero(a, b):
+        n = a.shape[1]
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        exact = matmul(a, b)
+        slack = 0.99 * gamma * matmul(np.abs(a), np.abs(b))
+        return np.sign(exact) * np.maximum(np.abs(exact) - slack,
+                                           np.abs(exact) * 2.0 ** -30)
+
+    monkeypatch.setattr(np, "matmul", towards_zero)
+    for rows in [scaled_hilbert(n) for n in (8, 12, 13, 14)] + [
+            vandermonde(range(1, 15)), wilkinson(60)]:
+        assert assert_valid(rows)[0] is not None
+
+
+# --- multimodular on the inputs of the det-auto-rational benchmark ----------
+
+@pytest.mark.parametrize("r, d", [(2, 8), (3, 4), (2, 10)])
+def test_auto_matches_bareiss_on_benchmark_shapes(monkeypatch, r, d):
+    """Seeded p/q tensors (|p| <= 9, 1 <= q <= 9) of the benchmark's
+    shapes: auto takes them to the multimodular backend, whose bound and
+    lift must give the fraction-free value."""
+    tensor = random_tensor(r, d, random.Random(70 + 10 * r + d))
+    expected = tensor_det(tensor, backend="bareiss")
+    route = _route_spy(monkeypatch)
+    assert route(lambda: tensor_det(tensor)) == ("multimodular", expected)
+    assert expected != 0
+
+
+def det_mod_p_spy(monkeypatch):
+    calls = []
+    kernel = exactla.det_mod_p
+
+    def spy(a, p):
+        calls.append(p)
+        return kernel(a, p)
+
+    monkeypatch.setattr(exactla, "det_mod_p", spy)
+    return calls
+
+
+def test_tight_bound_needs_at_most_two_crt_primes(monkeypatch):
+    tensor = random_tensor(3, 4, random.Random(71))
+    expected = tensor_det(tensor, backend="bareiss")
+    calls = det_mod_p_spy(monkeypatch)
+    assert tensor_det(tensor, backend="multimodular") == expected
+    assert 1 <= len(calls) <= 2
+    calls.clear()
+    assert abs(basis_det(canonical_witness(3, 5), backend="multimodular")) == 1
+    assert 1 <= len(calls) <= 2
+
+
+def test_a_float_bound_above_hadamard_changes_nothing(monkeypatch):
+    """The bound in use is the smaller of the two: a float bound far above
+    Hadamard's, or none, runs the same primes."""
+    tensor = random_tensor(3, 3, random.Random(72))
+    expected = tensor_det(tensor, backend="bareiss")
+    calls = det_mod_p_spy(monkeypatch)
+    runs = []
+    for fake in (lambda coords, n: None, lambda coords, n: 1 << 100_000):
+        monkeypatch.setattr(exactla, "_float_det_bound", fake)
+        calls.clear()
+        assert tensor_det(tensor, backend="multimodular") == expected
+        runs.append(list(calls))
+    assert runs[0] == runs[1] and len(runs[0]) > 2

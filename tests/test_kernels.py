@@ -152,6 +152,25 @@ def test_lazy_singular_only_at_the_last_steps(p):
         assert kernel_det(rows, p) == 0
 
 
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_sparse_steps_update_only_the_rows_they_meet(p):
+    """Columns with fewer than half their factors nonzero update only those
+    rows: a permuted tridiagonal matrix of extreme residues, alone and with
+    dense last rows, so that sparse steps under lazy reduction come before
+    dense ones."""
+    rng = random.Random(p + 5)
+    half = p // 2
+    extremes = (p - 1, half, half + 1, 1)
+    for n in (20, 40):
+        band = [[rng.choice(extremes) if abs(i - j) <= 1 else 0
+                 for j in range(n)] for i in range(n)]
+        tail = band[:n - 8] + [[rng.randrange(p) for _ in range(n)]
+                               for _ in range(8)]
+        for rows in (band, tail):
+            rng.shuffle(rows)
+            assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
+
+
 def test_modulus_outside_range_is_rejected():
     rows = [[1, 1], [0, 1]]
     for p in (1, 1 << 31):
