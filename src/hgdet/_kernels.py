@@ -4,9 +4,12 @@ Reduction is delayed (Dumas, Giorgi and Pernet, ISSAC 2004): each
 elimination step reduces only the pivot column and the pivot row it reads.
 In ``det_mod_p`` the trailing block is reduced only once every
 ``_LAZY_UPDATES`` steps, the count that an int64 overflow bound allows for
-moduli below 2**31.  ``inverse_mod_p`` is meant for one small modulus, the
+moduli below 2**31, and then only in the rows an update changed since the
+last reduction.  ``inverse_mod_p`` is meant for one small modulus, the
 lifting prime of the multimodular backend, with which no block reduction is
-needed at all.
+needed at all.  Both kernels update only the rows with a nonzero factor
+while those are few, so they gain from the fill-reducing order in which
+the multimodular backend hands them a system.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
     ``a[k:, k:]`` is congruent mod p to the entry an eagerly reduced
     elimination would hold, and has been changed by at most
     ``_LAZY_UPDATES - 1`` updates since it last had magnitude below 2**31,
-    so no update can overflow int64.  The block is brought back to
-    magnitude below 2**31 with ``np.fmod`` once ``_LAZY_UPDATES`` updates
-    have accumulated; the pivot column is reduced to [0, p) before the
-    pivot search, so the pivot and the determinant are exact residues.
+    so no update can overflow int64.  Once ``_LAZY_UPDATES`` steps have
+    passed, ``np.fmod`` brings back to magnitude below 2**31 every row an
+    update changed since the last reduction; ``touched`` flags those rows
+    and moves with them when rows are swapped.  The pivot column is
+    reduced to [0, p) before the pivot search, so the pivot and the
+    determinant are exact residues.
     """
     if not 2 <= p < _PRIME_CEILING:
         raise ValueError(f"modulus {p} outside [2, 2**31)")
@@ -52,6 +57,7 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
     det = 1
     pending = 0
     sparse = True
+    touched = np.zeros(n, dtype=bool)
     for k in range(n):
         col = a[k:, k]
         col %= p
@@ -61,6 +67,7 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
                 return 0
             i = k + int(nz[0])
             a[[k, i], k:] = a[[i, k], k:]
+            touched[[k, i]] = touched[[i, k]]
             det = p - det
         piv = int(a[k, k])
         det = det * piv % p
@@ -77,12 +84,24 @@ def det_mod_p(a: np.ndarray, p: int) -> int:
         if sparse and 2 * np.count_nonzero(factors) < len(factors):
             live = factors.nonzero()[0]
             block[live] -= factors[live, None] * row[None, :]
+            touched[k + 1 + live] = True
         else:
             sparse = False
             block -= factors[:, None] * row[None, :]
         pending += 1
         if pending == _LAZY_UPDATES:
-            np.fmod(block, p, out=block)
+            # Sparse steps change few rows: reducing only those took one
+            # prime on the (6, 2) witness system (924 rows) from 0.26 s to
+            # 0.09 s in dictionary order, and to 0.06 s reversed.  From half
+            # the rows on, the whole block in place costs about as much or
+            # less (220 x 220: 130 against 206 us at one half, 331 against
+            # 204 us at three quarters).
+            changed = touched[k + 1:].nonzero()[0]
+            if sparse and 2 * len(changed) < len(block):
+                block[changed] = np.fmod(block[changed], p)
+            else:
+                np.fmod(block, p, out=block)
+            touched[:] = False
             pending = 0
     return det
 

@@ -42,12 +42,15 @@ labellings.
   lies 1-2 bits above |det| where H lies 90-170 bits above.
   ``_lift_divisor`` inverts the matrix A modulo one lifting prime
   p < 2**25 and lifts the solution of A x = b, for a fixed small integer
-  b, until p**k exceeds 2 N B, with N a Hadamard bound of the Cramer
-  numerators (Dixon, Numer. Math. 40, 1982).  Rational reconstruction of
-  the components gives s, the lcm of their denominators.  The certificate
-  is exact: y = s x must solve A y = s b in Python ints, and s is divided
-  by gcd(s, y_1, ..., y_n); every denominator of A^-1 b divides det by
-  Cramer's rule, and so does s.  The CRT batch then skips the primes
+  b, until p**k exceeds 2 W N B, with N a Hadamard bound of the Cramer
+  numerators and W the sum of the weights of one fixed combination of the
+  components (Dixon, Numer. Math. 40, 1982); both products of a lifting
+  step run exactly in float64 on 13-bit halves.  Rational reconstruction
+  of that combination gives most of s, the lcm of the denominators of the
+  components, and the few components with a denominator left over give
+  the rest.  The certificate is exact: y = s x must solve A y = s b in
+  Python ints, and s is divided by gcd(s, y_1, ..., y_n); every
+  denominator of A^-1 b divides det by Cramer's rule, and so does s.  The CRT batch then skips the primes
   dividing s and is sized so that its product, with the lifting prime's
   residue of t, exceeds 2 ceil(B / s); each residue is det mod q times
   s^-1 mod q.  One safety prime's residue must match the reconstruction.
@@ -56,9 +59,12 @@ labellings.
   not hold, when the certificate fails, and when the plain batch has fewer
   than ``_LIFT_MIN_PRIMES`` primes, as for a unimodular witness system,
   which takes 2 primes.  The row indices, column indices and values of the
-  integer rows are built once per determinant; each prime scatters the
-  values mod q into a dense array and runs the lazily reducing elimination
-  of ``_kernels.det_mod_p``.
+  integer rows are built once per determinant, with rows and columns in
+  the reverse dictionary order of ``_pivot_order``, which keeps fill-in
+  late; the value is corrected by the signs of both permutations.  The
+  lift's inverse and each prime scatter the values mod q into a dense
+  array, and each prime runs the lazily reducing elimination of
+  ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -89,10 +95,11 @@ RationalRows = dict[int, dict[int, Rational]]
 # p/q with 1 <= p, q <= 9 on the diagonal and on k - 1 other random columns
 # of each row), median time per backend on one core.  Before the lift the
 # two tied at about 10 per row on 60 rows and 6.5 on 120 rows (recorded
-# earlier as 6.4-7.5).  With it they tie at 5 per row on 60 rows, 4-4.5
-# on 120 and 7 on 30; at 7 per row multimodular is 1.9x (60 rows) and 5.4x
-# (120) faster, and as fast on 30, and at 4 per row fraction-free
-# elimination is 1.1x (120), 1.9x (60) and 2.4x (30) faster.
+# earlier as 6.4-7.5).  With it and the pivot order they tie at 5 per row
+# on 60 rows, 4-5 on 120 and 8 on 30; at 7 per row multimodular is 1.9x
+# (60 rows) and 4.8x (120) faster, and 1.1x slower on 30, and at 4 per
+# row fraction-free elimination is 1.2x (120), 1.8x (60) and 2.6x (30)
+# faster.
 # The rule stays above 6.5 per row: the witness cell (r, 2) has
 # r - (r - 1) / 2 per row, 6.5 on (12, 2), whose 2.7 million rows peel in
 # linear time but would need a dense n x n array.  Witness cells of the
@@ -102,20 +109,26 @@ _DENSE_NNZ_PER_ROW = 7
 # The lifting prime of the multimodular backend, the largest below 2**25.
 # With it n * p * p < 2**63 up to n = 8192, so the in-place inverse of
 # ``_kernels.inverse_mod_p`` never reduces a block, and A x stays in int64
-# while n * max|a| * p does.  On one core the inverse costs 1.4-1.6 calls of
-# ``det_mod_p`` on the dense tensor systems of 120-220 rows, and 0.8 on the
-# (6, 2) witness system of 924 rows, where both kernels skip the many rows
-# whose factor is zero.
+# while n * max|a| * p does.  On one core, with the systems in pivot order,
+# the inverse costs 1.3-2.0 calls of ``det_mod_p`` on the dense tensor
+# systems of 120-220 rows, and 2.2 on the (6, 2) witness system of 924
+# rows, where ``det_mod_p`` also reduces only the few rows that changed.
 _LIFT_PRIME = 33_554_393
+
+# Systems of at least this many rows take the products of a lifting step
+# in float64 (``_exact_product``), smaller ones as int64 matmuls, which
+# numpy runs without BLAS.  One product on one core: 4.3 (int64) against
+# 9.1 us (float64) at 66 rows, 10.1 against 10.7 us at 120, 32 against
+# 16 us at 220.
+_FLOAT_PRODUCT_ROWS = 128
 
 # Plain CRT batches (safety prime included) of fewer primes skip the lift.
 # The lift against plain CRT, per determinant on one core, with both sized
 # by the smaller of the Hadamard and floating-point bounds: dense integer
-# matrices with entries in [-9, 9] take 0.93-1.6x as long at 2-3 primes,
-# 0.75-0.77x at 4 and 0.31-0.62x at 5-14; unimodular witness systems, now
-# all at 2 primes, 1.00-1.39x; sparse +-1 matrices with 3 or 6 nonzeros
-# per row 1.15-1.29x at 2 primes, 0.77-0.87x at 3, 0.68x at 4 and
-# 0.55-0.63x at 5-6.
+# matrices with entries in [-9, 9] take 1.04x as long at 3 primes, 0.76x
+# at 4 and 0.21-0.71x at 6-22; unimodular witness systems, all at 2
+# primes, 1.12-1.44x; sparse +-1 matrices with 3 or 6 nonzeros per row
+# 1.10-1.22x at 2 primes, 0.82-1.23x at 3, 0.61x at 5 and 0.44x at 9.
 _LIFT_MIN_PRIMES = 5
 
 
@@ -730,10 +743,12 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
 
     The bound B is the smaller of the Hadamard bound and the floating-point
     bound of ``_float_det_bound``, which lies a bit or two above |det| on
-    well-conditioned matrices.  A divisor s of det is lifted first: A x = b
-    is solved p-adically modulo the lifting prime, s is the lcm of the
-    denominators of x, and it is certified exactly (A y = s b with
-    y = s x, then s / gcd(s, y)).  CRT then reconstructs det / s: the batch
+    well-conditioned matrices.  Rows and columns are taken in reverse
+    order, which keeps fill-in late on the insertion systems.  A divisor s
+    of det is lifted first: A x = b is solved p-adically modulo the
+    lifting prime, s is the lcm of the denominators of x, found from one
+    weighted sum of its components and then the components left over, and
+    it is certified exactly (A y = s b with y = s x, then s / gcd(s, y)).  CRT then reconstructs det / s: the batch
     is the shortest run of primes not dividing s whose product, times the
     lifting prime, exceeds 2 ceil(B / s), plus one safety prime, and each
     residue is multiplied by s^-1.  When the matrix is singular modulo the
@@ -784,94 +799,167 @@ def _rational_reconstruction(u: int, m: int, num_bound: int,
     return r1, t1
 
 
-def _lift_divisor(rows: IntRows, coords: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  n: int, bound: int, p: int) -> tuple[int, int] | None:
+def _exact_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v in int64, for a float64 array m of integers and an int64 vector
+    v of nonnegative entries.  The product runs in float64 on the low 13
+    bits of v and on the rest: it is exact while n * max|m| * max(2**13,
+    max(v) / 2**13) < 2**53, since every partial sum of integer terms is
+    then an integer of magnitude below 2**53, whatever the order of
+    summation."""
+    halves = np.empty((len(v), 2))
+    halves[:, 0] = v & 8191
+    halves[:, 1] = v >> 13
+    low, high = (m @ halves).T
+    return low.astype(np.int64) + (high.astype(np.int64) << 13)
+
+
+def _join_digits(digits: np.ndarray, p: int) -> np.ndarray:
+    """The object array sum_i digits[i] * p**i of a k x n int64 array of
+    digits in [0, p), p * p < 2**63: pairs in int64, then halving levels,
+    each combining neighbours of equal size."""
+    if len(digits) % 2:
+        digits = np.concatenate((digits, np.zeros((1, digits.shape[1]), dtype=np.int64)))
+    level = (digits[0::2] + digits[1::2] * p).astype(object)
+    scale = p * p
+    while len(level) > 1:
+        if len(level) % 2:
+            level = np.concatenate((level, np.zeros((1, level.shape[1]), dtype=object)))
+        level = level[0::2] + level[1::2] * scale
+        scale *= scale
+    return level[0]
+
+
+def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
+                  bound: int, p: int) -> tuple[int, int] | None:
     """(s, det mod p) for a divisor s of the determinant of the n x n
-    integer matrix A = ``rows`` (nonzeros ``coords``), certified exactly;
-    None when A is singular mod p, an int64 bound would not hold, or the
-    certificate fails.
+    integer matrix A whose nonzeros are ``coords``, certified exactly;
+    None when A is singular mod p, an int64 or float64 bound would not
+    hold, or the certificate fails.
 
     Dixon's p-adic lifting solves A x = b for a fixed b of small
     integers: with C = A^-1 mod p and r_0 = b, each digit is
     x_i = C r_i mod p and r_(i+1) = (r_i - A x_i) / p, exactly, so the
-    residual stays below |b| + n * max|a| and the digits form one k x n
-    int64 array.  By Cramer's rule x_j = det(A_j) / det(A), A_j being A
-    with column j replaced by b, so |det(A_j)| <= N, the column Hadamard
-    bound of the worst A_j, and det(A) <= ``bound``; once p**k exceeds
-    2 * N * bound, each s * x_j is the unique fraction with those bounds.
-    s starts at 1; y_j = s * x_j mod p**k is an integer of magnitude at
-    most N exactly when the denominator of x_j divides s, and otherwise it
-    is rationally reconstructed, s takes its denominator and the earlier
-    y_i are scaled to match.
+    residual stays below |b| + n * max|a| * p and the digits form one
+    k x n int64 array.  From ``_FLOAT_PRODUCT_ROWS`` rows up, both
+    products of a step run in float64 on 13-bit halves
+    (``_exact_product``).  By Cramer's rule x_j = det(A_j) / det(A),
+    A_j being A with column j replaced by b, so |det(A_j)| <= N, the
+    column Hadamard bound of the worst A_j, and det(A) <= ``bound``.
+
+    s comes from one combination first: sum_j w_j x_j, for fixed weights
+    w_j in 1..8, has numerator at most W N with W = sum_j w_j, and the
+    lift runs until p**k exceeds 2 W N ``bound``, so rational
+    reconstruction finds it uniquely; its denominator divides the lcm of
+    the denominators of x.  Then y = s x is read modulo p**k2 > 2 N p**2,
+    centred: a component of magnitude above N has a denominator left
+    over, which is reconstructed from x_j modulo p**k, and s takes it.
+    The two spare digits make a component with a denominator left over
+    land in [-N, N] with probability about p**-2; the certificate then
+    rejects it.
 
     The certificate is exact: A y = s b is checked in Python ints, and s is
     divided by gcd(s, y_1, ..., y_n).  Then x = A^-1 b = y / s in lowest
     terms, so s is the lcm of the denominators of A^-1 b, each of which
     divides det(A) by Cramer's rule.
     """
-    rows_idx, cols_idx, vals = coords
+    rows, cols, vals = coords
     # b: integers in [-8, 8] from a multiplicative hash of the row index,
     # so that no row structure of the system repeats in it.
     rhs = [(i + 1) * 2654435761 % 2 ** 32 % 17 - 8 for i in range(n)]
     amax = max(map(abs, vals))
     # C r_i sums n products below p * p; r_i - A x_i stays below
-    # max|b| + n * max|a| * p.
+    # max|b| + n * max|a| * p; the float64 products need the bound of
+    # ``_exact_product`` for C (entries below p) and for A.
     if n * p * p >= 1 << 63 or 8 + n * amax * p >= 1 << 63:
         return None
+    float_products = n >= _FLOAT_PRODUCT_ROWS
+    if float_products and n * max(amax, p) * max(1 << 13, p >> 13) >= 1 << 53:
+        return None
     a = np.zeros((n, n), dtype=np.int64)
-    a[rows_idx, cols_idx] = vals
+    a[rows, cols] = vals
     inverse = a % p
     det_p = inverse_mod_p(inverse, p)
     if not det_p:
         return None
 
     col_sq = [0] * n
-    for row in rows.values():
-        for j, v in row.items():
-            col_sq[j] += v * v
+    for j, v in zip(cols.tolist(), vals.tolist()):
+        col_sq[j] += v * v
     num_bound = isqrt(sum(v * v for v in rhs) * prod(col_sq) // min(col_sq)) + 1
-    limit = 2 * num_bound * bound
+    weights = [(j + 1) * 2246822519 % 2 ** 32 % 8 + 1 for j in range(n)]
+    limit = 2 * sum(weights) * num_bound * bound
     modulus, k = p, 1
     while modulus <= limit:
         modulus *= p
         k += 1
 
+    product = np.matmul
+    if float_products:
+        product = _exact_product
+        a, inverse = a.astype(np.float64), inverse.astype(np.float64)
     digits = np.empty((k, n), dtype=np.int64)
     residual = np.array(rhs, dtype=np.int64)
     for i in range(k):
-        x = inverse @ (residual % p)
+        x = product(inverse, residual % p)
         x %= p
         digits[i] = x
-        residual -= a @ x
+        residual -= product(a, x)
         residual //= p
     del a, inverse, residual
-    # Horner over digit pairs: a pair is below p * p < 2**63.
-    pairs = digits[0::2].copy()
-    pairs[:k // 2] += digits[1::2] * p
-    del digits
-    x = pairs[-1].astype(object)
-    for pair in pairs[-2::-1]:
-        x = x * (p * p) + pair
-    del pairs
 
-    half = modulus // 2
-    s = 1
-    y: list[int] = []
-    for xj in x.tolist():
-        yj = (s * xj + half) % modulus - half
-        if abs(yj) > num_bound:
-            found = _rational_reconstruction(yj, modulus, num_bound, bound)
-            if found is None:
-                return None
-            yj, den = found
-            y = [v * den for v in y]
-            s *= den
-        y.append(yj)
+    # The combination's digits are the weighted sums of the digits, each
+    # below 8 n p.
+    combination = 0
+    for c in (digits @ np.array(weights, dtype=np.int64))[::-1].tolist():
+        combination = combination * p + c
+    found = _rational_reconstruction(combination % modulus, modulus,
+                                     sum(weights) * num_bound, bound)
+    s = 1 if found is None else found[1]
 
-    for i, row in rows.items():
-        if sum(v * y[j] for j, v in row.items()) != s * rhs[i]:
+    short, k2 = p, 1
+    while short <= 2 * num_bound * p * p and k2 < k:
+        short *= p
+        k2 += 1
+    x = _join_digits(digits[:k2], p)
+    half = short // 2
+    y = (x * (s % short) + half) % short - half
+    j = -1
+    while True:
+        left = (abs(y[j + 1:]) > num_bound).nonzero()[0]
+        if not left.size:
+            break
+        j += 1 + int(left[0])
+        xj = 0
+        for d in digits[::-1, j].tolist():
+            xj = xj * p + d
+        found = _rational_reconstruction(s * xj % modulus, modulus, num_bound, bound)
+        if found is None:
             return None
-    return s // gcd(s, *y), det_p
+        s *= found[1]
+        y = (y * found[1] + half) % short - half
+    del digits
+
+    lhs = np.zeros(n, dtype=object)
+    np.add.at(lhs, rows, vals * y[cols])
+    if (lhs != np.array(rhs, dtype=object) * s).any():
+        return None
+    return s // gcd(s, *y.tolist()), det_p
+
+
+def _pivot_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row_pos, col_pos): the multimodular kernels see row i of an n x n
+    system at row_pos[i] and column j at col_pos[j].
+
+    Reverse dictionary order on both keeps fill-in late on the insertion
+    systems, so the kernels' zero-factor row skip holds for more steps.
+    One CRT residue and the lifting prime's inverse, on one core: the nine
+    det-auto-rational tensors 0.19 -> 0.14 s, (2, 12) 0.060 -> 0.041 s,
+    (3, 5) 0.27 -> 0.16 s and (4, 3) 0.32 -> 0.20 s; the 70 rows of
+    (4, 2) gain nothing.  A greedy Markowitz order on the symbolic pattern
+    took the nine to 0.11 s, but finding it in Python took 0.05-0.09 s.
+    """
+    order = np.arange(n - 1, -1, -1)
+    return order, order
 
 
 def _multimodular(rows: IntRows, n: int, threads: int) -> int:
@@ -880,7 +968,12 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if bound == 0:
         return 0
 
-    coords = _coords(rows)
+    # Both kernels run on the system permuted into ``_pivot_order``, whose
+    # determinant is det times the signs of the two permutations.
+    row_pos, col_pos = _pivot_order(n)
+    row_idx, col_idx, vals = _coords(rows)
+    coords = (row_pos[row_idx], col_pos[col_idx], vals)
+    sign = _array_permutation_sign(row_pos) * _array_permutation_sign(col_pos)
     float_bound = _float_det_bound(coords, n)
     if float_bound is not None:
         bound = min(bound, float_bound)
@@ -892,7 +985,7 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     base, safety = _crt_primes(2 * bound, 1, 1)
     if len(base) + 1 >= _LIFT_MIN_PRIMES:
         p = _LIFT_PRIME
-        lifted = _lift_divisor(rows, coords, n, bound, p)
+        lifted = _lift_divisor(coords, n, bound, p)
         if lifted is not None:
             s, det_p = lifted
             known[p] = det_p * pow(s, -1, p) % p
@@ -916,7 +1009,7 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if x % safety != residues[-1]:
         raise ReconstructionError(
             f"safety prime {safety} disagrees with reconstruction")
-    return x * s
+    return sign * x * s
 
 
 def _pick_backend(backend: str, nnz: int, n: int) -> str:

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 import numpy as np
 import pytest
 
-from hgdet import determinant, exactla
+from hgdet import determinant, exactla, system
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
@@ -886,3 +887,145 @@ def test_a_float_bound_above_hadamard_changes_nothing(monkeypatch):
         assert tensor_det(tensor, backend="multimodular") == expected
         runs.append(list(calls))
     assert runs[0] == runs[1] and len(runs[0]) > 2
+
+
+# --- multimodular: both kernels run on the system in pivot order ------------
+
+def permutation_sign(perm):
+    """Sign of k -> perm[k], from its number of inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def order_with_sign(n, sign, rng):
+    """A seeded random permutation of range(n) whose sign is ``sign``."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if permutation_sign(perm) != sign:
+        perm[0], perm[1] = perm[1], perm[0]
+    return np.array(perm)
+
+
+def fix_pivot_order(monkeypatch, row_sign, col_sign):
+    """Replace ``_pivot_order`` by seeded orders with the given signs (the
+    identity for n = 1, which has no odd permutation)."""
+    def order(n):
+        if n < 2:
+            return np.arange(n), np.arange(n)
+        rng = random.Random(1000 + n)
+        return order_with_sign(n, row_sign, rng), order_with_sign(n, col_sign, rng)
+
+    monkeypatch.setattr(exactla, "_pivot_order", order)
+
+
+# None keeps the pivot order of the backend; the rest are (row, column) signs.
+PIVOT_ORDERS = [None, (1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+@cache
+def seeded_tensor(r, d):
+    return random_tensor(r, d, random.Random(90 + 10 * r + d))
+
+
+@cache
+def bareiss_tensor_det(r, d):
+    return tensor_det(seeded_tensor(r, d), backend="bareiss")
+
+
+@cache
+def bareiss_witness_det(r, d):
+    return basis_det(canonical_witness(r, d), backend="bareiss")
+
+
+@pytest.mark.parametrize("signs", PIVOT_ORDERS)
+def test_pivot_order_keeps_the_value_on_tensors_and_witness_cells(monkeypatch, signs):
+    """Seeded tensors, which take the lift, and witness cells, which take
+    plain CRT: the value, sign included, is the fraction-free one whatever
+    the signs of the row and column orders."""
+    if signs is not None:
+        fix_pivot_order(monkeypatch, *signs)
+    for r, d in ((2, 6), (4, 2), (3, 3), (2, 8)):
+        value = tensor_det(seeded_tensor(r, d), backend="multimodular")
+        assert value == bareiss_tensor_det(r, d) != 0
+    for r, d in ((3, 5), (4, 3)):
+        value = basis_det(canonical_witness(r, d), backend="multimodular")
+        assert value == bareiss_witness_det(r, d)
+
+
+@pytest.mark.parametrize("signs", PIVOT_ORDERS)
+def test_pivot_order_on_small_and_singular_matrices(monkeypatch, signs):
+    if signs is not None:
+        fix_pivot_order(monkeypatch, *signs)
+    rng = random.Random(86)
+    cases = [[[5]], [[-3]], [[2, 3], [1, 4]], [[0, 3], [2, 0]], [[1, 2], [2, 4]]]
+    for n in (3, 6, 9):
+        dense = dense_integers(n, rng)
+        # Rank n - 1: the last row is the sum of the first two.
+        cases.append(dense[:-1] + [[a + b for a, b in zip(dense[0], dense[1])]])
+        # Structurally singular: three rows share two columns, with no
+        # zero row or column.
+        pattern = [[nonzero(rng) if i >= 3 or j < 2 else 0 for j in range(n)]
+                   for i in range(n)]
+        cases.append(pattern)
+        cases.append(dense)
+    for rows in cases:
+        m = ExactMatrix.from_rows(rows)
+        assert det_multimodular(m) == det_bareiss(m)
+        if len(rows) <= 6:
+            assert det_bareiss(m) == cofactor_det(rows)
+
+
+def test_kernels_receive_the_permuted_system(monkeypatch):
+    """The lift's inverse and every CRT residue see row i at row_pos[i] and
+    column j at col_pos[j]."""
+    fix_pivot_order(monkeypatch, -1, 1)
+    seen = []
+    for name in ("det_mod_p", "inverse_mod_p"):
+        def spy(a, p, kernel=getattr(exactla, name), name=name):
+            seen.append((name, a.copy(), p))
+            return kernel(a, p)
+
+        monkeypatch.setattr(exactla, name, spy)
+    tensor = seeded_tensor(3, 3)
+    vectors, _ = determinant._integer_vectors(tensor)
+    rows, n, _ = system._vector_rows(3, 3, system._nonzeros(vectors), tensor.n - 1)
+    row_pos, col_pos = exactla._pivot_order(n)
+    permuted_system = np.zeros((n, n), dtype=object)
+    for i, row in rows.items():
+        for j, v in row.items():
+            permuted_system[row_pos[i], col_pos[j]] = v
+    assert tensor_det(tensor, backend="multimodular") == bareiss_tensor_det(3, 3)
+    assert [name for name, _, _ in seen][:2] == ["inverse_mod_p", "det_mod_p"]
+    for _, a, p in seen:
+        assert (a == permuted_system % p).all()
+
+
+def test_leftover_denominators_after_the_combination(monkeypatch):
+    """The combination's reconstruction returns a proper divisor of its
+    denominator, or None: the single components make up what is missing,
+    and the lift certifies the same divisor."""
+    tensor = seeded_tensor(3, 3)
+    expected = bareiss_tensor_det(3, 3)
+    lifts = lift_spy(monkeypatch)
+    assert tensor_det(tensor, backend="multimodular") == expected
+    (lifted,) = lifts
+    reconstruct = exactla._rational_reconstruction
+    for patch in ("divisor", None):
+        calls = []
+
+        def combination(*args):
+            calls.append(args)
+            found = reconstruct(*args)
+            if len(calls) > 1:
+                return found
+            if patch is None:
+                return None
+            num, den = found
+            q = small_prime_factor(den, 2)
+            return num, den // q
+
+        monkeypatch.setattr(exactla, "_rational_reconstruction", combination)
+        lifts.clear()
+        assert tensor_det(tensor, backend="multimodular") == expected
+        assert lifts == [lifted]
+        assert len(calls) > 1

@@ -171,6 +171,28 @@ def test_sparse_steps_update_only_the_rows_they_meet(p):
             assert kernel_det(rows, p) == oracle_det_mod_p(rows, p)
 
 
+@pytest.mark.parametrize("p", LARGEST_PRIMES)
+def test_swap_moves_a_touched_row_before_a_reduction(p):
+    """Step 6, the last before a reduction, swaps a row that sparse steps
+    0-5 updated into the slot of a row no step has touched.  L has factors
+    only in its last row, at every step but 6, and each adds about 2**60
+    of the same sign to that row; were it left unreduced at step 6, the
+    updates of steps 7-13 would overflow int64."""
+    rng = random.Random(p + 8)
+    n, k = 24, 6
+    lower, upper = extreme_lu(n, p, rng)
+    for i in range(n - 1):
+        lower[i] = [0] * i
+    lower[n - 1][k] = 0
+    rows = lu_product(lower, upper, p)
+    # The updated row moves to slot k; slots k + 1 .. n - 2 hold U's rows,
+    # zero in column k, so the pivot search reaches slot n - 1.
+    rows[k], rows[n - 1] = rows[n - 1], rows[k]
+    expected = -diagonal_product(upper, p) % p
+    assert oracle_det_mod_p(rows, p) == expected
+    assert kernel_det(rows, p) == expected
+
+
 def test_modulus_outside_range_is_rejected():
     rows = [[1, 1], [0, 1]]
     for p in (1, 1 << 31):
