@@ -50,21 +50,21 @@ labellings.
   components, and the few components with a denominator left over give
   the rest.  The certificate is exact: y = s x must solve A y = s b in
   Python ints, and s is divided by gcd(s, y_1, ..., y_n); every
-  denominator of A^-1 b divides det by Cramer's rule, and so does s.  The CRT batch then skips the primes
-  dividing s and is sized so that its product, with the lifting prime's
-  residue of t, exceeds 2 ceil(B / s); each residue is det mod q times
-  s^-1 mod q.  One safety prime's residue must match the reconstruction.
-  With s = 1 and no lifting residue this is plain CRT on det, the path
-  taken when A is singular mod p, when an int64 bound of the lift would
-  not hold, when the certificate fails, and when the plain batch has fewer
-  than ``_LIFT_MIN_PRIMES`` primes, as for a unimodular witness system,
-  which takes 2 primes.  The row indices, column indices and values of the
-  integer rows are built once per determinant, with rows and columns in
-  the reverse dictionary order of ``_pivot_order``, which keeps fill-in
-  late; the value is corrected by the signs of both permutations.  The
-  lift's inverse and each prime scatter the values mod q into a dense
-  array, and each prime runs the lazily reducing elimination of
-  ``_kernels.det_mod_p``.
+  denominator of A^-1 b divides det by Cramer's rule, and so does s.
+  The CRT batch then skips the primes dividing s and is sized so that its
+  product, with the lifting prime's residue of t, exceeds 2 ceil(B / s);
+  each residue is det mod q times s^-1 mod q.  One safety prime's residue
+  must match the reconstruction.  With s = 1 and no lifting residue this
+  is plain CRT on det, the path taken when A is singular mod p, when an
+  int64 or float64 bound of the lift would not hold, when the certificate
+  fails, and when the plain batch has fewer than ``_LIFT_MIN_PRIMES``
+  primes, as for a unimodular witness system, which takes 2 primes.  The
+  row indices, column indices and values of the integer rows are built
+  once per determinant, with rows and columns both in the reverse
+  dictionary order of ``_pivot_order``, which keeps fill-in late; one
+  permutation on both sides leaves det unchanged.  The lift's inverse and
+  each prime scatter the values mod q into a dense array, and each prime
+  runs the lazily reducing elimination of ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -96,10 +96,10 @@ RationalRows = dict[int, dict[int, Rational]]
 # of each row), median time per backend on one core.  Before the lift the
 # two tied at about 10 per row on 60 rows and 6.5 on 120 rows (recorded
 # earlier as 6.4-7.5).  With it and the pivot order they tie at 5 per row
-# on 60 rows, 4-5 on 120 and 8 on 30; at 7 per row multimodular is 1.9x
-# (60 rows) and 4.8x (120) faster, and 1.1x slower on 30, and at 4 per
-# row fraction-free elimination is 1.2x (120), 1.8x (60) and 2.6x (30)
-# faster.
+# on 60 rows and 4-5 on 120, and not yet at 8 on 30; at 7 per row
+# multimodular is 2.4x (60 rows) and 5.2x (120) faster, and 1.2x slower
+# on 30, and at 4 per row fraction-free elimination is 1.04x (120), 2.0x
+# (60) and 3.2x (30) faster.
 # The rule stays above 6.5 per row: the witness cell (r, 2) has
 # r - (r - 1) / 2 per row, 6.5 on (12, 2), whose 2.7 million rows peel in
 # linear time but would need a dense n x n array.  Witness cells of the
@@ -115,20 +115,13 @@ _DENSE_NNZ_PER_ROW = 7
 # rows, where ``det_mod_p`` also reduces only the few rows that changed.
 _LIFT_PRIME = 33_554_393
 
-# Systems of at least this many rows take the products of a lifting step
-# in float64 (``_exact_product``), smaller ones as int64 matmuls, which
-# numpy runs without BLAS.  One product on one core: 4.3 (int64) against
-# 9.1 us (float64) at 66 rows, 10.1 against 10.7 us at 120, 32 against
-# 16 us at 220.
-_FLOAT_PRODUCT_ROWS = 128
-
 # Plain CRT batches (safety prime included) of fewer primes skip the lift.
 # The lift against plain CRT, per determinant on one core, with both sized
 # by the smaller of the Hadamard and floating-point bounds: dense integer
-# matrices with entries in [-9, 9] take 1.04x as long at 3 primes, 0.76x
-# at 4 and 0.21-0.71x at 6-22; unimodular witness systems, all at 2
-# primes, 1.12-1.44x; sparse +-1 matrices with 3 or 6 nonzeros per row
-# 1.10-1.22x at 2 primes, 0.82-1.23x at 3, 0.61x at 5 and 0.44x at 9.
+# matrices with entries in [-9, 9] take 1.13x as long at 3 primes, 0.88x
+# at 4 and 0.23-0.61x at 6-22; unimodular witness systems, all at 2
+# primes, 1.14-1.29x; sparse +-1 matrices with 3 or 6 nonzeros per row
+# 1.13-1.19x at 2 primes, 0.86-1.24x at 3, 0.59x at 5 and 0.52x at 9.
 _LIFT_MIN_PRIMES = 5
 
 
@@ -748,15 +741,15 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     of det is lifted first: A x = b is solved p-adically modulo the
     lifting prime, s is the lcm of the denominators of x, found from one
     weighted sum of its components and then the components left over, and
-    it is certified exactly (A y = s b with y = s x, then s / gcd(s, y)).  CRT then reconstructs det / s: the batch
-    is the shortest run of primes not dividing s whose product, times the
-    lifting prime, exceeds 2 ceil(B / s), plus one safety prime, and each
-    residue is multiplied by s^-1.  When the matrix is singular modulo the
-    lifting prime, an int64 bound of the lift fails, the certificate
-    fails, or the plain batch for det would hold fewer than
-    ``_LIFT_MIN_PRIMES`` primes, s = 1 and the batch is the plain one.  A
-    mismatch between the safety residue and the reconstructed value raises
-    ReconstructionError.
+    it is certified exactly (A y = s b with y = s x, then s / gcd(s, y)).
+    CRT then reconstructs det / s: the batch is the shortest run of primes
+    not dividing s whose product, times the lifting prime, exceeds
+    2 ceil(B / s), plus one safety prime, and each residue is multiplied
+    by s^-1.  When the matrix is singular modulo the lifting prime, an
+    int64 or float64 bound of the lift fails, the certificate fails, or
+    the plain batch for det would hold fewer than ``_LIFT_MIN_PRIMES``
+    primes, s = 1 and the batch is the plain one.  A mismatch between the
+    safety residue and the reconstructed value raises ReconstructionError.
     """
     return det_exact(matrix, backend="multimodular", threads=threads)
 
@@ -840,9 +833,8 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     integers: with C = A^-1 mod p and r_0 = b, each digit is
     x_i = C r_i mod p and r_(i+1) = (r_i - A x_i) / p, exactly, so the
     residual stays below |b| + n * max|a| * p and the digits form one
-    k x n int64 array.  From ``_FLOAT_PRODUCT_ROWS`` rows up, both
-    products of a step run in float64 on 13-bit halves
-    (``_exact_product``).  By Cramer's rule x_j = det(A_j) / det(A),
+    k x n int64 array.  Both products of a step run in float64 on 13-bit
+    halves (``_exact_product``).  By Cramer's rule x_j = det(A_j) / det(A),
     A_j being A with column j replaced by b, so |det(A_j)| <= N, the
     column Hadamard bound of the worst A_j, and det(A) <= ``bound``.
 
@@ -855,7 +847,9 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     over, which is reconstructed from x_j modulo p**k, and s takes it.
     The two spare digits make a component with a denominator left over
     land in [-N, N] with probability about p**-2; the certificate then
-    rejects it.
+    rejects it.  Reading y modulo p**k instead, about twice as many
+    digits, made det-auto-rational 9% slower (``wall_norm_s``, 4
+    alternating pairs of ``perfbench/run.py`` on 2 cores).
 
     The certificate is exact: A y = s b is checked in Python ints, and s is
     divided by gcd(s, y_1, ..., y_n).  Then x = A^-1 b = y / s in lowest
@@ -867,13 +861,11 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     # so that no row structure of the system repeats in it.
     rhs = [(i + 1) * 2654435761 % 2 ** 32 % 17 - 8 for i in range(n)]
     amax = max(map(abs, vals))
-    # C r_i sums n products below p * p; r_i - A x_i stays below
+    # ``inverse_mod_p`` needs n * p * p < 2**63; r_i - A x_i stays below
     # max|b| + n * max|a| * p; the float64 products need the bound of
     # ``_exact_product`` for C (entries below p) and for A.
-    if n * p * p >= 1 << 63 or 8 + n * amax * p >= 1 << 63:
-        return None
-    float_products = n >= _FLOAT_PRODUCT_ROWS
-    if float_products and n * max(amax, p) * max(1 << 13, p >> 13) >= 1 << 53:
+    if (n * p * p >= 1 << 63 or 8 + n * amax * p >= 1 << 63
+            or n * max(amax, p) * max(1 << 13, p >> 13) >= 1 << 53):
         return None
     a = np.zeros((n, n), dtype=np.int64)
     a[rows, cols] = vals
@@ -893,17 +885,14 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
         modulus *= p
         k += 1
 
-    product = np.matmul
-    if float_products:
-        product = _exact_product
-        a, inverse = a.astype(np.float64), inverse.astype(np.float64)
+    a, inverse = a.astype(np.float64), inverse.astype(np.float64)
     digits = np.empty((k, n), dtype=np.int64)
     residual = np.array(rhs, dtype=np.int64)
     for i in range(k):
-        x = product(inverse, residual % p)
+        x = _exact_product(inverse, residual % p)
         x %= p
         digits[i] = x
-        residual -= product(a, x)
+        residual -= _exact_product(a, x)
         residual //= p
     del a, inverse, residual
 
@@ -946,11 +935,11 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     return s // gcd(s, *y.tolist()), det_p
 
 
-def _pivot_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row_pos, col_pos): the multimodular kernels see row i of an n x n
-    system at row_pos[i] and column j at col_pos[j].
+def _pivot_order(n: int) -> np.ndarray:
+    """pos: the multimodular kernels see row i and column i of an n x n
+    system at row pos[i] and column pos[i].
 
-    Reverse dictionary order on both keeps fill-in late on the insertion
+    Reverse dictionary order keeps fill-in late on the insertion
     systems, so the kernels' zero-factor row skip holds for more steps.
     One CRT residue and the lifting prime's inverse, on one core: the nine
     det-auto-rational tensors 0.19 -> 0.14 s, (2, 12) 0.060 -> 0.041 s,
@@ -958,8 +947,7 @@ def _pivot_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     (4, 2) gain nothing.  A greedy Markowitz order on the symbolic pattern
     took the nine to 0.11 s, but finding it in Python took 0.05-0.09 s.
     """
-    order = np.arange(n - 1, -1, -1)
-    return order, order
+    return np.arange(n - 1, -1, -1)
 
 
 def _multimodular(rows: IntRows, n: int, threads: int) -> int:
@@ -968,12 +956,11 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if bound == 0:
         return 0
 
-    # Both kernels run on the system permuted into ``_pivot_order``, whose
-    # determinant is det times the signs of the two permutations.
-    row_pos, col_pos = _pivot_order(n)
+    # Both kernels run on P A P^T, P the permutation of ``_pivot_order``,
+    # and det(P A P^T) = det A.
+    pos = _pivot_order(n)
     row_idx, col_idx, vals = _coords(rows)
-    coords = (row_pos[row_idx], col_pos[col_idx], vals)
-    sign = _array_permutation_sign(row_pos) * _array_permutation_sign(col_pos)
+    coords = (pos[row_idx], pos[col_idx], vals)
     float_bound = _float_det_bound(coords, n)
     if float_bound is not None:
         bound = min(bound, float_bound)
@@ -1009,7 +996,7 @@ def _multimodular(rows: IntRows, n: int, threads: int) -> int:
     if x % safety != residues[-1]:
         raise ReconstructionError(
             f"safety prime {safety} disagrees with reconstruction")
-    return sign * x * s
+    return x * s
 
 
 def _pick_backend(backend: str, nnz: int, n: int) -> str:
