@@ -15,11 +15,14 @@ which is its number of nonzeros:
 * small systems, and every ``multimodular`` one: ``system._vector_rows``
   fills the cached pattern with the labels' unit vectors, giving integer
   rows for ``exactla._det_rows``;
-* large systems whose backend resolves to ``bareiss``: the entries of the
-  uncached walk (``system._insertion_arrays``) move to row
-  block*d + label - 1 in place, for the wave peel of ``exactla._peel_det``.
-  ``hgdet table`` builds each such system once, so a cache would only keep
-  it alive.
+* large systems whose backend resolves to ``bareiss``: beside the int32
+  columns and int8 signs of the uncached walk
+  (``system._insertion_arrays``), the int32 row block*d + label - 1 of
+  each insertion is built in place, for the wave peel of
+  ``exactla._peel_det``: 9 bytes per nonzero, and about 21 at the route's
+  peak.  ``hgdet table`` builds each such system once, so a cache
+  would only keep it alive.  A cell whose C(rd, r) rows exceed int32
+  indices is refused with MemoryError before anything is allocated.
 
 Both routes give every labelling the value of its expanded tensor.
 """
@@ -84,14 +87,15 @@ def _labelled_det(r: int, d: int, label: Sequence[int] | np.ndarray,
     r-subset of 1..rd, in dictionary order) by the route its size picks."""
     n = r * d
     bases = comb(n - 1, r - 1)
-    insertions = bases * (n - r + 1)
+    per = n - r + 1
+    insertions = bases * per
     if (insertions > _ARRAY_ROUTE_INSERTIONS
             and _pick_backend(backend, insertions, d * bases) == "bareiss"):
-        block, col, sign = system._insertion_arrays(r, n, n - 1)
-        block *= d
-        block += np.asarray(label)[col]
-        block -= 1
-        return Fraction(_peel_det(block, col, sign, d * bases))
+        col, sign = system._insertion_arrays(r, n, n - 1)
+        # Row block*d + label - 1 of each insertion, built in place.
+        rows = np.repeat(np.arange(-1, d * bases - 1, d, dtype=np.int32), per)
+        rows += np.asarray(label)[col]
+        return Fraction(_peel_det(rows, col, sign, d * bases))
     rows, size, _ = system._vector_rows(r, d, system._unit_vectors(d, label), n - 1)
     return _det_rows(rows, size, backend=backend, threads=threads)
 
@@ -105,4 +109,5 @@ def basis_det(basis: BasisAssignment, backend: str = "auto", threads: int = 1) -
 def witness_det(r: int, d: int, backend: str = "auto", threads: int = 1) -> Fraction:
     """Determinant on the canonical witness assignment; expected to be +-1.
     Its labels come straight from the witness rule, with no assignment."""
+    system._check_index_width(r, r * d)
     return _labelled_det(r, d, witness_labels(r, d), backend, threads)

@@ -13,8 +13,9 @@ labelling, and for a tensor once ``tensor_det`` has cleared its
 denominators column by column (a column holds the d coordinates of one
 vector, a row mixes rd - r + 1 of them).  Elimination consumes the rows it
 is given.  A large labelling whose backend is "bareiss" reaches
-``_peel_det`` instead, as the coordinate arrays of the uncached walk: a
-wave peel with numpy, then ``_eliminate`` on the core, as integer rows.
+``_peel_det`` instead, as the coordinate arrays of the uncached walk
+(int32 rows and columns, int8 values): a wave peel with numpy that keeps
+those types, then ``_eliminate`` on the core, as integer rows.
 
 Two determinant backends are provided and must always agree.
 ``_pick_backend`` alone validates the backend name and resolves "auto";
@@ -451,7 +452,8 @@ def _array_permutation_sign(perm: np.ndarray) -> int:
     doubling gives each point the least point of its cycle within 2**k
     steps; once a doubling changes nothing, the window covers every
     cycle."""
-    least = np.arange(len(perm))
+    points = np.arange(len(perm), dtype=perm.dtype)
+    least = points
     step = perm
     while True:
         merged = np.minimum(least, least[step])
@@ -459,14 +461,16 @@ def _array_permutation_sign(perm: np.ndarray) -> int:
             break
         least = merged
         step = step[step]
-    cycles = np.count_nonzero(least == np.arange(len(perm)))
+    cycles = np.count_nonzero(least == points)
     return 1 if (len(perm) - cycles) % 2 == 0 else -1
 
 
 def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
     """det of the n x n integer matrix with nonzeros ``vals`` at (rows, cols),
     each position at most once: a wave peel, then ``_eliminate`` on the
-    core.
+    core.  The array route passes int32 indices and int8 values, and the
+    peel keeps their types: each wave gathers boolean masks, not counts,
+    and drops its own temporaries before it compacts the live entries.
 
     Each wave pivots on every singleton column and every singleton row at
     once.  Two singleton columns on one row, or two singleton rows on one
@@ -480,17 +484,22 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
     sends each peeled row to its pivot column and the k-th live row to the
     k-th live column.
     """
-    perm = np.empty(n, dtype=np.intp)
+    perm = np.empty(n, dtype=np.int32)
     dead_row = np.zeros(n, dtype=bool)
     dead_col = np.zeros(n, dtype=bool)
     product = 1
     peeled = 0
     while True:
-        row_count = np.bincount(rows, minlength=n)
-        col_count = np.bincount(cols, minlength=n)
-        if (row_count[~dead_row] == 0).any() or (col_count[~dead_col] == 0).any():
-            return 0
-        pivot = (row_count[rows] == 1) | (col_count[cols] == 1)
+        single = []
+        for index in (rows, cols):
+            count = np.bincount(index, minlength=n)
+            # Only live lines hold entries, so an empty live line shows as
+            # a missing nonzero count.
+            if np.count_nonzero(count) < n - peeled:
+                return 0
+            single.append(count == 1)
+            del count
+        pivot = single[0][rows] | single[1][cols]
         if not pivot.any():
             break
         pr, pc = rows[pivot], cols[pivot]
@@ -501,16 +510,18 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
             return 0
         perm[pr] = pc
         product *= prod(vals[pivot].tolist())
+        del pivot, pr, pc
         live = ~(dead_row[rows] | dead_col[cols])
         rows, cols, vals = rows[live], cols[live], vals[live]
+        del live
 
     # The core, renumbered; sigma pairs its rows and columns in order.
     live_rows = np.flatnonzero(~dead_row)
-    perm[live_rows] = np.flatnonzero(~dead_col)
-    new_row = np.cumsum(~dead_row) - 1
-    new_col = np.cumsum(~dead_col) - 1
+    live_cols = np.flatnonzero(~dead_col)
+    perm[live_rows] = live_cols
     core: IntRows = {}
-    for i, j, v in zip(new_row[rows].tolist(), new_col[cols].tolist(), vals.tolist()):
+    for i, j, v in zip(np.searchsorted(live_rows, rows).tolist(),
+                       np.searchsorted(live_cols, cols).tolist(), vals.tolist()):
         row = core.get(i)
         if row is None:
             core[i] = row = {}

@@ -15,6 +15,9 @@ sign of the determinant.
 One walk, ``_insertion_arrays``, gives the +-1 pattern of every insertion
 system, the system with d = 1: inserting s into a base at 0-based position
 pos puts (-1)**(s + pos + 1) in the column of the enlarged subset.  It
+walks the bases in fixed chunks into an int32 column and an int8 sign per
+insertion, 5 bytes, so no temporary outgrows a chunk; a system whose
+C(n, r) columns int32 cannot index is refused first.  The pattern
 depends only on r, n and the top base vertex, so ``_pattern`` caches it.
 One fill, :func:`_vector_rows`, writes pattern row ``block`` times
 coordinate c of each column's vector as row block*d + c: from a rational
@@ -79,55 +82,71 @@ class SystemMatrix:
 
 
 # Patterns that _pattern keeps.  A run repeats few shapes: classification
-# one, a tensor batch one per (r, d).  A pattern takes 9 bytes per
+# one, a tensor batch one per (r, d).  A pattern takes 5 bytes per
 # insertion, so a sweep over many shapes keeps only the last few.
 _PATTERN_CACHE_SIZE = 8
 
+# Bases per step of the walk.  Its int64 temporaries then span one chunk,
+# not the system: 0.6 MB on (5, 6), 26 insertions per base, beside 3.1 MB
+# of output.  A chunk is about 1 ms of numpy work, so the loop costs little.
+_WALK_CHUNK = 1024
 
-def _insertion_arrays(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _check_index_width(r: int, n: int) -> None:
+    """Refuse, before any allocation, a system over the r-subsets of 1..n
+    whose rows and columns (C(n, r) of each in a square system) int32
+    indices do not reach."""
+    if comb(n, r) > 2**31 - 1:
+        raise MemoryError(f"the insertion system of the {r}-subsets of 1..{n} has "
+                          f"{comb(n, r)} columns, beyond 32-bit indices")
+
+
+def _insertion_arrays(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The walk over the (r-1)-subsets of 1..top, for the r-subsets of
-    1..n, as arrays ``(block, col, sign)`` with one entry per insertion:
-    bases in dictionary order, each with its n - r + 1 inserted elements
-    increasing.  s inserted at 0-based position pos has ``sign``
-    (-1)**(s + pos + 1), and ``col`` is the dictionary rank of the enlarged
-    subset, C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for c_1 < ... < c_r,
-    for all insertions at once with no subset built."""
+    1..n, as arrays ``(col, sign)`` (int32 and int8) with one entry per
+    insertion: bases in dictionary order, each with its n - r + 1 inserted
+    elements increasing, so base b owns entries b*(n - r + 1) onwards.  The
+    j-th element s outside a base (from j = 0) has j elements below it
+    outside the base, so it lands at 0-based position pos = s - 1 - j, with
+    sign (-1)**(s + pos + 1) = (-1)**j; ``col`` is the dictionary rank of
+    the enlarged subset, C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for
+    c_1 < ... < c_r, for a chunk of bases at once with no subset built."""
+    _check_index_width(r, n)
     # term[k, c]: the rank term of element c at 1-based position k.
     term = np.array([[comb(n - c, r + 1 - k) for c in range(n + 1)]
                      for k in range(r + 2)], dtype=np.int64)
     bases = subset_array(r - 1, top)
-    nbases = len(bases)
-    # member[b, s]: s lies in base b.  Its running count at an s outside
-    # the base is the insertion position.
-    member = np.zeros((nbases, n + 1), dtype=bool)
-    member[np.arange(nbases)[:, None], bases] = True
-    below = np.cumsum(member, axis=1, dtype=np.int16)
-    # split[b, p]: the rank terms of base b when p of its elements precede
-    # the inserted one, those keeping position k + 1 and the rest k + 2.
+    nbases, per = len(bases), n - r + 1
     k = np.arange(1, r)
-    kept = term[k, bases]
-    moved = term[k + 1, bases]
-    split = np.zeros((nbases, r), dtype=np.int64)
-    np.cumsum(kept, axis=1, out=split[:, 1:])
-    split[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1]
-    block, s = np.nonzero(~member[:, 1:])
-    del member, kept, moved
-    s += 1
-    pos = below[block, s]
-    del below
-    col = split[block, pos]
-    col += term[pos + 1, s]
-    np.subtract(comb(n, r) - 1, col, out=col)
-    sign = ((s + pos) & 1).astype(np.int8) * 2 - 1
-    return block, col, sign
+    elements = np.arange(1, n + 1)
+    skipped = np.arange(per)
+    col = np.empty((nbases, per), dtype=np.int32)
+    for lo in range(0, nbases, _WALK_CHUNK):
+        chunk = bases[lo:lo + _WALK_CHUNK]
+        m = len(chunk)
+        member = np.zeros((m, n + 1), dtype=bool)
+        member[np.arange(m)[:, None], chunk] = True
+        s = np.broadcast_to(elements, (m, n))[~member[:, 1:]].reshape(m, per)
+        pos = s - 1 - skipped
+        # split[b, p]: the rank terms of base b when p of its elements
+        # precede the inserted one, those keeping position k + 1 and the
+        # rest k + 2.
+        split = np.zeros((m, r), dtype=np.int64)
+        np.cumsum(term[k, chunk], axis=1, out=split[:, 1:])
+        split[:, :-1] += np.cumsum(term[k + 1, chunk][:, ::-1], axis=1)[:, ::-1]
+        rank = np.take_along_axis(split, pos, axis=1)
+        rank += term[pos + 1, s]
+        col[lo:lo + m] = np.subtract(comb(n, r) - 1, rank, out=rank)
+    sign = np.tile(np.where(skipped % 2, -1, 1).astype(np.int8), nbases)
+    return col.ravel(), sign
 
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(col, sign)`` of :func:`_insertion_arrays`, cached and read-only, so
-    that calls and threads share them; each base's entries are consecutive,
-    so the fill needs no block array."""
-    _, col, sign = _insertion_arrays(r, n, top)
+    """:func:`_insertion_arrays`, cached and read-only, so that calls and
+    threads share it; each base's entries are consecutive, so the fill
+    needs no block array."""
+    col, sign = _insertion_arrays(r, n, top)
     col.flags.writeable = sign.flags.writeable = False
     return col, sign
 

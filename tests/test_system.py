@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
@@ -13,7 +14,8 @@ import pytest
 import hgdet.determinant as determinant
 import hgdet.exactla as exactla
 import hgdet.system as system
-from hgdet.combi import rank_combination
+import hgdet.tensors as tensors
+from hgdet.combi import insertion_sign, rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
 from hgdet.exactla import (ExactMatrix, _det_rows, _integer_rows, _rank_rows,
                            det_bareiss, rank_exact)
@@ -602,16 +604,103 @@ def test_small_and_multimodular_labellings_take_the_row_route(monkeypatch):
         witness_det(3, 5)
 
 
+def test_array_route_is_32_bit(monkeypatch):
+    """The wave peel receives int32 rows and columns and int8 values, and
+    the permutation whose sign it takes is int32."""
+    dtypes = []
+    peel, sign = determinant._peel_det, exactla._array_permutation_sign
+
+    def peel_spy(rows, cols, vals, n):
+        dtypes.append((rows.dtype, cols.dtype, vals.dtype))
+        return peel(rows, cols, vals, n)
+
+    def sign_spy(perm):
+        dtypes.append(perm.dtype)
+        return sign(perm)
+
+    monkeypatch.setattr(determinant, "_peel_det", peel_spy)
+    monkeypatch.setattr(exactla, "_array_permutation_sign", sign_spy)
+    assert witness_det(5, 5, backend="bareiss") == 1
+    assert dtypes == [(np.int32, np.int32, np.int8), np.int32]
+
+
+def test_array_route_peak_memory_per_nonzero():
+    """The (5, 6) witness, 617 526 nonzeros, peaks at no more than 25 bytes
+    per nonzero under tracemalloc on the array route; nnz-sized int64
+    temporaries would bring it back above 40."""
+    nnz = comb(29, 4) * 26
+    assert nnz == 617_526
+    tracemalloc.start()
+    try:
+        assert witness_det(5, 6, backend="bareiss") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * nnz, peak / nnz
+
+
+def test_cells_beyond_32_bit_indices_are_refused(monkeypatch):
+    """C(2400, 3) exceeds 2**31 - 1, so (3, 800) is refused with
+    MemoryError before the labels or the walk allocate anything: the
+    subset arrays that both start from raise if they are reached."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the index-width guard")
+
+    monkeypatch.setattr(tensors, "subset_array", forbidden)
+    monkeypatch.setattr(system, "subset_array", forbidden)
+    assert comb(2400, 3) > 2**31 - 1
+    for call in (lambda: witness_det(3, 800),
+                 lambda: witness_det(3, 800, backend="bareiss"),
+                 lambda: determinant._labelled_det(3, 800, [], "bareiss", 1),
+                 lambda: determinant._labelled_det(3, 800, [], "multimodular", 1)):
+        with pytest.raises(MemoryError, match="32-bit"):
+            call()
+    # The guard sits at the int32 limit itself.
+    n = max(n for n in range(2300, 2400) if comb(n, 3) <= 2**31 - 1)
+    system._check_index_width(3, n)
+    with pytest.raises(MemoryError):
+        system._check_index_width(3, n + 1)
+
+
 # --- the cached pattern -----------------------------------------------------
 
 
 def test_pattern_is_shared_and_read_only():
     first = system._pattern(3, 6, 5)
     assert system._pattern(3, 6, 5) is first
-    for array, fresh in zip(first, system._insertion_arrays(3, 6, 5)[1:]):
-        assert np.array_equal(array, fresh)
+    for array, fresh in zip(first, system._insertion_arrays(3, 6, 5)):
+        assert np.array_equal(array, fresh) and array.dtype == fresh.dtype
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def reference_walk(r, n, top):
+    """One insertion at a time: the rank of the enlarged subset and
+    ``insertion_sign``, bases in dictionary order and each inserted element
+    increasing."""
+    cols, signs = [], []
+    for base in subsets(r - 1, top):
+        for x in range(1, n + 1):
+            if x not in base:
+                pos, sign = insertion_sign(x, base)
+                cols.append(rank_combination(base[:pos - 1] + (x,) + base[pos - 1:], n))
+                signs.append(sign)
+    return cols, signs
+
+
+@pytest.mark.parametrize("r, n, top", [(3, 6, 5), (4, 8, 7), (2, 10, 10)])
+def test_walk_does_not_depend_on_its_chunk(monkeypatch, r, n, top):
+    """Chunks of 1, 4 and 7 bases (4 divides none of the base counts 10,
+    35 and 10) give the default walk, which is the per-insertion walk,
+    top = n included."""
+    col, sign = system._insertion_arrays(r, n, top)
+    assert (col.dtype, sign.dtype) == (np.int32, np.int8)
+    assert (col.tolist(), sign.tolist()) == reference_walk(r, n, top)
+    for chunk in (1, 4, 7):
+        monkeypatch.setattr(system, "_WALK_CHUNK", chunk)
+        other = system._insertion_arrays(r, n, top)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(other, (col, sign)))
 
 
 def test_pattern_cache_stays_bounded():
