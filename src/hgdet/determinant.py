@@ -9,20 +9,22 @@ scaled by the lcm of its coordinates' denominators
 while a row mixes rd - r + 1 vectors, so this divisor, and the Hadamard
 bound of the integer system, are smaller than row clearing gives.
 
-A labelling takes one of two routes, picked by its number of insertions,
-which is its number of nonzeros:
+Every system is filled in one form, the coordinate arrays (rows, cols,
+vals) of its nonzeros and a row count, and there are two routes, which
+differ only in the eliminator and in whether the walk is cached:
 
-* small systems, and every ``multimodular`` one: ``system._vector_rows``
-  fills the cached pattern with the labels' unit vectors, giving integer
-  rows for ``exactla._det_rows``;
-* large systems whose backend resolves to ``bareiss``: beside the int32
-  columns and int8 signs of the uncached walk
-  (``system._insertion_arrays``), the int32 row block*d + label - 1 of
-  each insertion is built in place, for the wave peel of
-  ``exactla._peel_det``: 9 bytes per nonzero, and about 21 at the route's
-  peak.  ``hgdet table`` builds each such system once, so a cache
-  would only keep it alive.  A cell whose C(rd, r) rows exceed int32
-  indices is refused with MemoryError before anything is allocated.
+* a tensor, a labelling of at most ``_ARRAY_ROUTE_INSERTIONS``
+  insertions, and every labelling whose backend resolves to
+  ``multimodular``: the cached pattern (``system._pattern``) filled with
+  the vectors (``system._vector_arrays``) or the labels
+  (``system._label_arrays``), for ``exactla._det_coords``;
+* a larger labelling whose backend resolves to ``bareiss``: the uncached
+  walk (``system._insertion_arrays``) filled with the labels, for the wave
+  peel of ``exactla._peel_det``: int32 rows and columns and int8 values,
+  9 bytes per nonzero, and about 21 at the route's peak.  ``hgdet table``
+  builds each such system once, so a cache would only keep it alive.  A
+  cell whose C(rd, r) rows exceed int32 indices is refused with
+  MemoryError before anything is allocated.
 
 Both routes give every labelling the value of its expanded tensor.
 """
@@ -36,17 +38,17 @@ from typing import Sequence
 import numpy as np
 
 from . import system
-from .exactla import _det_rows, _peel_det, _pick_backend
+from .exactla import _det_coords, _peel_det, _pick_backend
 from .tensors import BasisAssignment, TensorAssignment, subsets, witness_labels
 
-# Insertions above which a labelling takes the array route.  Per call, on
-# one core: 40 insertions (a 2-partition of K^3_6) take 0.03 ms as rows
-# and 0.08 ms as arrays on random labellings; the routes tie at about 210
-# insertions both on random labellings, which mostly exit early as
-# singular, and on witness cells, which peel completely; at 550 ((3, 4))
-# arrays take 0.10 ms against 0.17 ms for rows on random labellings, and
-# 0.21 against 0.35 ms on the witness.  Up to 250 the routes differ by at
-# most 10%.
+# Insertions above which a labelling takes the uncached walk and the wave
+# peel instead of the cached pattern and ``_det_coords``.  Per call on one
+# core, best of 5 passes: the 2000 K^3_6 labellings of classify-r3d2 (40
+# insertions) take 32 us by ``_det_coords`` and 128 us by the peel, most
+# of it the uncached walk; at 175-225 insertions ((4, 2), (3, 3), (2, 8))
+# 54-74 us against 107-128 us on random labellings and 109-170 us against
+# 237-271 us on the witness; at 550 ((3, 4)) the peel leads, 130 against
+# 145 us on random labellings and 313 against 332 us on the witness.
 _ARRAY_ROUTE_INSERTIONS = 250
 
 
@@ -58,9 +60,8 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     by det(M) ** C(rd-1, r-1).
     """
     vectors, divisor = _integer_vectors(tensor)
-    rows, n, _ = system._vector_rows(tensor.r, tensor.d, system._nonzeros(vectors),
-                                     tensor.n - 1)
-    return _det_rows(rows, n, divisor, backend, threads)
+    rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, vectors, tensor.n - 1)
+    return _det_coords(rows, cols, vals, n, divisor, backend, threads)
 
 
 def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], int]:
@@ -87,17 +88,13 @@ def _labelled_det(r: int, d: int, label: Sequence[int] | np.ndarray,
     r-subset of 1..rd, in dictionary order) by the route its size picks."""
     n = r * d
     bases = comb(n - 1, r - 1)
-    per = n - r + 1
-    insertions = bases * per
+    insertions = bases * (n - r + 1)
     if (insertions > _ARRAY_ROUTE_INSERTIONS
             and _pick_backend(backend, insertions, d * bases) == "bareiss"):
-        col, sign = system._insertion_arrays(r, n, n - 1)
-        # Row block*d + label - 1 of each insertion, built in place.
-        rows = np.repeat(np.arange(-1, d * bases - 1, d, dtype=np.int32), per)
-        rows += np.asarray(label)[col]
-        return Fraction(_peel_det(rows, col, sign, d * bases))
-    rows, size, _ = system._vector_rows(r, d, system._unit_vectors(d, label), n - 1)
-    return _det_rows(rows, size, backend=backend, threads=threads)
+        arrays = system._label_arrays(r, d, label, system._insertion_arrays(r, n, n - 1))
+        return Fraction(_peel_det(*arrays))
+    arrays = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
+    return _det_coords(*arrays, 1, backend, threads)
 
 
 def basis_det(basis: BasisAssignment, backend: str = "auto", threads: int = 1) -> Fraction:

@@ -1,28 +1,31 @@
 """Exact determinant and rank of integer and rational matrices.
 
-Every rank, and every determinant but those of large labellings, goes
-through one integer row form: a dict from row index to a dict from column
-index to a nonzero int, with empty rows absent, plus a divisor.
-``_integer_rows`` groups the entries of an :class:`ExactMatrix` by row in
-one pass, and ``_clear_denominators`` scales each row that holds a
-fraction by the lcm of its denominators; the divisor is the product of
-those scales.  The insertion systems never become a matrix on their way to
-a determinant or rank: ``system`` fills its cached +-1 pattern with their
-vectors as rows for ``_det_rows`` and ``_rank_rows``, integer rows for a
-labelling, and for a tensor once ``tensor_det`` has cleared its
-denominators column by column (a column holds the d coordinates of one
-vector, a row mixes rd - r + 1 of them).  Elimination consumes the rows it
-is given.  A large labelling whose backend is "bareiss" reaches
-``_peel_det`` instead, as the coordinate arrays of the uncached walk
-(int32 rows and columns, int8 values): a wave peel with numpy that keeps
-those types, then ``_eliminate`` on the core, as integer rows.
+Every determinant starts from one form: coordinate arrays (rows, cols,
+vals) of the nonzeros of an n x n integer matrix, each position at most
+once, plus a divisor.  The insertion systems never become a matrix on
+their way there: ``system`` fills its +-1 pattern with a labelling's unit
+vectors (int32 indices, int8 values) or with a tensor's vectors once
+``tensor_det`` has cleared their denominators column by column (int64
+values, or Python ints in an object array when a coordinate does not fit
+int64).  ``det_exact`` gets the arrays from the integer rows of its
+matrix (``_integer_rows``, then ``_coords``): each row holding a fraction
+is scaled by the lcm of its denominators, and the divisor is the product
+of those scales.
+
+``_pick_backend`` alone validates the backend name and resolves "auto";
+``_det_coords`` and the route choice of ``determinant`` both call it.
+``_det_coords`` is the one entry of every determinant but the wave peel,
+and handles n = 0.  For "bareiss" it turns the arrays into the integer row
+form of ``_eliminate``, a dict from row index to a dict from column index
+to a nonzero int, with empty rows absent (``_int_rows``); elimination
+consumes those rows.  The multimodular backend takes the arrays as they
+are.  A large labelling whose backend is "bareiss" reaches ``_peel_det``
+instead, with the arrays of the uncached walk: a wave peel with numpy that
+keeps their types, then ``_eliminate`` on the integer rows of the core.
+Ranks run ``_eliminate`` on integer rows: those of an :class:`ExactMatrix`,
+a boundary map, or a labelling's full system.
 
 Two determinant backends are provided and must always agree.
-``_pick_backend`` alone validates the backend name and resolves "auto";
-``_det_rows`` and the route choice of ``determinant`` both call it.
-``_det_rows`` handles n = 0; ``det_exact``, ``det_bareiss`` and
-``det_multimodular`` reach it, and so do ``tensor_det`` and small
-labellings.
 
 * ``det_bareiss``: fraction-free elimination on the integer-scaled matrix,
   in sparse storage.  Singleton rows and columns are peeled off first with
@@ -55,17 +58,17 @@ labellings.
   The CRT batch then skips the primes dividing s and is sized so that its
   product, with the lifting prime's residue of t, exceeds 2 ceil(B / s);
   each residue is det mod q times s^-1 mod q.  One safety prime's residue
-  must match the reconstruction.  With s = 1 and no lifting residue this
-  is plain CRT on det, the path taken when A is singular mod p, when an
-  int64 or float64 bound of the lift would not hold, when the certificate
-  fails, and when the plain batch has fewer than ``_LIFT_MIN_PRIMES``
-  primes, as for a unimodular witness system, which takes 2 primes.  The
-  row indices, column indices and values of the integer rows are built
-  once per determinant, with rows and columns both in the reverse
-  dictionary order of ``_pivot_order``, which keeps fill-in late; one
-  permutation on both sides leaves det unchanged.  The lift's inverse and
-  each prime scatter the values mod q into a dense array, and each prime
-  runs the lazily reducing elimination of ``_kernels.det_mod_p``.
+  must match the reconstruction.  Every determinant is lifted first, a
+  unimodular witness system too; only when A is singular mod p, an int64
+  or float64 bound of the lift would not hold, or the certificate fails,
+  is it plain CRT on det, with s = 1 and no lifting residue.  One pass
+  over the arrays, in Python ints, gives the Hadamard bound and the
+  squared column norms that N is taken from.  Rows and columns are both
+  taken in the reverse dictionary order of ``_pivot_order``, which keeps
+  fill-in late; one permutation on both sides leaves det unchanged.  The
+  lift's inverse and each prime scatter the values mod q into a dense
+  array, and each prime runs the lazily reducing elimination of
+  ``_kernels.det_mod_p``.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -115,15 +118,6 @@ _DENSE_NNZ_PER_ROW = 7
 # systems of 120-220 rows, and 2.2 on the (6, 2) witness system of 924
 # rows, where ``det_mod_p`` also reduces only the few rows that changed.
 _LIFT_PRIME = 33_554_393
-
-# Plain CRT batches (safety prime included) of fewer primes skip the lift.
-# The lift against plain CRT, per determinant on one core, with both sized
-# by the smaller of the Hadamard and floating-point bounds: dense integer
-# matrices with entries in [-9, 9] take 1.13x as long at 3 primes, 0.88x
-# at 4 and 0.23-0.61x at 6-22; unimodular witness systems, all at 2
-# primes, 1.14-1.29x; sparse +-1 matrices with 3 or 6 nonzeros per row
-# 1.13-1.19x at 2 primes, 0.86-1.24x at 3, 0.59x at 5 and 0.52x at 9.
-_LIFT_MIN_PRIMES = 5
 
 
 class ReconstructionError(RuntimeError):
@@ -465,6 +459,19 @@ def _array_permutation_sign(perm: np.ndarray) -> int:
     return 1 if (len(perm) - cycles) % 2 == 0 else -1
 
 
+def _int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> IntRows:
+    """The integer row form of the nonzeros ``vals`` at (rows, cols), each
+    position at most once, with Python ints for whatever integer dtype the
+    values have; rows come in order of first appearance."""
+    out: IntRows = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        row = out.get(i)
+        if row is None:
+            out[i] = row = {}
+        row[j] = v
+    return out
+
+
 def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
     """det of the n x n integer matrix with nonzeros ``vals`` at (rows, cols),
     each position at most once: a wave peel, then ``_eliminate`` on the
@@ -519,13 +526,8 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
     live_rows = np.flatnonzero(~dead_row)
     live_cols = np.flatnonzero(~dead_col)
     perm[live_rows] = live_cols
-    core: IntRows = {}
-    for i, j, v in zip(np.searchsorted(live_rows, rows).tolist(),
-                       np.searchsorted(live_cols, cols).tolist(), vals.tolist()):
-        row = core.get(i)
-        if row is None:
-            core[i] = row = {}
-        row[j] = v
+    core = _int_rows(np.searchsorted(live_rows, rows), np.searchsorted(live_cols, cols),
+                     vals)
     m = len(live_rows)
     _, core_det = _eliminate(core, m, m, want_det=True)
     return _array_permutation_sign(perm) * product * core_det
@@ -604,32 +606,25 @@ def crt_combine(residues: Sequence[int], primes: Sequence[int]) -> int:
 
 def hadamard_bound(int_entries: Mapping[tuple[int, int], int], n: int) -> int:
     """Integer upper bound for |det| of an n x n integer matrix."""
-    rows: IntRows = {}
-    for (i, j), v in int_entries.items():
-        rows.setdefault(i, {})[j] = v
-    return _hadamard_rows(rows, n)
+    index = np.array(list(int_entries), dtype=np.intp).reshape(-1, 2)
+    vals = np.array(list(int_entries.values()), dtype=object)
+    return _hadamard(index[:, 0], index[:, 1], vals, n)[0]
 
 
-def _hadamard_rows(rows: IntRows, n: int) -> int:
-    """``hadamard_bound`` of an n x n matrix in the integer row form."""
-    if len(rows) < n:
-        return 0
+def _hadamard(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+              n: int) -> tuple[int, list[int]]:
+    """The Hadamard bound on |det| of the n x n integer matrix with nonzeros
+    ``vals`` at (rows, cols), the smaller of its row and column forms, and
+    the squared column norms, all in Python ints; the bound is 0 when a row
+    or column is empty."""
+    row_sq = [0] * n
     col_sq = [0] * n
-    prod_r = 1
-    for row in rows.values():
-        row_sq = 0
-        for j, v in row.items():
-            vv = v * v
-            row_sq += vv
-            col_sq[j] += vv
-        prod_r *= row_sq
-    prod_c = 1
-    for s in col_sq:
-        prod_c *= s
-    b2 = min(prod_r, prod_c)
-    if b2 == 0:
-        return 0
-    return isqrt(b2) + 1
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        vv = v * v
+        row_sq[i] += vv
+        col_sq[j] += vv
+    b2 = min(prod(row_sq), prod(col_sq))
+    return (isqrt(b2) + 1 if b2 else 0), col_sq
 
 
 def _coords(rows: IntRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -757,9 +752,8 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     not dividing s whose product, times the lifting prime, exceeds
     2 ceil(B / s), plus one safety prime, and each residue is multiplied
     by s^-1.  When the matrix is singular modulo the lifting prime, an
-    int64 or float64 bound of the lift fails, the certificate fails, or
-    the plain batch for det would hold fewer than ``_LIFT_MIN_PRIMES``
-    primes, s = 1 and the batch is the plain one.  A mismatch between the
+    int64 or float64 bound of the lift fails, or the certificate fails,
+    s = 1 and the batch is the plain one.  A mismatch between the
     safety residue and the reconstructed value raises ReconstructionError.
     """
     return det_exact(matrix, backend="multimodular", threads=threads)
@@ -834,11 +828,12 @@ def _join_digits(digits: np.ndarray, p: int) -> np.ndarray:
 
 
 def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
-                  bound: int, p: int) -> tuple[int, int] | None:
+                  bound: int, p: int, col_sq: list[int]) -> tuple[int, int] | None:
     """(s, det mod p) for a divisor s of the determinant of the n x n
-    integer matrix A whose nonzeros are ``coords``, certified exactly;
-    None when A is singular mod p, an int64 or float64 bound would not
-    hold, or the certificate fails.
+    integer matrix A whose nonzeros are ``coords`` (values as Python
+    ints) and whose squared column norms are ``col_sq``, in any order,
+    certified exactly; None when A is singular mod p, an int64 or float64
+    bound would not hold, or the certificate fails.
 
     Dixon's p-adic lifting solves A x = b for a fixed b of small
     integers: with C = A^-1 mod p and r_0 = b, each digit is
@@ -885,9 +880,6 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     if not det_p:
         return None
 
-    col_sq = [0] * n
-    for j, v in zip(cols.tolist(), vals.tolist()):
-        col_sq[j] += v * v
     num_bound = isqrt(sum(v * v for v in rhs) * prod(col_sq) // min(col_sq)) + 1
     weights = [(j + 1) * 2246822519 % 2 ** 32 % 8 + 1 for j in range(n)]
     limit = 2 * sum(weights) * num_bound * bound
@@ -961,33 +953,34 @@ def _pivot_order(n: int) -> np.ndarray:
     return np.arange(n - 1, -1, -1)
 
 
-def _multimodular(rows: IntRows, n: int, threads: int) -> int:
-    """det of the n x n integer matrix ``rows``, by CRT (see det_multimodular)."""
-    bound = _hadamard_rows(rows, n)
+def _multimodular(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int,
+                  threads: int) -> int:
+    """det of the n x n integer matrix with nonzeros ``vals`` at (rows,
+    cols), by CRT (see det_multimodular)."""
+    # Python ints from here on, so that no bound is taken in numpy integers.
+    vals = vals.astype(object)
+    bound, col_sq = _hadamard(rows, cols, vals, n)
     if bound == 0:
         return 0
 
     # Both kernels run on P A P^T, P the permutation of ``_pivot_order``,
     # and det(P A P^T) = det A.
     pos = _pivot_order(n)
-    row_idx, col_idx, vals = _coords(rows)
-    coords = (pos[row_idx], pos[col_idx], vals)
+    coords = (pos[rows], pos[cols], vals)
     float_bound = _float_det_bound(coords, n)
     if float_bound is not None:
         bound = min(bound, float_bound)
 
-    # t = det / s is reconstructed; s = 1 and no residue known is the plain
-    # CRT path, taken when the lift fails or would not pay.
-    s = 1
-    known: dict[int, int] = {}
-    base, safety = _crt_primes(2 * bound, 1, 1)
-    if len(base) + 1 >= _LIFT_MIN_PRIMES:
-        p = _LIFT_PRIME
-        lifted = _lift_divisor(coords, n, bound, p)
-        if lifted is not None:
-            s, det_p = lifted
-            known[p] = det_p * pow(s, -1, p) % p
-            base, safety = _crt_primes(2 * -(-bound // s), s, p)
+    # t = det / s is reconstructed, ``known`` holding its residue mod the
+    # lifting prime; when the lift fails, s = 1 and nothing is known: plain
+    # CRT.
+    p = _LIFT_PRIME
+    lifted = _lift_divisor(coords, n, bound, p, col_sq)
+    s, known = 1, {}
+    if lifted is not None:
+        s, det_p = lifted
+        known[p] = det_p * pow(s, -1, p) % p
+    base, safety = _crt_primes(2 * -(-bound // s), s, prod(known))
 
     def residue(q: int) -> int:
         r = _residue_mod_p(coords, n, q)
@@ -1022,23 +1015,25 @@ def _pick_backend(backend: str, nnz: int, n: int) -> str:
     return backend
 
 
-def _det_rows(rows: IntRows, n: int, divisor: int = 1, backend: str = "auto",
-              threads: int = 1) -> Fraction:
-    """det(rows) / divisor for an n x n matrix in the integer row form,
-    with the backend of :func:`_pick_backend`.  Consumes ``rows``."""
-    backend = _pick_backend(backend, sum(map(len, rows.values())), n)
+def _det_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int,
+                divisor: int = 1, backend: str = "auto", threads: int = 1) -> Fraction:
+    """det / divisor of the n x n integer matrix with nonzeros ``vals`` at
+    (rows, cols), each position at most once, with the backend of
+    :func:`_pick_backend`: fraction-free elimination on their integer
+    rows, or the multimodular backend on the arrays as they are."""
+    backend = _pick_backend(backend, len(vals), n)
     if n == 0:
         return Fraction(1)
     if backend == "bareiss":
-        _, det = _eliminate(rows, n, n, want_det=True)
+        _, det = _eliminate(_int_rows(rows, cols, vals), n, n, want_det=True)
     else:
-        det = _multimodular(rows, n, threads)
+        det = _multimodular(rows, cols, vals, n, threads)
     return Fraction(det, divisor)
 
 
 def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> Fraction:
-    """Determinant of a square matrix, with the backend chosen by ``_det_rows``."""
+    """Determinant of a square matrix, with the backend chosen by ``_det_coords``."""
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant of non-square {matrix!r}")
     rows, divisor = _integer_rows(matrix)
-    return _det_rows(rows, matrix.rows, divisor, backend, threads)
+    return _det_coords(*_coords(rows), matrix.rows, divisor, backend, threads)

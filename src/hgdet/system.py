@@ -19,13 +19,20 @@ walks the bases in fixed chunks into an int32 column and an int8 sign per
 insertion, 5 bytes, so no temporary outgrows a chunk; a system whose
 C(n, r) columns int32 cannot index is refused first.  The pattern
 depends only on r, n and the top base vertex, so ``_pattern`` caches it.
-One fill, :func:`_vector_rows`, writes pattern row ``block`` times
-coordinate c of each column's vector as row block*d + c: from a rational
-tensor's vectors (:func:`tensor_rows`) or a labelling's unit vectors
-(:func:`basis_rows`, integer rows).  Large labellings skip both: see
-``determinant``.  The ExactMatrix wrappers serve the ``hgdet matrix`` dump
-and the tests; :func:`equation_block` builds one equation from the tensor,
-for :func:`relation_holds` and as the tests' oracle.
+
+Every system is filled from a walk in one form, the coordinate arrays
+``(rows, cols, vals)`` of its nonzeros and a row count: insertion k of
+base b puts its sign times coordinate c (from 0) of its column's vector in
+row b*d + c.  :func:`_label_arrays` fills a labelling, whose vectors are unit
+vectors, so each insertion is one nonzero in row b*d + label - 1; it keeps
+the walk's int32 columns and int8 signs and builds the int32 rows in
+place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
+C(rd, r) x d array, int64 when every coordinate is an int that fits and
+Python objects otherwise.  :func:`basis_rows` gives a labelling's arrays
+as integer rows, for its rank, and the ExactMatrix wrappers give a
+tensor's, for the ``hgdet matrix`` dump and the tests;
+:func:`equation_block` builds one equation from the tensor, for
+:func:`relation_holds` and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .combi import check_subset, insertion_sign
-from .exactla import ExactMatrix, IntRows, RationalRows
+from .exactla import ExactMatrix, IntRows, _int_rows
 from .tensors import (BasisAssignment, Rational, TensorAssignment,
                       format_rational, subset_array, subsets)
 
@@ -151,60 +158,55 @@ def _pattern(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     return col, sign
 
 
-def _vector_rows(r: int, d: int, vectors: Sequence[Sequence[tuple[int, Rational]]],
-                 top: int) -> tuple[RationalRows, int, int]:
-    """The insertion system over the (r-1)-subsets of 1..top as rows, with
-    its row and column counts, for ``vectors`` in dictionary order of the
-    r-subsets, each as its nonzero coordinates (c, v), c in 0..d-1.  Rows
-    come in order of block, then c; empty rows are left out."""
-    n = r * d
-    col, sign = _pattern(r, n, top)
-    per = n - r + 1
-    rows: RationalRows = {}
-    i = 0
-    for cols, signs in zip(col.reshape(-1, per).tolist(), sign.reshape(-1, per).tolist()):
-        block_rows: list[dict[int, Rational]] = [{} for _ in range(d)]
-        for j, s in zip(cols, signs):
-            for c, v in vectors[j]:
-                block_rows[c][j] = s * v
-        for row in block_rows:
-            if row:
-                rows[i] = row
-            i += 1
-    return rows, d * comb(top, r - 1), comb(n, r)
+def _label_arrays(r: int, d: int, label: Sequence[int] | np.ndarray,
+                  walk: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The insertion system of the labelling ``label`` (one label in 1..d
+    per r-subset of 1..rd, in dictionary order) over the bases of ``walk``,
+    a ``(col, sign)`` of :func:`_insertion_arrays` or :func:`_pattern`, as
+    ``(rows, cols, vals, nrows)``: insertion k of base b puts its sign in
+    row b*d + label - 1 of its column.  ``cols`` and ``vals`` are the walk's
+    own arrays; ``rows`` is int32, built in place."""
+    col, sign = walk
+    per = r * d - r + 1
+    nrows = d * (len(col) // per)
+    rows = np.repeat(np.arange(-1, nrows - 1, d, dtype=np.int32), per)
+    rows += np.asarray(label)[col]
+    return rows, col, sign, nrows
 
 
-def _nonzeros(vectors: Iterable[Sequence[Rational]]) -> list[list[tuple[int, Rational]]]:
-    """Each vector as its nonzero coordinates (c, v), c from 0."""
-    return [[(c, v) for c, v in enumerate(vec) if v] for vec in vectors]
-
-
-def _unit_vectors(d: int, label: Iterable[int]) -> list[tuple[tuple[int, int]]]:
-    """The vectors of a labelling, e_label for each label in 1..d, as
-    nonzero coordinates."""
-    units = [((c, 1),) for c in range(d)]
-    return [units[k - 1] for k in label]
+def _vector_arrays(r: int, d: int, vectors: Sequence[Sequence[Rational]],
+                   top: int) -> tuple[np.ndarray, ...]:
+    """The insertion system over the (r-1)-subsets of 1..top of ``vectors``,
+    one per r-subset in dictionary order, as ``(rows, cols, vals, nrows)``:
+    insertion k of base b puts sign * v in row b*d + c of its column for
+    each nonzero coordinate v at c in 0..d-1.  The vectors are held as one
+    C(rd, r) x d array, int64 when every coordinate is an int of magnitude
+    below 2**63, and an object array of the coordinates otherwise."""
+    values = np.array(vectors, dtype=object).reshape(len(vectors), d)
+    if all(type(v) is int and -(1 << 63) < v < 1 << 63 for v in values.flat):
+        values = values.astype(np.int64)
+    col, sign = _pattern(r, r * d, top)
+    values = values[col] * sign[:, None]
+    insertion, c = np.nonzero(values)
+    rows = insertion // (r * d - r + 1) * d + c
+    return rows, col[insertion], values[insertion, c], d * comb(top, r - 1)
 
 
 def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
     """The insertion system of ``basis`` over the (r-1)-subsets of 1..top
     (rd - 1 for the square system, rd for the full one) in the integer row
-    form, with its row and column counts: the rows of its unit vectors."""
+    form, with its row and column counts."""
     label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
-    return _vector_rows(basis.r, basis.d, _unit_vectors(basis.d, label), top)
-
-
-def tensor_rows(tensor: TensorAssignment, top: int) -> tuple[RationalRows, int, int]:
-    """The insertion system of ``tensor`` over the (r-1)-subsets of 1..top
-    as rational rows, with its row and column counts."""
-    vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
-    return _vector_rows(tensor.r, tensor.d, _nonzeros(vectors), top)
+    rows, cols, vals, nrows = _label_arrays(basis.r, basis.d, label,
+                                            _pattern(basis.r, basis.n, top))
+    return _int_rows(rows, cols, vals), nrows, comb(basis.n, basis.r)
 
 
 def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:
-    rows, nrows, ncols = tensor_rows(tensor, top)
-    return ExactMatrix(nrows, ncols, {(i, j): v for i, row in rows.items()
-                                      for j, v in row.items()})
+    vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
+    rows, cols, vals, nrows = _vector_arrays(tensor.r, tensor.d, vectors, top)
+    return ExactMatrix(nrows, comb(tensor.n, tensor.r),
+                       dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())))
 
 
 def system_matrix(tensor: TensorAssignment) -> SystemMatrix:

@@ -12,7 +12,8 @@ from hgdet import determinant, exactla, system
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
-from hgdet.determinant import basis_det, tensor_det
+from hgdet.determinant import basis_det, tensor_det, witness_det
+from hgdet.reference import KNOWN_WITNESS_DETS
 from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
 from hgdet.verify import plant_degenerate_simplex, random_tensor
@@ -413,10 +414,13 @@ def test_backends_leave_entries_unchanged_and_repeat():
 
 
 def _route_spy(monkeypatch):
-    """Spy on the two elimination kernels; the returned call reports which ran."""
+    """Spy on the two determinant entries, ``_det_coords`` and
+    ``_peel_det``, and the two elimination kernels; the returned call
+    checks that one entry and one kernel ran and reports the kernel."""
     import hgdet.exactla as ex
 
     ran = []
+    entered = []
     eliminate, multimodular = ex._eliminate, ex._multimodular
 
     def spy_eliminate(*args, **kwargs):
@@ -429,10 +433,18 @@ def _route_spy(monkeypatch):
 
     def route(call):
         ran.clear()
+        entered.clear()
         value = call()
-        assert len(ran) == 1
+        assert len(ran) == 1 and len(entered) == 1
         return ran[0], value
 
+    for module in (ex, determinant):
+        for name in ("_det_coords", "_peel_det"):
+            def spy_entry(*args, entry=getattr(module, name)):
+                entered.append(entry)
+                return entry(*args)
+
+            monkeypatch.setattr(module, name, spy_entry)
     monkeypatch.setattr(ex, "_eliminate", spy_eliminate)
     monkeypatch.setattr(ex, "_multimodular", spy_multimodular)
     return route
@@ -467,7 +479,7 @@ def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
     rng = random.Random(809)
     dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
     rows, divisor = ex._integer_rows(ExactMatrix.from_rows(dense))
-    assert route(lambda: ex._det_rows(rows, 10, divisor)) == (
+    assert route(lambda: ex._det_coords(*ex._coords(rows), 10, divisor)) == (
         "multimodular", Fraction(int(sympy.Matrix(dense).det())))
 
 
@@ -610,6 +622,14 @@ def test_lifted_divisor_leaves_a_small_cofactor(monkeypatch):
     assert det % s == 0
     assert abs(det // s) < 2 ** 64
     assert det_p == det % exactla._LIFT_PRIME
+
+
+def test_unimodular_witness_is_lifted(monkeypatch):
+    """The (3, 3) witness needs 2 CRT primes and is lifted all the same:
+    the certified divisor of det = -1 is 1."""
+    lifts = lift_spy(monkeypatch)
+    assert witness_det(3, 3, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 3)] == -1
+    assert lifts == [(1, exactla._LIFT_PRIME - 1)]
 
 
 def small_prime_factor(m, low):
@@ -989,12 +1009,10 @@ def test_kernels_receive_the_permuted_system(monkeypatch):
         monkeypatch.setattr(exactla, name, spy)
     tensor = seeded_tensor(3, 3)
     vectors, _ = determinant._integer_vectors(tensor)
-    rows, n, _ = system._vector_rows(3, 3, system._nonzeros(vectors), tensor.n - 1)
+    rows, cols, vals, n = system._vector_arrays(3, 3, vectors, tensor.n - 1)
     pos = exactla._pivot_order(n)
     permuted_system = np.zeros((n, n), dtype=object)
-    for i, row in rows.items():
-        for j, v in row.items():
-            permuted_system[pos[i], pos[j]] = v
+    permuted_system[pos[rows], pos[cols]] = vals
     assert tensor_det(tensor, backend="multimodular") == bareiss_tensor_det(3, 3)
     assert [name for name, _, _ in seen][:2] == ["inverse_mod_p", "det_mod_p"]
     for _, a, p in seen:

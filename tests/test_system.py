@@ -17,14 +17,14 @@ import hgdet.system as system
 import hgdet.tensors as tensors
 from hgdet.combi import insertion_sign, rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
-from hgdet.exactla import (ExactMatrix, _det_rows, _integer_rows, _rank_rows,
-                           det_bareiss, rank_exact)
+from hgdet.exactla import (ExactMatrix, _integer_rows, _rank_rows, det_bareiss,
+                           det_exact, det_multimodular, rank_exact)
 from hgdet.hypergraphs import (classify_partition, partition_from_basis,
                                partition_from_labels)
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
 from hgdet.system import (basis_rows, equation_block, facet_column_relation,
                           combine_columns, full_system_matrix, relation_holds,
-                          system_matrix, tensor_rows, write_matrix)
+                          system_matrix, write_matrix)
 from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
                            subsets, tensor_from_basis, witness_labels)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
@@ -295,13 +295,33 @@ def oracle_matrix(tensor, top):
                                       for j, v in row.items()})
 
 
+def array_rows(rows, cols, vals):
+    """Coordinate arrays as rows (row -> column -> value), each position
+    given once and each value a nonzero int or Fraction."""
+    out = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        assert v and type(v) in (int, Fraction)
+        assert j not in out.setdefault(i, {})
+        out[i][j] = v
+    return out
+
+
+def tensor_arrays(tensor, top):
+    """The fill of the tensor's vectors over the (r-1)-subsets of 1..top,
+    as rows and shape."""
+    vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
+    rows, cols, vals, nrows = system._vector_arrays(tensor.r, tensor.d, vectors, top)
+    assert vals.dtype in (np.int64, object)
+    return array_rows(rows, cols, vals), nrows, comb(tensor.n, tensor.r)
+
+
 def check_tensor_route(tensor):
-    """tensor_rows, the ExactMatrix wrappers and their integer row form
+    """The tensor fill, the ExactMatrix wrappers and their integer row form
     equal the oracle, for the square and the full system."""
     for top, matrix in ((tensor.n - 1, system_matrix(tensor).matrix),
                         (tensor.n, full_system_matrix(tensor))):
         expected = oracle_rows(tensor, top)
-        assert tensor_rows(tensor, top) == expected
+        assert tensor_arrays(tensor, top) == expected
         assert matrix == oracle_matrix(tensor, top)
         rows, _, _ = expected
         scale = {i: lcm(*(Fraction(v).denominator for v in row.values()))
@@ -382,16 +402,16 @@ def test_tensor_rows_match_oracle_on_rational_tensors_with_zeros(r, d):
 
 
 def divisor_spy(monkeypatch):
-    """Record the integer rows and the divisor every ``tensor_det`` hands
-    to elimination."""
+    """Record, as rows, the integer arrays and the divisor every
+    ``tensor_det`` hands to ``_det_coords``."""
     seen = []
-    det_rows = determinant._det_rows
+    det_coords = determinant._det_coords
 
-    def spy(rows, n, divisor=1, backend="auto", threads=1):
-        seen.append(({i: dict(row) for i, row in rows.items()}, divisor))
-        return det_rows(rows, n, divisor, backend, threads)
+    def spy(rows, cols, vals, n, divisor=1, backend="auto", threads=1):
+        seen.append((array_rows(rows, cols, vals), divisor))
+        return det_coords(rows, cols, vals, n, divisor, backend, threads)
 
-    monkeypatch.setattr(determinant, "_det_rows", spy)
+    monkeypatch.setattr(determinant, "_det_coords", spy)
     return seen
 
 
@@ -411,7 +431,7 @@ def test_tensor_det_clears_denominators_by_column(monkeypatch, r, d):
         seen.clear()
         for backend in ("bareiss", "multimodular", "auto"):
             assert tensor_det(tensor, backend=backend) == det_bareiss(matrix)
-        rows, _, _ = tensor_rows(tensor, tensor.n - 1)
+        rows, _, _ = oracle_rows(tensor, tensor.n - 1)
         expected = {i: {j: v * scale[j] for j, v in row.items()} for i, row in rows.items()}
         assert seen == [(expected, prod(scale.values()))] * 3
         ints, _ = seen[0]
@@ -427,7 +447,7 @@ def test_zero_coordinate_leaves_its_rows_absent(r, d, c):
     tensor = TensorAssignment(r, d, {
         s: vec[:c] + (0,) + vec[c + 1:] for s, vec in tensor.entries.items()})
     check_tensor_route(tensor)
-    rows, nrows, ncols = tensor_rows(tensor, tensor.n - 1)
+    rows, nrows, ncols = tensor_arrays(tensor, tensor.n - 1)
     assert (nrows, ncols) == (system_dimension(r, d), comb(r * d, r))
     assert not any(i % d == c for i in rows)
     assert system_matrix(tensor).size == nrows
@@ -487,11 +507,14 @@ def test_basis_det_rejects_an_unknown_backend():
 
 
 def row_route_det(r, d, label):
-    """The labelling's determinant from the integer rows of its unit
-    vectors, by Bareiss."""
-    vectors = system._unit_vectors(d, label)
-    rows, size, _ = system._vector_rows(r, d, vectors, r * d - 1)
-    return _det_rows(rows, size, backend="bareiss")
+    """The labelling's determinant by ``_eliminate`` on the integer rows of
+    the walk's arrays, with no wave peel."""
+    n = r * d
+    rows, cols, vals, size = system._label_arrays(r, d, label,
+                                                  system._insertion_arrays(r, n, n - 1))
+    _, det = exactla._eliminate(exactla._int_rows(rows, cols, vals), size, size,
+                                want_det=True)
+    return det
 
 
 def array_route_det(r, d, label):
@@ -575,11 +598,11 @@ def peel_spy(monkeypatch):
 
 def test_witness_det_takes_the_array_route(monkeypatch):
     """Large labellings with backend bareiss reach the wave peel and never
-    the row fill; a small one takes the row fill."""
+    ``_det_coords``; a small one reaches ``_det_coords``."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("row fill on a large labelling")
+        raise AssertionError("_det_coords on a large labelling")
 
-    monkeypatch.setattr(system, "_vector_rows", forbidden)
+    monkeypatch.setattr(determinant, "_det_coords", forbidden)
     calls = peel_spy(monkeypatch)
     assert witness_det(5, 5) == KNOWN_WITNESS_DETS[(5, 5)] == 1
     assert witness_det(5, 5, backend="bareiss") == 1
@@ -602,6 +625,68 @@ def test_small_and_multimodular_labellings_take_the_row_route(monkeypatch):
     assert witness_det(3, 5, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 5)]
     with pytest.raises(AssertionError):
         witness_det(3, 5)
+
+
+def entry_spy(monkeypatch):
+    """Record every call of ``_det_coords`` and ``_peel_det``, under the
+    names that ``exactla`` and ``determinant`` call them by."""
+    calls = []
+    for module in (exactla, determinant):
+        for name in ("_det_coords", "_peel_det"):
+            def spy(*args, original=getattr(module, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_every_determinant_has_one_entry(monkeypatch):
+    """Every public determinant reaches exactly one of ``_det_coords`` and
+    ``_peel_det``, exactly once."""
+    rational = random_tensor(3, 2, random.Random(15))
+    matrix = oracle_matrix(rational, rational.n - 1)
+    expected = det_bareiss(matrix)
+    partition = partition_from_labels(6, 3, 2, [1, 2] * 10)
+    calls = entry_spy(monkeypatch)
+    cases = [
+        (lambda: tensor_det(rational), expected, "_det_coords"),
+        (lambda: tensor_det(rational, backend="multimodular"), expected, "_det_coords"),
+        (lambda: basis_det(canonical_witness(3, 2)), -1, "_det_coords"),
+        (lambda: basis_det(canonical_witness(4, 3)), KNOWN_WITNESS_DETS[(4, 3)], "_peel_det"),
+        (lambda: witness_det(3, 3), KNOWN_WITNESS_DETS[(3, 3)], "_det_coords"),
+        (lambda: witness_det(3, 5, backend="multimodular"), KNOWN_WITNESS_DETS[(3, 5)],
+         "_det_coords"),
+        (lambda: witness_det(5, 5), 1, "_peel_det"),
+        (lambda: classify_partition(partition).det, 0, "_det_coords"),
+        (lambda: det_exact(matrix), expected, "_det_coords"),
+        (lambda: det_bareiss(matrix), expected, "_det_coords"),
+        (lambda: det_multimodular(matrix), expected, "_det_coords"),
+    ]
+    for call, value, entry in cases:
+        calls.clear()
+        assert call() == value
+        assert calls == [entry]
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (2, 3), (3, 2)])
+def test_tensor_beyond_int64_holds_python_ints(r, d):
+    """Denominators near 2**64 make the column-cleared coordinates exceed
+    2**63: the fill holds them as Python ints in an object array, and
+    every backend gives the oracle's determinant."""
+    rng = random.Random(6000 + 10 * r + d)
+    tensor = TensorAssignment(r, d, {
+        s: tuple(Fraction(rng.randint(1, 9), rng.randrange(1 << 64, 1 << 65))
+                 for _ in range(d))
+        for s in subsets(r, r * d)})
+    vectors, _ = determinant._integer_vectors(tensor)
+    assert max(abs(v) for vec in vectors for v in vec) >= 1 << 63
+    _, _, vals, _ = system._vector_arrays(r, d, vectors, tensor.n - 1)
+    assert vals.dtype == object
+    expected = det_bareiss(oracle_matrix(tensor, tensor.n - 1))
+    assert expected != 0
+    for backend in ("bareiss", "multimodular", "auto"):
+        assert tensor_det(tensor, backend=backend) == expected
 
 
 def test_array_route_is_32_bit(monkeypatch):
