@@ -12,18 +12,18 @@ matrix (``_integer_rows``, then ``_coords``): each row holding a fraction
 is scaled by the lcm of its denominators, and the divisor is the product
 of those scales.
 
-``_pick_backend`` alone validates the backend name and resolves "auto";
-``_det_coords`` and the route choice of ``determinant`` both call it.
-``_det_coords`` is the one entry of every determinant but the wave peel,
-and handles n = 0.  For "bareiss" it turns the arrays into the integer row
-form of ``_eliminate``, a dict from row index to a dict from column index
-to a nonzero int, with empty rows absent (``_int_rows``); elimination
-consumes those rows.  The multimodular backend takes the arrays as they
-are.  A large labelling whose backend is "bareiss" reaches ``_peel_det``
-instead, with the arrays of the uncached walk: a wave peel with numpy that
-keeps their types, then ``_eliminate`` on the integer rows of the core.
-Ranks run ``_eliminate`` on integer rows: those of an :class:`ExactMatrix`,
-a boundary map, or a labelling's full system.
+``_det_coords`` is the one entry of every determinant, handles n = 0, and
+alone picks the eliminator.  Its ``_pick_backend`` validates the backend
+name and resolves "auto".  The multimodular backend takes the arrays as
+they are.  For "bareiss", a system of more than ``_PEEL_NNZ`` nonzeros
+goes to ``_peel_det``, a wave peel with numpy that keeps the arrays'
+types, then ``_eliminate`` on the integer rows of the core; a smaller one
+goes to ``_eliminate`` on its integer row form, a dict from row index to a
+dict from column index to a nonzero int, with empty rows absent
+(``_int_rows``).  Elimination consumes those rows.  The rule is the same
+for tensors, labellings and matrices.  Ranks run ``_eliminate`` on integer
+rows: those of an :class:`ExactMatrix`, a boundary map, or a labelling's
+full system.
 
 Two determinant backends are provided and must always agree.
 
@@ -118,6 +118,20 @@ _DENSE_NNZ_PER_ROW = 7
 # systems of 120-220 rows, and 2.2 on the (6, 2) witness system of 924
 # rows, where ``det_mod_p`` also reduces only the few rows that changed.
 _LIFT_PRIME = 33_554_393
+
+# Nonzeros above which fraction-free elimination starts with the wave peel
+# of ``_peel_det`` instead of ``_eliminate``'s own peel on integer rows.
+# Per call on one core, best of 15 interleaved passes, on nonsingular
+# labellings filled from the cached pattern, ``_eliminate`` against the peel:
+#   83 K^3_6 labellings of classify-r3d2, 40         47 us    188 us
+#   witness (4, 2), 175                              136 us    260 us
+#   witness (3, 3), 196                              163 us    184 us
+#   witness (2, 8), 225                              217 us    197 us
+#   witness (3, 4), 550                              439 us    237 us
+#   witness (3, 5), 1183                            1021 us    318 us
+# Sending every system to the peel raised classify-r3d2 ``op_p99_norm_ms``
+# from 0.349 to 0.481 ms (medians of 3 runs of ``perfbench/run.py``).
+_PEEL_NNZ = 250
 
 
 class ReconstructionError(RuntimeError):
@@ -475,9 +489,12 @@ def _int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> IntRows:
 def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
     """det of the n x n integer matrix with nonzeros ``vals`` at (rows, cols),
     each position at most once: a wave peel, then ``_eliminate`` on the
-    core.  The array route passes int32 indices and int8 values, and the
-    peel keeps their types: each wave gathers boolean masks, not counts,
-    and drops its own temporaries before it compacts the live entries.
+    core.  ``_det_coords`` calls it with the arrays of its callers: int32
+    indices and int8 values for a labelling, intp rows, int32 columns and
+    int64 or object values for a tensor, intp indices and object values
+    for ``det_exact``.  The peel keeps their types: each wave gathers
+    boolean masks, not counts, and drops its own temporaries before it
+    compacts the live entries.
 
     Each wave pivots on every singleton column and every singleton row at
     once.  Two singleton columns on one row, or two singleton rows on one
@@ -1018,16 +1035,26 @@ def _pick_backend(backend: str, nnz: int, n: int) -> str:
 def _det_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int,
                 divisor: int = 1, backend: str = "auto", threads: int = 1) -> Fraction:
     """det / divisor of the n x n integer matrix with nonzeros ``vals`` at
-    (rows, cols), each position at most once, with the backend of
-    :func:`_pick_backend`: fraction-free elimination on their integer
-    rows, or the multimodular backend on the arrays as they are."""
+    (rows, cols), each position at most once: the one entry of every
+    determinant, and the one place that picks its eliminator.  For the
+    backend of :func:`_pick_backend`, "multimodular" takes the arrays as
+    they are; "bareiss" runs the wave peel of :func:`_peel_det` above
+    ``_PEEL_NNZ`` nonzeros, and ``_eliminate`` on their integer rows
+    otherwise.
+
+    The callers pass: ``basis_det`` and ``witness_det`` int32 rows and
+    columns and int8 values; ``tensor_det`` intp rows, int32 columns and
+    int64 values, or Python ints in an object array when a coordinate does
+    not fit int64; ``det_exact`` intp indices and an object array."""
     backend = _pick_backend(backend, len(vals), n)
     if n == 0:
         return Fraction(1)
-    if backend == "bareiss":
-        _, det = _eliminate(_int_rows(rows, cols, vals), n, n, want_det=True)
-    else:
+    if backend == "multimodular":
         det = _multimodular(rows, cols, vals, n, threads)
+    elif len(vals) > _PEEL_NNZ:
+        det = _peel_det(rows, cols, vals, n)
+    else:
+        _, det = _eliminate(_int_rows(rows, cols, vals), n, n, want_det=True)
     return Fraction(det, divisor)
 
 

@@ -18,7 +18,10 @@ pos puts (-1)**(s + pos + 1) in the column of the enlarged subset.  It
 walks the bases in fixed chunks into an int32 column and an int8 sign per
 insertion, 5 bytes, so no temporary outgrows a chunk; a system whose
 C(n, r) columns int32 cannot index is refused first.  The pattern
-depends only on r, n and the top base vertex, so ``_pattern`` caches it.
+depends only on r, n and the top base vertex, so ``_pattern`` caches it
+for the fills of ``tensor_det``, ``basis_det`` and the ranks, which
+repeat a shape; ``witness_det`` fills a fresh walk, since each cell is
+built once.
 
 Every system is filled from a walk in one form, the coordinate arrays
 ``(rows, cols, vals)`` of its nonzeros and a row count: insertion k of

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -413,74 +413,48 @@ def test_backends_leave_entries_unchanged_and_repeat():
             assert first == value
 
 
-def _route_spy(monkeypatch):
-    """Spy on the two determinant entries, ``_det_coords`` and
-    ``_peel_det``, and the two elimination kernels; the returned call
-    checks that one entry and one kernel ran and reports the kernel."""
-    import hgdet.exactla as ex
-
-    ran = []
-    entered = []
-    eliminate, multimodular = ex._eliminate, ex._multimodular
-
-    def spy_eliminate(*args, **kwargs):
-        ran.append("bareiss")
-        return eliminate(*args, **kwargs)
-
-    def spy_multimodular(*args, **kwargs):
-        ran.append("multimodular")
-        return multimodular(*args, **kwargs)
-
-    def route(call):
-        ran.clear()
-        entered.clear()
-        value = call()
-        assert len(ran) == 1 and len(entered) == 1
-        return ran[0], value
-
-    for module in (ex, determinant):
-        for name in ("_det_coords", "_peel_det"):
-            def spy_entry(*args, entry=getattr(module, name)):
-                entered.append(entry)
-                return entry(*args)
-
-            monkeypatch.setattr(module, name, spy_entry)
-    monkeypatch.setattr(ex, "_eliminate", spy_eliminate)
-    monkeypatch.setattr(ex, "_multimodular", spy_multimodular)
-    return route
-
-
-def test_auto_dispatches_on_nonzeros_per_row(monkeypatch):
-    route = _route_spy(monkeypatch)
+def test_auto_dispatches_on_nonzeros_per_row(route):
     sympy = pytest.importorskip("sympy")
-    # A witness cell as an ExactMatrix: sparse rows go to Bareiss.
+    # A witness cell as an ExactMatrix: sparse rows go to Bareiss, and its
+    # 1183 nonzeros to the wave peel.
     witness = system_matrix(tensor_from_basis(canonical_witness(3, 5))).matrix
-    assert route(lambda: abs(det_exact(witness))) == ("bareiss", 1)
+    assert route(lambda: abs(det_exact(witness))) == (1, ["_peel_det"])
     # A dense 10 x 10 Fraction matrix goes to the multimodular kernel.
     rng = random.Random(808)
     fractions = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(10)]
                  for _ in range(10)]
     matrix = ExactMatrix.from_rows(fractions)
     expected = Fraction(str(sympy.Matrix(fractions).det()))
-    assert route(lambda: det_exact(matrix)) == ("multimodular", expected)
+    assert route(lambda: det_exact(matrix)) == (expected, ["_multimodular"])
     # A named backend overrides the rule either way.
-    assert route(lambda: det_bareiss(matrix)) == ("bareiss", expected)
-    assert route(lambda: abs(det_multimodular(witness))) == ("multimodular", 1)
+    assert route(lambda: det_bareiss(matrix)) == (expected, ["_eliminate"])
+    assert route(lambda: abs(det_multimodular(witness))) == (1, ["_multimodular"])
 
 
-def test_auto_on_rows_dispatches_on_nonzeros_per_row(monkeypatch):
-    import hgdet.exactla as ex
-
-    route = _route_spy(monkeypatch)
+def test_auto_on_rows_dispatches_on_nonzeros_per_row(route):
     sympy = pytest.importorskip("sympy")
-    # Label-aware rows of a witness cell: at most 4.5 nonzeros per row.
-    assert route(lambda: abs(basis_det(canonical_witness(3, 5)))) == ("bareiss", 1)
-    # A dense 10 x 10 integer matrix, as integer rows.
+    # A witness labelling: at most 4.5 nonzeros per row, 1183 in all.
+    assert route(lambda: abs(basis_det(canonical_witness(3, 5)))) == (1, ["_peel_det"])
+    # A dense 10 x 10 integer matrix, as coordinate arrays.
     rng = random.Random(809)
     dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
-    rows, divisor = ex._integer_rows(ExactMatrix.from_rows(dense))
-    assert route(lambda: ex._det_coords(*ex._coords(rows), 10, divisor)) == (
-        "multimodular", Fraction(int(sympy.Matrix(dense).det())))
+    rows, divisor = exactla._integer_rows(ExactMatrix.from_rows(dense))
+    assert route(lambda: exactla._det_coords(*exactla._coords(rows), 10, divisor)) == (
+        Fraction(int(sympy.Matrix(dense).det())), ["_multimodular"])
+
+
+def test_peel_bound_is_counted_in_nonzeros(route):
+    """A lower triangular matrix with exactly ``_PEEL_NNZ`` nonzeros goes
+    to ``_eliminate``; one nonzero more sends it to the wave peel."""
+    n = 100
+    below = [(i, j) for i in range(n) for j in range(i)]
+    diagonal = {(i, i): 2 if i % 7 == 0 else -1 for i in range(n)}
+    expected = prod(diagonal.values())
+    for nnz, eliminator in ((exactla._PEEL_NNZ, "_eliminate"),
+                            (exactla._PEEL_NNZ + 1, "_peel_det")):
+        matrix = ExactMatrix(n, n, {**diagonal, **dict.fromkeys(below[:nnz - n], 3)})
+        assert len(matrix.entries) == nnz
+        assert route(lambda: det_bareiss(matrix)) == (expected, [eliminator])
 
 
 # --- wave peel over coordinate arrays ---------------------------------------
@@ -860,14 +834,13 @@ def test_float_bound_rounding_term_covers_a_worst_case_product(monkeypatch):
 # --- multimodular on the inputs of the det-auto-rational benchmark ----------
 
 @pytest.mark.parametrize("r, d", [(2, 8), (3, 4), (2, 10)])
-def test_auto_matches_bareiss_on_benchmark_shapes(monkeypatch, r, d):
+def test_auto_matches_bareiss_on_benchmark_shapes(route, r, d):
     """Seeded p/q tensors (|p| <= 9, 1 <= q <= 9) of the benchmark's
     shapes: auto takes them to the multimodular backend, whose bound and
     lift must give the fraction-free value."""
     tensor = random_tensor(r, d, random.Random(70 + 10 * r + d))
     expected = tensor_det(tensor, backend="bareiss")
-    route = _route_spy(monkeypatch)
-    assert route(lambda: tensor_det(tensor)) == ("multimodular", expected)
+    assert route(lambda: tensor_det(tensor)) == (expected, ["_multimodular"])
     assert expected != 0
 
 

@@ -1,6 +1,7 @@
 """Equation blocks, the truncated square system, relations, and facet columns."""
 
 import io
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -405,13 +406,13 @@ def divisor_spy(monkeypatch):
     """Record, as rows, the integer arrays and the divisor every
     ``tensor_det`` hands to ``_det_coords``."""
     seen = []
-    det_coords = determinant._det_coords
+    det_coords = exactla._det_coords
 
     def spy(rows, cols, vals, n, divisor=1, backend="auto", threads=1):
         seen.append((array_rows(rows, cols, vals), divisor))
         return det_coords(rows, cols, vals, n, divisor, backend, threads)
 
-    monkeypatch.setattr(determinant, "_det_coords", spy)
+    monkeypatch.setattr(exactla, "_det_coords", spy)
     return seen
 
 
@@ -428,9 +429,10 @@ def test_tensor_det_clears_denominators_by_column(monkeypatch, r, d):
         for (_, j), v in matrix.entries.items():
             dens.setdefault(j, []).append(Fraction(v).denominator)
         scale = {j: lcm(*ds) for j, ds in dens.items()}
+        value = det_bareiss(matrix)
         seen.clear()
         for backend in ("bareiss", "multimodular", "auto"):
-            assert tensor_det(tensor, backend=backend) == det_bareiss(matrix)
+            assert tensor_det(tensor, backend=backend) == value
         rows, _, _ = oracle_rows(tensor, tensor.n - 1)
         expected = {i: {j: v * scale[j] for j, v in row.items()} for i, row in rows.items()}
         assert seen == [(expected, prod(scale.values()))] * 3
@@ -506,22 +508,24 @@ def test_basis_det_rejects_an_unknown_backend():
 # --- the array route against the row route ----------------------------------
 
 
+def bareiss_label_det(r, d, label, peel_nnz):
+    """The labelling's determinant by ``_det_coords`` with backend
+    ``bareiss`` on the walk's arrays, ``_PEEL_NNZ`` set to ``peel_nnz``."""
+    n = r * d
+    arrays = system._label_arrays(r, d, label, system._insertion_arrays(r, n, n - 1))
+    with mock.patch.object(exactla, "_PEEL_NNZ", peel_nnz):
+        return exactla._det_coords(*arrays, 1, "bareiss")
+
+
 def row_route_det(r, d, label):
     """The labelling's determinant by ``_eliminate`` on the integer rows of
     the walk's arrays, with no wave peel."""
-    n = r * d
-    rows, cols, vals, size = system._label_arrays(r, d, label,
-                                                  system._insertion_arrays(r, n, n - 1))
-    _, det = exactla._eliminate(exactla._int_rows(rows, cols, vals), size, size,
-                                want_det=True)
-    return det
+    return bareiss_label_det(r, d, label, math.inf)
 
 
 def array_route_det(r, d, label):
-    """The labelling's determinant by the uncached walk and the wave peel,
-    whatever the size."""
-    with mock.patch.object(determinant, "_ARRAY_ROUTE_INSERTIONS", 0):
-        return determinant._labelled_det(r, d, label, "bareiss", 1)
+    """The labelling's determinant by the wave peel, whatever the size."""
+    return bareiss_label_det(r, d, label, 0)
 
 
 def test_array_route_matches_row_route_on_witness_cells():
@@ -583,90 +587,59 @@ def test_array_route_matches_row_route_on_random_labellings(monkeypatch):
     assert all(seen.values()), seen
 
 
-def peel_spy(monkeypatch):
-    """Count the calls that reach the wave peel."""
-    calls = []
-    peel = determinant._peel_det
-
-    def spy(*args):
-        calls.append(args[-1])
-        return peel(*args)
-
-    monkeypatch.setattr(determinant, "_peel_det", spy)
-    return calls
-
-
-def test_witness_det_takes_the_array_route(monkeypatch):
-    """Large labellings with backend bareiss reach the wave peel and never
-    ``_det_coords``; a small one reaches ``_det_coords``."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_det_coords on a large labelling")
-
-    monkeypatch.setattr(determinant, "_det_coords", forbidden)
-    calls = peel_spy(monkeypatch)
-    assert witness_det(5, 5) == KNOWN_WITNESS_DETS[(5, 5)] == 1
-    assert witness_det(5, 5, backend="bareiss") == 1
-    assert basis_det(canonical_witness(4, 3)) == KNOWN_WITNESS_DETS[(4, 3)]
-    assert calls == [system_dimension(5, 5)] * 2 + [system_dimension(4, 3)]
-    with pytest.raises(AssertionError):
-        witness_det(3, 2)
+def test_witness_det_takes_the_array_route(route):
+    """Labellings above ``_PEEL_NNZ`` nonzeros with backend bareiss reach
+    the wave peel; a small one reaches ``_eliminate``."""
+    for call, value in ((lambda: witness_det(5, 5), KNOWN_WITNESS_DETS[(5, 5)]),
+                        (lambda: witness_det(5, 5, backend="bareiss"), 1),
+                        (lambda: basis_det(canonical_witness(4, 3)),
+                         KNOWN_WITNESS_DETS[(4, 3)])):
+        assert route(call) == (value, ["_peel_det"])
+        assert route.dtypes == [(np.int32, np.int32, np.int8)]
+    assert route(lambda: witness_det(3, 2)) == (KNOWN_WITNESS_DETS[(3, 2)], ["_eliminate"])
 
 
-def test_small_and_multimodular_labellings_take_the_row_route(monkeypatch):
+def test_small_and_multimodular_labellings_take_the_row_route(route):
     """Classification of K^3_6 partitions and every multimodular
     determinant stay off the wave peel."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("wave peel on a small or multimodular labelling")
-
-    monkeypatch.setattr(determinant, "_peel_det", forbidden)
-    report = classify_partition(partition_from_labels(6, 3, 2, [1, 2] * 10))
-    assert report.consistent
-    assert classify_partition(partition_from_basis(canonical_witness(3, 2))).det == -1
-    assert witness_det(3, 5, backend="multimodular") == KNOWN_WITNESS_DETS[(3, 5)]
-    with pytest.raises(AssertionError):
-        witness_det(3, 5)
-
-
-def entry_spy(monkeypatch):
-    """Record every call of ``_det_coords`` and ``_peel_det``, under the
-    names that ``exactla`` and ``determinant`` call them by."""
-    calls = []
-    for module in (exactla, determinant):
-        for name in ("_det_coords", "_peel_det"):
-            def spy(*args, original=getattr(module, name), name=name):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(module, name, spy)
-    return calls
+    report, runs = route(lambda: classify_partition(
+        partition_from_labels(6, 3, 2, [1, 2] * 10)))
+    assert report.consistent and runs == ["_eliminate"]
+    assert route(lambda: classify_partition(
+        partition_from_basis(canonical_witness(3, 2))).det) == (-1, ["_eliminate"])
+    value = KNOWN_WITNESS_DETS[(3, 5)]
+    assert route(lambda: witness_det(3, 5, backend="multimodular")) == (
+        value, ["_multimodular"])
+    assert route(lambda: witness_det(3, 5)) == (value, ["_peel_det"])
 
 
-def test_every_determinant_has_one_entry(monkeypatch):
-    """Every public determinant reaches exactly one of ``_det_coords`` and
-    ``_peel_det``, exactly once."""
+def test_every_determinant_has_one_entry(route):
+    """Every public determinant reaches ``_det_coords`` exactly once, and
+    that entry runs the eliminator its backend and size pick."""
     rational = random_tensor(3, 2, random.Random(15))
     matrix = oracle_matrix(rational, rational.n - 1)
     expected = det_bareiss(matrix)
+    witness = system_matrix(tensor_from_basis(canonical_witness(3, 5))).matrix
     partition = partition_from_labels(6, 3, 2, [1, 2] * 10)
-    calls = entry_spy(monkeypatch)
     cases = [
-        (lambda: tensor_det(rational), expected, "_det_coords"),
-        (lambda: tensor_det(rational, backend="multimodular"), expected, "_det_coords"),
-        (lambda: basis_det(canonical_witness(3, 2)), -1, "_det_coords"),
+        (lambda: tensor_det(rational), expected, "_eliminate"),
+        (lambda: tensor_det(rational, backend="multimodular"), expected, "_multimodular"),
+        (lambda: tensor_det(tensor_from_basis(canonical_witness(4, 3))),
+         KNOWN_WITNESS_DETS[(4, 3)], "_peel_det"),
+        (lambda: basis_det(canonical_witness(3, 2)), -1, "_eliminate"),
         (lambda: basis_det(canonical_witness(4, 3)), KNOWN_WITNESS_DETS[(4, 3)], "_peel_det"),
-        (lambda: witness_det(3, 3), KNOWN_WITNESS_DETS[(3, 3)], "_det_coords"),
+        (lambda: witness_det(3, 3), KNOWN_WITNESS_DETS[(3, 3)], "_eliminate"),
         (lambda: witness_det(3, 5, backend="multimodular"), KNOWN_WITNESS_DETS[(3, 5)],
-         "_det_coords"),
+         "_multimodular"),
         (lambda: witness_det(5, 5), 1, "_peel_det"),
-        (lambda: classify_partition(partition).det, 0, "_det_coords"),
-        (lambda: det_exact(matrix), expected, "_det_coords"),
-        (lambda: det_bareiss(matrix), expected, "_det_coords"),
-        (lambda: det_multimodular(matrix), expected, "_det_coords"),
+        (lambda: classify_partition(partition).det, 0, "_eliminate"),
+        (lambda: det_exact(matrix), expected, "_eliminate"),
+        (lambda: det_bareiss(matrix), expected, "_eliminate"),
+        (lambda: det_bareiss(witness), KNOWN_WITNESS_DETS[(3, 5)], "_peel_det"),
+        (lambda: det_multimodular(matrix), expected, "_multimodular"),
     ]
-    for call, value, entry in cases:
-        calls.clear()
-        assert call() == value
-        assert calls == [entry]
+    for call, value, eliminator in cases:
+        assert route(call) == (value, [eliminator])
 
 
 @pytest.mark.parametrize("r, d", [(2, 2), (2, 3), (3, 2)])
@@ -689,24 +662,70 @@ def test_tensor_beyond_int64_holds_python_ints(r, d):
         assert tensor_det(tensor, backend=backend) == expected
 
 
-def test_array_route_is_32_bit(monkeypatch):
+def wide_witness_tensor(r, d, rng):
+    """The witness labelling with vector p/q * e_label + m * e_(label + 1),
+    q above 2**64: its column-cleared coordinates exceed 2**63, and it has
+    twice the labelling's nonzeros."""
+    vectors = {}
+    for subset, label in zip(subsets(r, r * d), witness_labels(r, d).tolist()):
+        vec = [0] * d
+        vec[label - 1] = Fraction(rng.randint(1, 9), rng.randrange(1 << 64, 1 << 65))
+        vec[label % d] = rng.randint(1, 9)
+        vectors[subset] = tuple(vec)
+    return TensorAssignment(r, d, vectors)
+
+
+def test_systems_above_the_peel_bound_reach_the_peel(route):
+    """Above ``_PEEL_NNZ`` nonzeros, backend bareiss takes every system to
+    the wave peel with the arrays of its fill: the det-auto-sparse witness
+    tensors with int64 values (``auto`` picks bareiss), a tensor beyond
+    int64 with Python ints, a planted degenerate tensor, and an
+    ExactMatrix.  Each value is ``_eliminate``'s on the same integer rows
+    and the multimodular backend's."""
+    rng = random.Random(6100)
+    int64 = (np.intp, np.int32, np.int64)
+    cases = [
+        (tensor_from_basis(canonical_witness(3, 5)), "auto", int64),
+        (tensor_from_basis(canonical_witness(4, 3)), "auto", int64),
+        (wide_witness_tensor(3, 3, rng), "bareiss", (np.intp, np.int32, object)),
+        (plant_degenerate_simplex(random_tensor(3, 3, rng), rng), "bareiss", int64),
+    ]
+    values = []
+    for tensor, backend, dtypes in cases:
+        vectors, divisor = determinant._integer_vectors(tensor)
+        rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, vectors,
+                                                    tensor.n - 1)
+        assert len(vals) > exactla._PEEL_NNZ
+        value, runs = route(lambda: tensor_det(tensor, backend=backend))
+        assert (runs, route.dtypes) == (["_peel_det"], [dtypes])
+        _, det = exactla._eliminate(exactla._int_rows(rows, cols, vals), n, n, want_det=True)
+        assert value == Fraction(det, divisor) == tensor_det(tensor, backend="multimodular")
+        values.append(value)
+    assert values[:2] == [KNOWN_WITNESS_DETS[(3, 5)], KNOWN_WITNESS_DETS[(4, 3)]]
+    assert values[2] != 0 and values[3] == 0
+
+    matrix = system_matrix(cases[0][0]).matrix
+    value, runs = route(lambda: det_bareiss(matrix))
+    assert (runs, route.dtypes) == (["_peel_det"], [(np.intp, np.intp, object)])
+    rows, divisor = _integer_rows(matrix)
+    _, det = exactla._eliminate(rows, matrix.rows, matrix.rows, want_det=True)
+    assert value == Fraction(det, divisor) == det_multimodular(matrix) == values[0]
+
+
+def test_array_route_is_32_bit(monkeypatch, route):
     """The wave peel receives int32 rows and columns and int8 values, and
     the permutation whose sign it takes is int32."""
     dtypes = []
-    peel, sign = determinant._peel_det, exactla._array_permutation_sign
-
-    def peel_spy(rows, cols, vals, n):
-        dtypes.append((rows.dtype, cols.dtype, vals.dtype))
-        return peel(rows, cols, vals, n)
+    sign = exactla._array_permutation_sign
 
     def sign_spy(perm):
         dtypes.append(perm.dtype)
         return sign(perm)
 
-    monkeypatch.setattr(determinant, "_peel_det", peel_spy)
     monkeypatch.setattr(exactla, "_array_permutation_sign", sign_spy)
-    assert witness_det(5, 5, backend="bareiss") == 1
-    assert dtypes == [(np.int32, np.int32, np.int8), np.int32]
+    assert route(lambda: witness_det(5, 5, backend="bareiss")) == (1, ["_peel_det"])
+    assert route.dtypes == [(np.int32, np.int32, np.int8)]
+    assert dtypes == [np.int32]
 
 
 def test_array_route_peak_memory_per_nonzero():
@@ -726,8 +745,10 @@ def test_array_route_peak_memory_per_nonzero():
 
 def test_cells_beyond_32_bit_indices_are_refused(monkeypatch):
     """C(2400, 3) exceeds 2**31 - 1, so (3, 800) is refused with
-    MemoryError before the labels or the walk allocate anything: the
-    subset arrays that both start from raise if they are reached."""
+    MemoryError before the labels or either walk allocate anything:
+    ``witness_det`` on the uncached walk, and the label and vector fills
+    of ``basis_det`` and ``tensor_det`` on the cached one.  The subset
+    arrays that all of them start from raise if they are reached."""
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated before the index-width guard")
 
@@ -736,8 +757,8 @@ def test_cells_beyond_32_bit_indices_are_refused(monkeypatch):
     assert comb(2400, 3) > 2**31 - 1
     for call in (lambda: witness_det(3, 800),
                  lambda: witness_det(3, 800, backend="bareiss"),
-                 lambda: determinant._labelled_det(3, 800, [], "bareiss", 1),
-                 lambda: determinant._labelled_det(3, 800, [], "multimodular", 1)):
+                 lambda: system._label_arrays(3, 800, [], system._pattern(3, 2400, 2399)),
+                 lambda: system._vector_arrays(3, 800, [], 2399)):
         with pytest.raises(MemoryError, match="32-bit"):
             call()
     # The guard sits at the int32 limit itself.
@@ -797,9 +818,15 @@ def test_pattern_cache_stays_bounded():
 
 
 def test_large_labellings_leave_the_pattern_cache_alone():
-    before = system._pattern.cache_info()
-    assert witness_det(5, 5) == 1
-    assert system._pattern.cache_info() == before
+    """``witness_det`` walks afresh at every size and leaves the cache
+    alone; ``basis_det`` of the same cells fills the cached pattern."""
+    for r, d in ((5, 5), (3, 2)):
+        before = system._pattern.cache_info()
+        assert witness_det(r, d) == KNOWN_WITNESS_DETS[(r, d)]
+        assert system._pattern.cache_info() == before
+        assert basis_det(canonical_witness(r, d)) == KNOWN_WITNESS_DETS[(r, d)]
+        after = system._pattern.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_off_grid_frontier_cells_9_2_and_10_2():
