@@ -17,7 +17,9 @@ callers differ only in the walk they fill:
 * ``tensor_det`` and ``basis_det`` fill the cached pattern
   (``system._pattern``) with the vectors (``system._vector_arrays``) or
   the labels (``system._label_arrays``): classification and tensor batches
-  repeat one shape.
+  repeat one shape.  ``basis_det`` reads its labels off the assignment
+  and hands them to ``_label_det``, which ``classify_partition`` calls
+  with labels filled from the parts' ids.
 * ``witness_det`` fills the uncached walk (``system._insertion_arrays``)
   with labels that come straight from the witness rule: int32 rows and
   columns and int8 values, 9 bytes per nonzero, and about 21 at the peak
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from . import exactla, system
 from .tensors import BasisAssignment, TensorAssignment, subsets, witness_labels
@@ -70,9 +73,16 @@ def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], i
 
 def basis_det(basis: BasisAssignment, backend: str = "auto", threads: int = 1) -> Fraction:
     """``tensor_det(tensor_from_basis(basis))``, by the label-aware route."""
-    r, n = basis.r, basis.n
-    label = [basis.labels[subset] for subset in subsets(r, n)]
-    arrays = system._label_arrays(r, basis.d, label, system._pattern(r, n, n - 1))
+    label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
+    return _label_det(basis.r, basis.d, label, backend, threads)
+
+
+def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto",
+               threads: int = 1) -> Fraction:
+    """:func:`basis_det` of the labelling ``label``, one label in 1..d per
+    r-subset of 1..rd in dictionary order, filled into the cached pattern."""
+    n = r * d
+    arrays = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
     return exactla._det_coords(*arrays, 1, backend, threads)
 
 

@@ -4,34 +4,51 @@ Every sub-hypergraph of the complete r-uniform hypergraph spans an
 (r-1)-dimensional cell complex: one cell for each s-subset contained in some
 hyperedge, plus a single empty cell in degree -1 that makes the homology
 reduced.  Betti numbers are dimensions over the rationals,
-b_k = dim C_k - rank d_k - rank d_{k+1}, and the skeleta are built once per
-hypergraph by ``_skeleta``.  The boundary ranks follow from the skeleta
-wherever a rule gives them, so only the rest are eliminated:
+b_k = dim C_k - rank d_k - rank d_{k+1}.
+
+The cells come from a face table: for each level s, s-subsets in
+dictionary order, whose positions are the cells' ids, and for each cell
+the ids of its s faces in deletion order q, with sign (-1)**q.
+``_shape_table`` builds the table of K^r_n once per (n, r), in a bounded
+cache, so a cell's id is its dictionary rank; every part of every
+partition of K^r_n reads its skeleta, its boundary rows and its labels in
+the determinant off that one table, and ``partition_from_labels`` takes
+its hyperedges from it, so partitions of one shape share their tuples.
+A lone hypergraph gets a table of its own cells (``_face_table``), so a
+few edges on many vertices never cost C(n, r) of anything.  ``_skeleta``
+takes each level as the union of the face ids of the one above it.  The
+boundary ranks follow from the skeleta wherever a rule gives them, so
+only the rest are eliminated:
 
 * rank d_0 = 1 when there is any vertex, else 0;
 * rank d_1 = |V| - (number of components), by union-find over the
   1-skeleton;
 * rank d_k = C(n-1, k) when every (k+1)-subset of 1..n is a cell;
-* any other boundary is built straight into the integer row form and its
-  rank taken by one exact elimination.
+* any other boundary is built from the face ids straight into the integer
+  row form, without the columns of the cells through the least vertex,
+  which never change its rank, and its rank taken by one exact
+  elimination.
 
 For r = 3 only the top map d_2 is eliminated, and for r = 2 nothing is.
 ``chain_complex`` with ``rank_exact`` on every map is the generic path,
-kept as the oracle the tests compare against.
+which slices tuples and reads no face table: the oracle the tests compare
+against.
 
 The classification pipeline ties everything together: a d-partition of the
 complete hypergraph on rd vertices has nonzero subset determinant exactly
 when it is pre-homogeneous and every part has vanishing top Betti number,
 and any such partition is automatically homogeneous.  ``classify_partition``
 reads the deficiency and the Betti numbers of each part from the same
-skeleta, with at most one elimination per part for r = 3.
+skeleta, with at most one elimination per part for r = 3, and fills the
+determinant's labels from the parts' ids.
 
-Everything here is a pure function of immutable values; classifying
-distinct partitions is safe to run in parallel.
+Everything here is a pure function of immutable values, the cached tables
+included; classifying distinct partitions is safe to run in parallel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,9 +57,9 @@ from math import comb, factorial
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
-from .determinant import basis_det
+from .determinant import _label_det
 from .exactla import ExactMatrix, IntRows, _rank_rows
-from .system import basis_rows
+from .system import _label_rows
 from .tensors import BasisAssignment, ParseError, _read_records
 
 
@@ -73,19 +90,57 @@ class Hypergraph:
         return cls(n, r, frozenset(combinations(range(1, n + 1), r)))
 
 
-def _skeleta(edges: Iterable[tuple[int, ...]], r: int) -> list[set[tuple[int, ...]]]:
-    """The cells of the complex spanned by ``edges``: ``levels[s]`` holds
-    the s-subsets contained in some hyperedge, for 0 <= s <= r, so
-    ``levels[k + 1]`` are the cells of degree k and ``levels[0]`` is the
-    empty cell.  Each level is read off the one above it."""
-    levels = [set(edges)] if r else []
-    for s in range(r - 1, 0, -1):
-        level: set[tuple[int, ...]] = set()
-        for cell in levels[-1]:
-            level.update(combinations(cell, s))
-        levels.append(level)
-    levels.append({()})
-    levels.reverse()
+# Shapes that _shape_table keeps.  A run repeats few shapes: a
+# classification sweep one (n, r), a suite a handful.  The table of
+# K^3_6 takes 4 KB (tracemalloc), that of K^5_15, the (5, 3) partitions,
+# 4944 cells in 0.8 MB; a sweep over many shapes keeps only the last few.
+_SHAPE_CACHE_SIZE = 8
+
+#: A face table: one ``(cells, faces)`` per level s in 0..r.  ``cells`` are
+#: s-subsets in dictionary order, and a cell's id is its position there;
+#: ``faces[i]`` holds the ids, in level s - 1, of the faces of cell i, the
+#: q-th (from 0) deleting its q-th vertex, with sign (-1)**q.
+FaceTable = tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]
+
+
+def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
+    """The face table of the complex spanned by ``edges`` alone: level r
+    holds the edges, each level below the faces of the one above it, and
+    level 0 the empty cell, which is always there."""
+    cells = sorted(edges)
+    table = []
+    for s in range(r, 0, -1):
+        below = sorted({c[:q] + c[q + 1:] for c in cells for q in range(s)}
+                       if s > 1 else [()])
+        index = {c: i for i, c in enumerate(below)}
+        table.append((tuple(cells), tuple(tuple(index[c[:q] + c[q + 1:]]
+                                                for q in range(s)) for c in cells)))
+        cells = below
+    table.append((((),), ((),)))
+    return tuple(reversed(table))
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_table(n: int, r: int) -> FaceTable:
+    """The face table of K^r_n, cached: for n >= r level s holds every
+    s-subset of 1..n, so a cell's id is its dictionary rank, and every
+    part of every partition of K^r_n shares the table."""
+    return _face_table(combinations(range(1, n + 1), r), r)
+
+
+def _skeleta(table: FaceTable, top: Iterable[int]) -> list[set[int]]:
+    """The cells of the complex spanned by the level-r cells ``top`` of
+    ``table``, as ids: ``levels[s]`` holds the s-subsets contained in some
+    hyperedge, for 0 <= s <= r, so ``levels[k + 1]`` are the cells of
+    degree k and ``levels[0]`` is the empty cell.  Each level is the union
+    of the faces of the one above it."""
+    r = len(table) - 1
+    levels = [{0}] * (r + 1)
+    if r:
+        levels[r] = set(top)
+    for s in range(r, 1, -1):
+        faces = table[s][1]
+        levels[s - 1] = {f for c in levels[s] for f in faces[c]}
     return levels
 
 
@@ -93,7 +148,7 @@ def skeleton_edges(h: Hypergraph, s: int) -> set[tuple[int, ...]]:
     """All s-subsets contained in at least one hyperedge."""
     if not 1 <= s <= h.r:
         raise ValueError(f"skeleton level must be in 1..{h.r}, got {s}")
-    return _skeleta(h.edges, h.r)[s]
+    return set(_face_table(h.edges, h.r)[s][0])
 
 
 @dataclass(frozen=True)
@@ -112,10 +167,13 @@ class ChainComplex:
 
 
 def chain_complex(h: Hypergraph) -> ChainComplex:
-    generators: dict[int, list[tuple[int, ...]]] = {}
-    index: dict[int, dict[tuple[int, ...], int]] = {}
-    for s, level in enumerate(_skeleta(h.edges, h.r)):
-        cells = sorted(level)
+    """The generic complex: cells from ``combinations`` of the edges and
+    faces by slicing tuples, apart from the face tables, so that it stays
+    the oracle the tests compare the table-driven path against."""
+    generators: dict[int, list[tuple[int, ...]]] = {-1: [()]}
+    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
+    for s in range(1, h.r + 1):
+        cells = sorted({c for e in h.edges for c in combinations(e, s)})
         generators[s - 1] = cells
         index[s - 1] = {cell: i for i, cell in enumerate(cells)}
     boundary: dict[int, ExactMatrix] = {}
@@ -153,14 +211,15 @@ class BettiVector:
 @lru_cache(maxsize=4096, typed=True)
 def _shared(value):
     """The first instance seen of an immutable value equal to ``value``.
-    Classification reports repeat a few Betti vectors, deficiencies and
-    determinants many times over, so they hold shared instances."""
+    Classifications repeat a few Betti vectors and whole reports many
+    times over, so a caller that keeps N reports holds N references to
+    a few shared instances, not N reports."""
     return value
 
 
 def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """|V| - (number of components) of a graph on 1..n: the edges that
-    union-find merges."""
+    """|V| - (number of components) of a graph on vertices among 0..n: the
+    edges that union-find merges."""
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -178,20 +237,28 @@ def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return merged
 
 
-def _boundary_rows(levels: list[set[tuple[int, ...]]],
+def _boundary_rows(table: FaceTable, levels: list[set[int]],
                    k: int) -> tuple[IntRows, int, int]:
     """The transpose of the boundary map d_k in the integer row form: one
-    row per cell of degree k, holding the alternating signs of its faces.
-    Returns (rows, nrows, ncols); the rank is that of d_k."""
-    index = {face: i for i, face in enumerate(levels[k])}
-    rows: IntRows = {}
-    for j, cell in enumerate(levels[k + 1]):
-        rows[j] = {index[cell[:q] + cell[q + 1:]]: -1 if q % 2 else 1
-                   for q in range(k + 1)}
-    return rows, len(levels[k + 1]), len(levels[k])
+    row per cell of degree k, holding the alternating signs of its faces,
+    in columns indexed by the table's ids of degree k - 1.  Returns (rows,
+    nrows, ncols), whose rank is that of d_k.
+
+    For k >= 1 the columns of the cells through the table's least vertex
+    v, which sort first, are left out.  They never change the rank: a
+    cycle z of degree k - 1 whose cells all hold v is 0, since each cell c
+    of z gives d z the entry +-z_c at c - v, a cell without v that no
+    other cell of z gives."""
+    faces = table[k + 1][1]
+    signs = (1, -1) * (k // 2 + 1)
+    below = table[k][0]
+    low = bisect_left(below, (below[0][0] + 1,)) if k else 0
+    rows: IntRows = {j: {f: sign for f, sign in zip(faces[c], signs) if f >= low}
+                     for j, c in enumerate(levels[k + 1])}
+    return rows, len(levels[k + 1]), len(below)
 
 
-def _boundary_rank(levels: list[set[tuple[int, ...]]], n: int, k: int) -> int:
+def _boundary_rank(table: FaceTable, levels: list[set[int]], n: int, k: int) -> int:
     """rank d_k over Q, by the rules in the module docstring; only a map
     that none of them covers is eliminated."""
     cells = levels[k + 1]
@@ -202,29 +269,32 @@ def _boundary_rank(levels: list[set[tuple[int, ...]]], n: int, k: int) -> int:
     if k == 0:
         return 1
     if k == 1:
-        return _spanning_forest_size(n, cells)
-    return _rank_rows(*_boundary_rows(levels, k))
+        return _spanning_forest_size(len(table[1][0]),
+                                     map(table[2][1].__getitem__, cells))
+    return _rank_rows(*_boundary_rows(table, levels, k))
 
 
-def _betti(levels: list[set[tuple[int, ...]]], n: int) -> BettiVector:
-    """Reduced Betti numbers of the complex whose skeleta are ``levels``."""
+def _betti(table: FaceTable, levels: list[set[int]], n: int) -> BettiVector:
+    """Reduced Betti numbers of the complex whose skeleta in ``table`` are
+    ``levels``."""
     r = len(levels) - 1
     # ranks[k + 1] = rank d_k; the maps out of degree -1 and into r-1 are 0.
-    ranks = [0, *(_boundary_rank(levels, n, k) for k in range(r)), 0]
+    ranks = [0, *(_boundary_rank(table, levels, n, k) for k in range(r)), 0]
     return _shared(BettiVector(tuple(len(levels[s]) - ranks[s] - ranks[s + 1]
                                      for s in range(r + 1))))
 
 
 def betti_numbers(h: Hypergraph) -> BettiVector:
     """b_k = dim C_k - rank boundary_k - rank boundary_{k+1}, over Q."""
-    return _betti(_skeleta(h.edges, h.r), h.n)
+    table = _face_table(h.edges, h.r)
+    return _betti(table, _skeleta(table, range(len(h.edges))), h.n)
 
 
 def euler_characteristic(h: Hypergraph) -> int:
     """Alternating cell count sum_{s=0}^{r} (-1)^s |E_s|, the empty cell
     counting as E_0.  Equals -sum_k (-1)^k b_k over the reduced degrees."""
-    return sum((-1) ** s * len(level)
-               for s, level in enumerate(_skeleta(h.edges, h.r)))
+    return sum((-1) ** s * len(cells)
+               for s, (cells, _) in enumerate(_face_table(h.edges, h.r)))
 
 
 # --- partitions --------------------------------------------------------------
@@ -281,14 +351,34 @@ def partition_from_basis(b: BasisAssignment) -> DPartition:
 
 def partition_from_labels(n: int, r: int, d: int,
                           labels: Sequence[int]) -> DPartition:
-    """Partition from one label per hyperedge, in dictionary order."""
+    """Partition from one label per hyperedge, in dictionary order.  The
+    hyperedges are the shape table's own tuples, shared by every partition
+    of K^r_n."""
     parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
-    for e, lab in zip(combinations(range(1, n + 1), r), labels, strict=True):
+    for e, lab in zip(_shape_table(n, r)[r][0], labels, strict=True):
         parts[lab - 1].add(e)
     return DPartition(n, r, tuple(frozenset(s) for s in parts))
 
 
-def _deficiency(n: int, skeleta: Iterable[list[set[tuple[int, ...]]]]
+def _part_ids(p: DPartition) -> tuple[FaceTable, list[list[int]]]:
+    """The shape table of ``p``, and the hyperedges of each part as their
+    ids there, increasing."""
+    table = _shape_table(p.n, p.r)
+    top = table[p.r][0]
+    return table, [[j for j, e in enumerate(top) if e in part] for part in p.parts]
+
+
+def _labels(ids: list[list[int]], m: int) -> list[int]:
+    """One label per hyperedge id in 0..m-1: the part (from 1) whose
+    ``ids`` hold it."""
+    label = [0] * m
+    for i, part in enumerate(ids, start=1):
+        for j in part:
+            label[j] = i
+    return label
+
+
+def _deficiency(n: int, skeleta: Iterable[list[set[int]]]
                 ) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) whose skeleton below the top
     level is not full, given each part's ``_skeleta``."""
@@ -304,7 +394,8 @@ def _deficiency(n: int, skeleta: Iterable[list[set[tuple[int, ...]]]]
 def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) violating fullness of a skeleton
     below the top level, or None when every part is fully pre-homogeneous."""
-    return _deficiency(p.n, (_skeleta(part, p.r) for part in p.parts))
+    table, ids = _part_ids(p)
+    return _deficiency(p.n, (_skeleta(table, part) for part in ids))
 
 
 def is_prehomogeneous(p: DPartition) -> bool:
@@ -329,13 +420,14 @@ def boundary_rank_matches_system(p: DPartition) -> bool:
     rank rule.  Requires a pre-homogeneous partition."""
     if p.n != p.r * p.d:
         raise ValueError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
-    skeleta = [_skeleta(part, p.r) for part in p.parts]
+    table, ids = _part_ids(p)
+    skeleta = [_skeleta(table, part) for part in ids]
     if _deficiency(p.n, skeleta) is not None:
         raise ValueError("rank comparison requires a pre-homogeneous partition")
-    boundary_rank = sum(_rank_rows(*_boundary_rows(levels, p.r - 1))
+    boundary_rank = sum(_rank_rows(*_boundary_rows(table, levels, p.r - 1))
                         for levels in skeleta)
-    rows, nrows, ncols = basis_rows(basis_from_partition(p), p.n)
-    return boundary_rank == _rank_rows(rows, nrows, ncols)
+    label = _labels(ids, len(table[p.r][0]))
+    return boundary_rank == _rank_rows(*_label_rows(p.r, p.d, label, p.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,19 +452,20 @@ def classify_partition(p: DPartition, backend: str = "auto",
     the three-way equivalence."""
     if p.n != p.r * p.d:
         raise InvalidPartitionError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
-    det = basis_det(basis_from_partition(p), backend=backend, threads=threads)
-    skeleta = [_skeleta(part, p.r) for part in p.parts]
+    table, ids = _part_ids(p)
+    det = _label_det(p.r, p.d, _labels(ids, len(table[p.r][0])), backend, threads)
+    skeleta = [_skeleta(table, part) for part in ids]
     deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None
     share = comb(p.n - 1, p.r - 1)
-    hom = prehom and all(len(part) == share for part in p.parts)
-    betti = tuple(_betti(levels, p.n) for levels in skeleta)
+    hom = prehom and all(len(part) == share for part in ids)
+    betti = tuple(_betti(table, levels, p.n) for levels in skeleta)
     det_nonzero = det != 0
     all_zero = prehom and all(b.all_zero() for b in betti)
     top_zero = prehom and all(b.top() == 0 for b in betti)
     consistent = det_nonzero == all_zero == top_zero
-    return ClassificationReport(p.n, p.r, p.d, _shared(det), prehom, hom,
-                                _shared(betti), _shared(deficiency), consistent)
+    return _shared(ClassificationReport(p.n, p.r, p.d, det, prehom, hom, betti,
+                                        deficiency, consistent))
 
 
 def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,

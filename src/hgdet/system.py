@@ -31,11 +31,12 @@ vectors, so each insertion is one nonzero in row b*d + label - 1; it keeps
 the walk's int32 columns and int8 signs and builds the int32 rows in
 place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
 C(rd, r) x d array, int64 when every coordinate is an int that fits and
-Python objects otherwise.  :func:`basis_rows` gives a labelling's arrays
-as integer rows, for its rank, and the ExactMatrix wrappers give a
-tensor's, for the ``hgdet matrix`` dump and the tests;
-:func:`equation_block` builds one equation from the tensor, for
-:func:`relation_holds` and as the tests' oracle.
+Python objects otherwise.  :func:`_label_rows` gives a labelling's arrays
+as integer rows, for its rank (:func:`basis_rows` for an assignment, and
+the rank check of classification for a partition's labels), and the
+ExactMatrix wrappers give a tensor's, for the ``hgdet matrix`` dump and
+the tests; :func:`equation_block` builds one equation from the tensor,
+for :func:`relation_holds` and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -200,9 +201,15 @@ def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
     (rd - 1 for the square system, rd for the full one) in the integer row
     form, with its row and column counts."""
     label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
-    rows, cols, vals, nrows = _label_arrays(basis.r, basis.d, label,
-                                            _pattern(basis.r, basis.n, top))
-    return _int_rows(rows, cols, vals), nrows, comb(basis.n, basis.r)
+    return _label_rows(basis.r, basis.d, label, top)
+
+
+def _label_rows(r: int, d: int, label: Sequence[int],
+                top: int) -> tuple[IntRows, int, int]:
+    """:func:`basis_rows` of the labelling ``label``, one label in 1..d per
+    r-subset of 1..rd in dictionary order."""
+    rows, cols, vals, nrows = _label_arrays(r, d, label, _pattern(r, r * d, top))
+    return _int_rows(rows, cols, vals), nrows, comb(r * d, r)
 
 
 def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:

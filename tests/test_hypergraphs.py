@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdet.combi import rank_combination
+from hgdet.determinant import basis_det
 from hgdet.exactla import rank_exact
 from hgdet import hypergraphs
 from hgdet.hypergraphs import (BettiVector, ClassificationReport, DPartition,
@@ -24,7 +26,8 @@ from hgdet.hypergraphs import (BettiVector, ClassificationReport, DPartition,
                                partition_from_labels, partition_is_cycle_free,
                                read_partition, skeleton_deficiency,
                                skeleton_edges, write_partition)
-from hgdet.tensors import canonical_witness
+from hgdet.system import full_system_matrix
+from hgdet.tensors import canonical_witness, tensor_from_basis
 from hgdet.verify import random_partition
 
 
@@ -164,6 +167,109 @@ def test_betti_r4_with_non_full_middle_level(monkeypatch):
     assert betti_numbers(h).values == (0, 0, 0, 0, 1)
     assert len(calls) == 2
     assert betti_numbers(h).values == generic_betti(h)
+
+
+def test_sparse_hypergraph_builds_no_shape_table(monkeypatch):
+    # A 2-sphere (the boundary of a tetrahedron away from vertex 1) and
+    # a lone triangle on 2000 vertices: the Betti path must touch only
+    # their own cells, never the C(2000, 3) cells of the shape table.
+    built = []
+    shape_table = hypergraphs._shape_table
+
+    def spy(n, r):
+        built.append((n, r))
+        return shape_table(n, r)
+
+    monkeypatch.setattr(hypergraphs, "_shape_table", spy)
+    edges = set(combinations((1500, 1700, 1800, 1999), 3))
+    for extra in [set(), {(2, 3, 1000)}]:
+        h = Hypergraph(2000, 3, frozenset(edges | extra))
+        cx = chain_complex(h)
+        assert betti_numbers(h).values == generic_betti(h)
+        assert betti_numbers(h).top() == 1
+        for s in range(1, 4):
+            assert skeleton_edges(h, s) == set(cx.generators[s - 1])
+        assert euler_characteristic(h) == sum((-1) ** (k + 1) * len(cells)
+                                              for k, cells in cx.generators.items())
+    assert built == []
+
+
+def nested_tuples(value):
+    """True when ``value`` is ints inside tuples only, all the way down."""
+    if isinstance(value, tuple):
+        return all(nested_tuples(v) for v in value)
+    return type(value) is int
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_shape_table_matches_ranks_and_chain_complex(r):
+    for n in range(r, 9):
+        table = hypergraphs._shape_table(n, r)
+        assert len(table) == r + 1
+        cx = chain_complex(Hypergraph.complete(n, r))
+        for s, (cells, faces) in enumerate(table):
+            assert list(cells) == cx.generators[s - 1]
+            assert [rank_combination(c, n) for c in cells] == list(range(comb(n, s)))
+            assert len(faces) == len(cells)
+            assert all(len(f) == s for f in faces)
+            if s:
+                entries = {(f, i): (-1) ** q for i, ids in enumerate(faces)
+                           for q, f in enumerate(ids)}
+                assert entries == cx.boundary[s - 1].entries
+        assert nested_tuples(table)
+        assert hypergraphs._shape_table(n, r) is table
+    maxsize = hypergraphs._shape_table.cache_info().maxsize
+    assert maxsize == hypergraphs._SHAPE_CACHE_SIZE
+
+
+def oracle_partitions(n, r, d, trials):
+    """The witness partition, then seeded random ones of both kinds."""
+    rng = random.Random(n * 100 + r * 10 + d)
+    yield partition_from_basis(canonical_witness(r, d))
+    for trial in range(trials):
+        yield random_partition(n, r, d, rng, equal_sizes=trial % 2 == 1)
+
+
+@pytest.mark.parametrize("backend", ["bareiss", "multimodular", "auto"])
+@pytest.mark.parametrize("n, r, d", [(6, 3, 2), (8, 4, 2), (9, 3, 3), (6, 2, 3)])
+def test_classification_det_matches_basis_det(n, r, d, backend):
+    nonzero = 0
+    for p in oracle_partitions(n, r, d, 8):
+        det = classify_partition(p, backend=backend).det
+        assert det == basis_det(basis_from_partition(p), backend=backend)
+        nonzero += det != 0
+    assert nonzero >= 1
+
+
+def swapped_prehomogeneous(r, d, swaps, seed):
+    """Pre-homogeneous partitions a few random hyperedge swaps away from
+    the witness partition: each swap that keeps both parts
+    pre-homogeneous is taken."""
+    rng = random.Random(seed)
+    p = partition_from_basis(canonical_witness(r, d))
+    out = [p]
+    while len(out) < swaps:
+        parts = [set(part) for part in p.parts]
+        i, j = rng.sample(range(d), 2)
+        a, b = rng.choice(sorted(parts[i])), rng.choice(sorted(parts[j]))
+        parts[i] ^= {a, b}
+        parts[j] ^= {a, b}
+        q = DPartition(p.n, r, tuple(frozenset(part) for part in parts))
+        if is_prehomogeneous(q):
+            p = q
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("r, d", [(3, 3), (4, 2)])
+def test_rank_equality_matches_oracle_ranks(r, d):
+    for p in swapped_prehomogeneous(r, d, 5, seed=r * 10 + d):
+        top = sum(rank_exact(chain_complex(p.part_hypergraph(i)).boundary[r - 1])
+                  for i in range(d))
+        tensor = tensor_from_basis(basis_from_partition(p))
+        system = rank_exact(full_system_matrix(tensor))
+        assert boundary_rank_matches_system(p) == (top == system)
+        assert boundary_rank_matches_system(p)
 
 
 @pytest.mark.parametrize("n, r, d", [(6, 3, 2), (8, 4, 2), (9, 3, 3), (4, 2, 2),
@@ -307,6 +413,14 @@ def test_rank_equality_on_spanning_trees():
     total = sum(rank_exact(chain_complex(p.part_hypergraph(i)).boundary[1])
                 for i in range(2))
     assert total == 6
+
+
+def test_rank_equality_on_single_vertex_parts():
+    # r = 1: the top map d_0 sends each vertex to the empty cell.
+    for d in (1, 2, 3):
+        p = DPartition(d, 1, tuple(frozenset({(i,)}) for i in range(1, d + 1)))
+        assert boundary_rank_matches_system(p)
+        assert classify_partition(p).consistent
 
 
 def test_rank_equality_requires_prehomogeneous():
