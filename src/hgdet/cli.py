@@ -84,7 +84,7 @@ def _load_assignment(path: str):
 def cmd_det(args) -> Outcome:
     assignment = _load_assignment(args.file)
     det = basis_det if isinstance(assignment, BasisAssignment) else tensor_det
-    value = det(assignment, backend=args.backend, threads=args.threads)
+    value = det(assignment, backend=args.backend)
     report = RunReport(f"det {args.file}", _digest_file(args.file), args.backend)
     report.outputs["r"] = str(assignment.r)
     report.outputs["d"] = str(assignment.d)
@@ -130,7 +130,7 @@ def cmd_table(args) -> Outcome:
         if dim > args.max_dim:
             report.outputs[key] = f"dim={dim} skipped"
             continue
-        value = witness_det(r, d, backend=args.backend, threads=args.threads)
+        value = witness_det(r, d, backend=args.backend)
         known = KNOWN_WITNESS_DETS.get((r, d))
         agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
         report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
@@ -140,7 +140,7 @@ def cmd_table(args) -> Outcome:
 def cmd_classify(args) -> Outcome:
     with open(args.file) as fh:
         partition = read_partition(fh)
-    rep = classify_partition(partition, backend=args.backend, threads=args.threads)
+    rep = classify_partition(partition, backend=args.backend)
     report = RunReport(f"classify {args.file}", _digest_file(args.file), args.backend)
     report.outputs["n r d"] = f"{rep.n} {rep.r} {rep.d}"
     report.outputs["det"] = str(rep.det)
@@ -188,11 +188,10 @@ def cmd_verify(args) -> Outcome:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    # The commands that compute a determinant also take its backend options.
+    # The commands that compute a determinant also take its backend.
     det_opts = argparse.ArgumentParser(add_help=False, parents=[common])
     det_opts.add_argument("--backend", choices=("bareiss", "multimodular", "auto"),
                           default="auto")
-    det_opts.add_argument("--threads", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="hgdet",
@@ -244,11 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for option in ("threads", "trials"):
-        value = getattr(args, option, None)
-        if value is not None and value < 1:
-            print(f"error: --{option} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.perf_counter()
     try:
         report, code = args.func(args)

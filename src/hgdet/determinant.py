@@ -48,9 +48,10 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     facets assigned the same vector; under a slotwise linear map M it scales
     by det(M) ** C(rd-1, r-1).
     """
+    exactla._check_threads(threads)
     vectors, divisor = _integer_vectors(tensor)
     rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, vectors, tensor.n - 1)
-    return exactla._det_coords(rows, cols, vals, n, divisor, backend, threads)
+    return exactla._det_coords(rows, cols, vals, n, divisor, backend)
 
 
 def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], int]:
@@ -71,26 +72,26 @@ def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], i
     return vectors, divisor
 
 
-def basis_det(basis: BasisAssignment, backend: str = "auto", threads: int = 1) -> Fraction:
+def basis_det(basis: BasisAssignment, backend: str = "auto") -> Fraction:
     """``tensor_det(tensor_from_basis(basis))``, by the label-aware route."""
     label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
-    return _label_det(basis.r, basis.d, label, backend, threads)
+    return _label_det(basis.r, basis.d, label, backend)
 
 
-def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto",
-               threads: int = 1) -> Fraction:
+def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto") -> Fraction:
     """:func:`basis_det` of the labelling ``label``, one label in 1..d per
     r-subset of 1..rd in dictionary order, filled into the cached pattern."""
     n = r * d
     arrays = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
-    return exactla._det_coords(*arrays, 1, backend, threads)
+    return exactla._det_coords(*arrays, 1, backend)
 
 
 def witness_det(r: int, d: int, backend: str = "auto", threads: int = 1) -> Fraction:
     """Determinant on the canonical witness assignment; expected to be +-1.
     Its labels come straight from the witness rule, with no assignment."""
+    exactla._check_threads(threads)
     n = r * d
     system._check_index_width(r, n)
     arrays = system._label_arrays(r, d, witness_labels(r, d),
                                   system._insertion_arrays(r, n, n - 1))
-    return exactla._det_coords(*arrays, 1, backend, threads)
+    return exactla._det_coords(*arrays, 1, backend)

@@ -58,13 +58,14 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
 from .determinant import _label_det
-from .exactla import ExactMatrix, IntRows, _rank_rows
+from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
 from .tensors import BasisAssignment, ParseError, _read_records
 
 
 class InvalidPartitionError(ValueError):
-    """Hyperedge missing from every part or present in more than one."""
+    """Hyperedge missing from every part or present in more than one, or a
+    partition of K^r_n with n != r*d where a square system is needed."""
 
 
 class ResourceCapError(RuntimeError):
@@ -331,10 +332,26 @@ class DPartition:
         return Hypergraph(self.n, self.r, self.parts[i])
 
 
+def _partition(n: int, r: int, d: int,
+               labelled: Iterable[tuple[tuple[int, ...], int]]) -> DPartition:
+    """The d-partition of K^r_n whose part ``label`` (from 1) holds each
+    hyperedge of the (hyperedge, label) pairs ``labelled``."""
+    parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
+    for e, lab in labelled:
+        parts[lab - 1].add(e)
+    return DPartition(n, r, tuple(frozenset(s) for s in parts))
+
+
+def _check_square(p: DPartition) -> None:
+    """Raise InvalidPartitionError unless n = r*d, the shape that has a
+    square system and a determinant."""
+    if p.n != p.r * p.d:
+        raise InvalidPartitionError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+
+
 def basis_from_partition(p: DPartition) -> BasisAssignment:
     """The basis assignment sending each hyperedge to its part index."""
-    if p.n != p.r * p.d:
-        raise ValueError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+    _check_square(p)
     labels: dict[tuple[int, ...], int] = {}
     for i, part in enumerate(p.parts, start=1):
         for e in part:
@@ -343,10 +360,7 @@ def basis_from_partition(p: DPartition) -> BasisAssignment:
 
 
 def partition_from_basis(b: BasisAssignment) -> DPartition:
-    parts: list[set[tuple[int, ...]]] = [set() for _ in range(b.d)]
-    for e, lab in b.labels.items():
-        parts[lab - 1].add(e)
-    return DPartition(b.n, b.r, tuple(frozenset(s) for s in parts))
+    return _partition(b.n, b.r, b.d, b.labels.items())
 
 
 def partition_from_labels(n: int, r: int, d: int,
@@ -354,10 +368,7 @@ def partition_from_labels(n: int, r: int, d: int,
     """Partition from one label per hyperedge, in dictionary order.  The
     hyperedges are the shape table's own tuples, shared by every partition
     of K^r_n."""
-    parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
-    for e, lab in zip(_shape_table(n, r)[r][0], labels, strict=True):
-        parts[lab - 1].add(e)
-    return DPartition(n, r, tuple(frozenset(s) for s in parts))
+    return _partition(n, r, d, zip(_shape_table(n, r)[r][0], labels, strict=True))
 
 
 def _part_ids(p: DPartition) -> tuple[FaceTable, list[list[int]]]:
@@ -400,8 +411,7 @@ def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
 
 def is_prehomogeneous(p: DPartition) -> bool:
     """Every part contains all k-subsets in its skeletons for k < r."""
-    if p.n != p.r * p.d:
-        raise ValueError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+    _check_square(p)
     return skeleton_deficiency(p) is None
 
 
@@ -418,8 +428,7 @@ def boundary_rank_matches_system(p: DPartition) -> bool:
     the full (untruncated) system matrix of the partition's basis tensor,
     assembled by the label-aware route.  Both ranks are eliminated, with no
     rank rule.  Requires a pre-homogeneous partition."""
-    if p.n != p.r * p.d:
-        raise ValueError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+    _check_square(p)
     table, ids = _part_ids(p)
     skeleta = [_skeleta(table, part) for part in ids]
     if _deficiency(p.n, skeleta) is not None:
@@ -450,10 +459,10 @@ def classify_partition(p: DPartition, backend: str = "auto",
     """Determinant, homogeneity flags, per-part Betti numbers, and the
     equivalence verdict.  ``consistent`` is False only on a falsification of
     the three-way equivalence."""
-    if p.n != p.r * p.d:
-        raise InvalidPartitionError(f"need n = r*d, got n={p.n}, r={p.r}, d={p.d}")
+    _check_threads(threads)
+    _check_square(p)
     table, ids = _part_ids(p)
-    det = _label_det(p.r, p.d, _labels(ids, len(table[p.r][0])), backend, threads)
+    det = _label_det(p.r, p.d, _labels(ids, len(table[p.r][0])), backend)
     skeleta = [_skeleta(table, part) for part in ids]
     deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None
@@ -571,11 +580,8 @@ def read_partition(fh: IO[str]) -> DPartition:
         if subset in assignments:
             raise ParseError(line_no, f"duplicate hyperedge {subset}")
         assignments[subset] = label
-    parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
-    for e, lab in assignments.items():
-        parts[lab - 1].add(e)
     try:
-        return DPartition(n, r, tuple(frozenset(s) for s in parts))
+        return _partition(n, r, d, assignments.items())
     except InvalidPartitionError as exc:
         raise ParseError(n_lines, str(exc)) from None
 

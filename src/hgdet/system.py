@@ -32,11 +32,11 @@ the walk's int32 columns and int8 signs and builds the int32 rows in
 place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
 C(rd, r) x d array, int64 when every coordinate is an int that fits and
 Python objects otherwise.  :func:`_label_rows` gives a labelling's arrays
-as integer rows, for its rank (:func:`basis_rows` for an assignment, and
-the rank check of classification for a partition's labels), and the
-ExactMatrix wrappers give a tensor's, for the ``hgdet matrix`` dump and
-the tests; :func:`equation_block` builds one equation from the tensor,
-for :func:`relation_holds` and as the tests' oracle.
+as integer rows, for the rank check of classification, and
+:func:`system_matrix` gives a tensor's as an ExactMatrix, for the
+``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
+equation from the tensor, for :func:`relation_holds` and as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .combi import check_subset, insertion_sign
 from .exactla import ExactMatrix, IntRows, _int_rows
-from .tensors import (BasisAssignment, Rational, TensorAssignment,
-                      format_rational, subset_array, subsets)
+from .tensors import (Rational, TensorAssignment, format_rational, subset_array,
+                      subsets)
 
 
 def equation_block(tensor: TensorAssignment,
@@ -154,9 +154,9 @@ def _insertion_arrays(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_insertion_arrays`, cached and read-only, so that calls and
-    threads share it; each base's entries are consecutive, so the fill
-    needs no block array."""
+    """:func:`_insertion_arrays`, cached and read-only, so that every call,
+    from any thread, shares it; each base's entries are consecutive, so the
+    fill needs no block array."""
     col, sign = _insertion_arrays(r, n, top)
     col.flags.writeable = sign.flags.writeable = False
     return col, sign
@@ -196,18 +196,12 @@ def _vector_arrays(r: int, d: int, vectors: Sequence[Sequence[Rational]],
     return rows, col[insertion], values[insertion, c], d * comb(top, r - 1)
 
 
-def basis_rows(basis: BasisAssignment, top: int) -> tuple[IntRows, int, int]:
-    """The insertion system of ``basis`` over the (r-1)-subsets of 1..top
-    (rd - 1 for the square system, rd for the full one) in the integer row
-    form, with its row and column counts."""
-    label = [basis.labels[subset] for subset in subsets(basis.r, basis.n)]
-    return _label_rows(basis.r, basis.d, label, top)
-
-
 def _label_rows(r: int, d: int, label: Sequence[int],
                 top: int) -> tuple[IntRows, int, int]:
-    """:func:`basis_rows` of the labelling ``label``, one label in 1..d per
-    r-subset of 1..rd in dictionary order."""
+    """The insertion system of the labelling ``label``, one label in 1..d
+    per r-subset of 1..rd in dictionary order, over the (r-1)-subsets of
+    1..top (rd - 1 for the square system, rd for the full one) in the
+    integer row form, with its row and column counts."""
     rows, cols, vals, nrows = _label_arrays(r, d, label, _pattern(r, r * d, top))
     return _int_rows(rows, cols, vals), nrows, comb(r * d, r)
 
@@ -222,15 +216,6 @@ def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:
 def system_matrix(tensor: TensorAssignment) -> SystemMatrix:
     """Assemble the truncated system: equation bases with max element < rd."""
     return SystemMatrix(tensor.r, tensor.d, _matrix(tensor, tensor.n - 1))
-
-
-def full_system_matrix(tensor: TensorAssignment) -> ExactMatrix:
-    """The untruncated system: one equation block per (r-1)-subset of 1..rd.
-
-    Shape d * C(rd, r-1) by C(rd, r); used for the rank comparison with the
-    top boundary map and for relation checking.
-    """
-    return _matrix(tensor, tensor.n)
 
 
 def relation_sign(s: int, base: Sequence[int]) -> int:
@@ -262,37 +247,6 @@ def relation_holds(tensor: TensorAssignment, base: Sequence[int]) -> bool:
             else:
                 total.pop(key, None)
     return not total
-
-
-def facet_column_relation(simplex: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """The signed combination of the r+1 facet columns of an (r+1)-subset.
-
-    Deleting the q-th smallest element x_q carries coefficient
-    (-1)**((r+1-q) + x_q).  Applied to the system matrix of any assignment
-    whose facets at this simplex carry equal vectors, the combination is the
-    zero column.
-    """
-    simplex = tuple(simplex)
-    r = len(simplex) - 1
-    out = []
-    for q, x in enumerate(simplex, start=1):
-        facet = simplex[:q - 1] + simplex[q:]
-        coeff = 1 if ((r + 1 - q) + x) % 2 == 0 else -1
-        out.append((facet, coeff))
-    return out
-
-
-def combine_columns(matrix: ExactMatrix, col_index: dict[tuple[int, ...], int],
-                    combo: Iterable[tuple[tuple[int, ...], int]]) -> list[Rational]:
-    """Evaluate a signed combination of columns as a dense vector."""
-    out: list[Rational] = [0] * matrix.rows
-    by_col: dict[int, list[tuple[int, Rational]]] = {}
-    for (i, j), v in matrix.entries.items():
-        by_col.setdefault(j, []).append((i, v))
-    for subset, coeff in combo:
-        for i, v in by_col.get(col_index[subset], ()):
-            out[i] += coeff * v
-    return out
 
 
 def write_matrix(matrix: ExactMatrix, fh: IO[str]) -> None:

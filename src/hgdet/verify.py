@@ -314,7 +314,7 @@ def suite_expansion_r2d2(seed: int = DEFAULT_SEED, trials: int = 20) -> SuiteRes
 
 
 def suite_table(max_dim: int = 5000, backend: str = "bareiss",
-                cross_check_dim: int = 1000, threads: int = 1) -> SuiteResult:
+                cross_check_dim: int = 1000) -> SuiteResult:
     """Reproduce the known witness determinants for every cell whose system
     dimension fits, asserting magnitude exactly 1, recording the computed
     sign against the known one, and cross-checking both determinant backends
@@ -323,13 +323,13 @@ def suite_table(max_dim: int = 5000, backend: str = "bareiss",
     for r, d in table_cells(max_dim):
         dim = system_dimension(r, d)
         res.trials += 1
-        value = witness_det(r, d, backend=backend, threads=threads)
+        value = witness_det(r, d, backend=backend)
         known = KNOWN_WITNESS_DETS.get((r, d))
         if abs(value) != 1:
             res.passed = False
             res.failures.append(f"({r}, {d}): |det| = {abs(value)} != 1")
         if dim <= cross_check_dim:
-            other = witness_det(r, d, backend="multimodular", threads=threads)
+            other = witness_det(r, d, backend="multimodular")
             if other != value:
                 res.passed = False
                 res.failures.append(f"({r}, {d}): backends disagree {value} vs {other}")

@@ -13,6 +13,7 @@ from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
 from hgdet.determinant import basis_det, tensor_det, witness_det
+from hgdet.hypergraphs import classify_partition, partition_from_basis
 from hgdet.reference import KNOWN_WITNESS_DETS
 from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
@@ -126,11 +127,26 @@ def test_multimodular_zero_row_shortcut():
     assert det_bareiss(m) == 0
 
 
-def test_multimodular_threads_match():
-    rng = random.Random(505)
-    rows = random_dense(40, rng)
-    m = ExactMatrix.from_rows(rows)
-    assert det_multimodular(m, threads=1) == det_multimodular(m, threads=3)
+# The five public calls that keep the removed ``threads`` keyword, each on a
+# small input with a nonzero value.
+THREADS_KEPT = {
+    "witness_det": lambda **kw: witness_det(2, 2, **kw),
+    "tensor_det": lambda **kw: tensor_det(tensor_from_basis(canonical_witness(2, 2)), **kw),
+    "det_exact": lambda **kw: det_exact(ExactMatrix.from_rows([[3, 1], [4, 2]]), **kw),
+    "det_multimodular": lambda **kw: det_multimodular(
+        ExactMatrix.from_rows([[3, 1], [4, 2]]), **kw),
+    "classify_partition": lambda **kw: classify_partition(
+        partition_from_basis(canonical_witness(3, 2)), **kw).det,
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADS_KEPT))
+def test_threads_keyword_accepts_only_one(name):
+    call = THREADS_KEPT[name]
+    assert call(threads=1) == call() != 0
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match="threads option was removed"):
+            call(threads=threads)
 
 
 def test_det_exact_dispatch():
@@ -229,7 +245,6 @@ def test_multimodular_big_integer_residues():
         expected = det_bareiss(m)
         assert expected != 0
         assert det_multimodular(m) == expected
-        assert det_multimodular(m, threads=2) == expected
     assert det_multimodular(ExactMatrix.from_rows([[big, big], [big, big]])) == 0
 
 

@@ -26,9 +26,10 @@ from hgdet.hypergraphs import (BettiVector, ClassificationReport, DPartition,
                                partition_from_labels, partition_is_cycle_free,
                                read_partition, skeleton_deficiency,
                                skeleton_edges, write_partition)
-from hgdet.system import full_system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
 from hgdet.verify import random_partition
+
+from oracles import full_system_matrix
 
 
 def test_skeleton_examples():
@@ -395,6 +396,13 @@ def test_partition_validation():
         DPartition(4, 2, (frozenset({(1, 2)}), frozenset({(1, 2)})))
     with pytest.raises(InvalidPartitionError):
         DPartition(4, 2, (frozenset({(1, 2)}), frozenset()))
+    # A valid 2-partition of K^2_5, where n != r*d: no square system.
+    edges = sorted(combinations(range(1, 6), 2))
+    p = DPartition(5, 2, (frozenset(edges[:5]), frozenset(edges[5:])))
+    for check in (basis_from_partition, is_prehomogeneous,
+                  boundary_rank_matches_system, classify_partition):
+        with pytest.raises(InvalidPartitionError, match=r"need n = r\*d"):
+            check(p)
 
 
 def test_rank_equality_on_witness():

@@ -23,12 +23,12 @@ from hgdet.exactla import (ExactMatrix, _integer_rows, _rank_rows, det_bareiss,
 from hgdet.hypergraphs import (classify_partition, partition_from_basis,
                                partition_from_labels)
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
-from hgdet.system import (basis_rows, equation_block, facet_column_relation,
-                          combine_columns, full_system_matrix, relation_holds,
-                          system_matrix, write_matrix)
+from hgdet.system import equation_block, relation_holds, system_matrix, write_matrix
 from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
                            subsets, tensor_from_basis, witness_labels)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
+
+from oracles import basis_rows, combine_columns, facet_column_relation, full_system_matrix
 
 
 def reference_block_r3(tensor, m, n):
@@ -408,9 +408,9 @@ def divisor_spy(monkeypatch):
     seen = []
     det_coords = exactla._det_coords
 
-    def spy(rows, cols, vals, n, divisor=1, backend="auto", threads=1):
+    def spy(rows, cols, vals, n, divisor=1, backend="auto"):
         seen.append((array_rows(rows, cols, vals), divisor))
-        return det_coords(rows, cols, vals, n, divisor, backend, threads)
+        return det_coords(rows, cols, vals, n, divisor, backend)
 
     monkeypatch.setattr(exactla, "_det_coords", spy)
     return seen
@@ -714,7 +714,8 @@ def test_systems_above_the_peel_bound_reach_the_peel(route):
 
 def test_array_route_is_32_bit(monkeypatch, route):
     """The wave peel receives int32 rows and columns and int8 values, and
-    the permutation whose sign it takes is int32."""
+    the permutation whose sign it takes last is int32; before it, the empty
+    core's ``_eliminate`` takes the sign of its own, empty, permutation."""
     dtypes = []
     sign = exactla._array_permutation_sign
 
@@ -725,7 +726,7 @@ def test_array_route_is_32_bit(monkeypatch, route):
     monkeypatch.setattr(exactla, "_array_permutation_sign", sign_spy)
     assert route(lambda: witness_det(5, 5, backend="bareiss")) == (1, ["_peel_det"])
     assert route.dtypes == [(np.int32, np.int32, np.int8)]
-    assert dtypes == [np.int32]
+    assert dtypes == [np.intp, np.int32]
 
 
 def test_array_route_peak_memory_per_nonzero():
