@@ -10,15 +10,13 @@ The cells come from a face table: for each level s, s-subsets in
 dictionary order, whose positions are the cells' ids, and for each cell
 the ids of its s faces in deletion order q, with sign (-1)**q.
 ``_shape_table`` builds the table of K^r_n once per (n, r), in a bounded
-cache, so a cell's id is its dictionary rank; every part of every
-partition of K^r_n reads its skeleta, its boundary rows and its labels in
-the determinant off that one table, and ``partition_from_labels`` takes
-its hyperedges from it, so partitions of one shape share their tuples.
-A lone hypergraph gets a table of its own cells (``_face_table``), so a
-few edges on many vertices never cost C(n, r) of anything.  ``_skeleta``
-takes each level as the union of the face ids of the one above it.  The
-boundary ranks follow from the skeleta wherever a rule gives them, so
-only the rest are eliminated:
+cache, so a cell's id is its dictionary rank.  A partition's parts hold
+each r-subset of 1..n once, the key rule of ``tensors``; one pass of
+lookups in its index ``_subset_ids`` checks a partition and numbers its
+hyperedges, whose tuples are the index's own.  A lone hypergraph gets a
+table of its own cells (``_face_table``), so a few edges on many vertices
+never cost C(n, r) of anything.  The boundary ranks follow from the
+skeleta wherever a rule gives them, so only the rest are eliminated:
 
 * rank d_0 = 1 when there is any vertex, else 0;
 * rank d_1 = |V| - (number of components), by union-find over the
@@ -39,8 +37,8 @@ complete hypergraph on rd vertices has nonzero subset determinant exactly
 when it is pre-homogeneous and every part has vanishing top Betti number,
 and any such partition is automatically homogeneous.  ``classify_partition``
 reads the deficiency and the Betti numbers of each part from the same
-skeleta, with at most one elimination per part for r = 3, and fills the
-determinant's labels from the parts' ids.
+skeleta, with at most one elimination per part for r = 3, and the
+determinant's labels from the same numbering.
 
 Everything here is a pure function of immutable values, the cached tables
 included; classifying distinct partitions is safe to run in parallel.
@@ -60,12 +58,12 @@ from .combi import check_subset
 from .determinant import _label_det
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
-from .tensors import BasisAssignment, ParseError, _read_records
+from .tensors import BasisAssignment, ParseError, _read_records, _subset_ids
 
 
 class InvalidPartitionError(ValueError):
-    """Hyperedge missing from every part or present in more than one, or a
-    partition of K^r_n with n != r*d where a square system is needed."""
+    """Parts that do not hold each r-subset of 1..n once, a label outside
+    1..d, or n != r*d where a square system is needed."""
 
 
 class ResourceCapError(RuntimeError):
@@ -126,7 +124,7 @@ def _shape_table(n: int, r: int) -> FaceTable:
     """The face table of K^r_n, cached: for n >= r level s holds every
     s-subset of 1..n, so a cell's id is its dictionary rank, and every
     part of every partition of K^r_n shares the table."""
-    return _face_table(combinations(range(1, n + 1), r), r)
+    return _face_table(_subset_ids(r, n), r)
 
 
 def _skeleta(table: FaceTable, top: Iterable[int]) -> list[set[int]]:
@@ -310,19 +308,7 @@ class DPartition:
     parts: tuple[frozenset[tuple[int, ...]], ...]
 
     def __post_init__(self):
-        seen: dict[tuple[int, ...], int] = {}
-        for i, part in enumerate(self.parts, start=1):
-            for e in part:
-                t = check_subset(e, self.n)
-                if len(t) != self.r:
-                    raise InvalidPartitionError(f"hyperedge {e} is not an {self.r}-subset")
-                if t in seen:
-                    raise InvalidPartitionError(
-                        f"hyperedge {t} assigned to parts {seen[t]} and {i}")
-                seen[t] = i
-        if len(seen) != comb(self.n, self.r):
-            raise InvalidPartitionError(
-                f"parts cover {len(seen)} of {comb(self.n, self.r)} hyperedges")
+        _part_ids(self)
 
     @property
     def d(self) -> int:
@@ -332,12 +318,41 @@ class DPartition:
         return Hypergraph(self.n, self.r, self.parts[i])
 
 
+def _part_ids(p: DPartition) -> tuple[list[list[int]], list[int]]:
+    """Each part's hyperedge ids in ``_subset_ids(r, n)``, which are those in
+    the shape table, increasing, and each id's label, the part (from 1)
+    holding it.  Raises InvalidPartitionError unless the parts hold each
+    r-subset of 1..n once; the count goes first."""
+    held = sum(map(len, p.parts))
+    if held != comb(p.n, p.r):
+        raise InvalidPartitionError(
+            f"parts hold {held} hyperedges, K^{p.r}_{p.n} has {comb(p.n, p.r)}")
+    index = _subset_ids(p.r, p.n)
+    label = [0] * held
+    for i, part in enumerate(p.parts, start=1):
+        for e in part:
+            j = index.get(e)
+            if j is None:
+                raise InvalidPartitionError(
+                    f"hyperedge {e} is not one of the {p.r}-subsets of 1..{p.n}")
+            if label[j]:
+                raise InvalidPartitionError(
+                    f"hyperedge {e} assigned to parts {label[j]} and {i}")
+            label[j] = i
+    ids: list[list[int]] = [[] for _ in p.parts]
+    for j, i in enumerate(label):
+        ids[i - 1].append(j)
+    return ids, label
+
+
 def _partition(n: int, r: int, d: int,
                labelled: Iterable[tuple[tuple[int, ...], int]]) -> DPartition:
     """The d-partition of K^r_n whose part ``label`` (from 1) holds each
     hyperedge of the (hyperedge, label) pairs ``labelled``."""
     parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
     for e, lab in labelled:
+        if not 1 <= lab <= d:
+            raise InvalidPartitionError(f"label {lab} at {e} outside 1..{d}")
         parts[lab - 1].add(e)
     return DPartition(n, r, tuple(frozenset(s) for s in parts))
 
@@ -352,11 +367,8 @@ def _check_square(p: DPartition) -> None:
 def basis_from_partition(p: DPartition) -> BasisAssignment:
     """The basis assignment sending each hyperedge to its part index."""
     _check_square(p)
-    labels: dict[tuple[int, ...], int] = {}
-    for i, part in enumerate(p.parts, start=1):
-        for e in part:
-            labels[e] = i
-    return BasisAssignment(p.r, p.d, labels)
+    _, label = _part_ids(p)
+    return BasisAssignment(p.r, p.d, dict(zip(_subset_ids(p.r, p.n), label)))
 
 
 def partition_from_basis(b: BasisAssignment) -> DPartition:
@@ -365,28 +377,9 @@ def partition_from_basis(b: BasisAssignment) -> DPartition:
 
 def partition_from_labels(n: int, r: int, d: int,
                           labels: Sequence[int]) -> DPartition:
-    """Partition from one label per hyperedge, in dictionary order.  The
-    hyperedges are the shape table's own tuples, shared by every partition
-    of K^r_n."""
-    return _partition(n, r, d, zip(_shape_table(n, r)[r][0], labels, strict=True))
-
-
-def _part_ids(p: DPartition) -> tuple[FaceTable, list[list[int]]]:
-    """The shape table of ``p``, and the hyperedges of each part as their
-    ids there, increasing."""
-    table = _shape_table(p.n, p.r)
-    top = table[p.r][0]
-    return table, [[j for j, e in enumerate(top) if e in part] for part in p.parts]
-
-
-def _labels(ids: list[list[int]], m: int) -> list[int]:
-    """One label per hyperedge id in 0..m-1: the part (from 1) whose
-    ``ids`` hold it."""
-    label = [0] * m
-    for i, part in enumerate(ids, start=1):
-        for j in part:
-            label[j] = i
-    return label
+    """Partition from one label per hyperedge, in dictionary order; the
+    hyperedges are the index's tuples, shared by every partition of K^r_n."""
+    return _partition(n, r, d, zip(_subset_ids(r, n), labels, strict=True))
 
 
 def _deficiency(n: int, skeleta: Iterable[list[set[int]]]
@@ -405,7 +398,7 @@ def _deficiency(n: int, skeleta: Iterable[list[set[int]]]
 def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) violating fullness of a skeleton
     below the top level, or None when every part is fully pre-homogeneous."""
-    table, ids = _part_ids(p)
+    table, (ids, _) = _shape_table(p.n, p.r), _part_ids(p)
     return _deficiency(p.n, (_skeleta(table, part) for part in ids))
 
 
@@ -417,10 +410,8 @@ def is_prehomogeneous(p: DPartition) -> bool:
 
 def is_homogeneous(p: DPartition) -> bool:
     """Pre-homogeneous with hyperedges split evenly: C(rd-1, r-1) per part."""
-    if not is_prehomogeneous(p):
-        return False
     share = comb(p.n - 1, p.r - 1)
-    return all(len(part) == share for part in p.parts)
+    return is_prehomogeneous(p) and all(len(part) == share for part in p.parts)
 
 
 def boundary_rank_matches_system(p: DPartition) -> bool:
@@ -429,13 +420,12 @@ def boundary_rank_matches_system(p: DPartition) -> bool:
     assembled by the label-aware route.  Both ranks are eliminated, with no
     rank rule.  Requires a pre-homogeneous partition."""
     _check_square(p)
-    table, ids = _part_ids(p)
+    table, (ids, label) = _shape_table(p.n, p.r), _part_ids(p)
     skeleta = [_skeleta(table, part) for part in ids]
     if _deficiency(p.n, skeleta) is not None:
         raise ValueError("rank comparison requires a pre-homogeneous partition")
     boundary_rank = sum(_rank_rows(*_boundary_rows(table, levels, p.r - 1))
                         for levels in skeleta)
-    label = _labels(ids, len(table[p.r][0]))
     return boundary_rank == _rank_rows(*_label_rows(p.r, p.d, label, p.n))
 
 
@@ -461,8 +451,8 @@ def classify_partition(p: DPartition, backend: str = "auto",
     the three-way equivalence."""
     _check_threads(threads)
     _check_square(p)
-    table, ids = _part_ids(p)
-    det = _label_det(p.r, p.d, _labels(ids, len(table[p.r][0])), backend)
+    table, (ids, label) = _shape_table(p.n, p.r), _part_ids(p)
+    det = _label_det(p.r, p.d, label, backend)
     skeleta = [_skeleta(table, part) for part in ids]
     deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None

@@ -3,18 +3,21 @@
 A :class:`TensorAssignment` attaches one exact-rational vector of length d to
 every r-subset; a :class:`BasisAssignment` attaches a basis index in 1..d
 instead and corresponds to a d-partition of the complete r-uniform
-hypergraph.  The canonical witness assignment labels each subset through a
-residue rule on its index sum and is the standard nonvanishing input for the
-determinant map.  The rule runs once, on arrays: :func:`witness_labels`
-gives every label in dictionary order of the subsets (``subset_array``),
-which ``witness_det`` walks directly and :func:`canonical_witness` turns
-into its dict.
+hypergraph.  Their keys are exactly the r-subsets of 1..rd, the keys of
+``_subset_ids``: the one key rule, which partitions obey too.  The
+canonical witness assignment labels each subset through a residue rule on
+its index sum and is the standard nonvanishing input for the determinant
+map.  The rule runs once, on arrays: :func:`witness_labels` gives every
+label in dictionary order of the subsets (``subset_array``), which
+``witness_det`` walks directly and :func:`canonical_witness` turns into
+its dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import IO, Callable, Iterable, Sequence, Union
@@ -48,6 +51,26 @@ def subset_array(r: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _subset_ids(r: int, n: int) -> dict[tuple[int, ...], int]:
+    """Every r-subset of 1..n mapped to its rank in dictionary order; shared,
+    so read-only.  Kept for 8 shapes, as ``system._pattern``; (5, 6) takes 21 MB."""
+    return {s: i for i, s in enumerate(subsets(r, n))}
+
+
+def _check_keys(r: int, d: int, values: dict, noun: str) -> None:
+    """Raise ValueError unless the keys of ``values`` are the r-subsets of
+    1..rd; the count goes first, so the index never outgrows the input."""
+    expected = comb(r * d, r)
+    if len(values) != expected:
+        raise ValueError(f"expected {expected} {noun} for (r, d)=({r}, {d}), "
+                         f"got {len(values)}")
+    ids = _subset_ids(r, r * d)
+    if values.keys() != ids.keys():
+        stray = next(key for key in values if key not in ids)
+        raise ValueError(f"{stray} is not one of the {r}-subsets of 1..{r * d}")
+
+
 @dataclass(frozen=True)
 class TensorAssignment:
     """One length-d rational vector per r-subset of {1, ..., rd}."""
@@ -57,12 +80,7 @@ class TensorAssignment:
     entries: dict[tuple[int, ...], tuple[Rational, ...]]
 
     def __post_init__(self):
-        n = self.r * self.d
-        expected = comb(n, self.r)
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"expected {expected} entries for (r, d)=({self.r}, {self.d}), "
-                f"got {len(self.entries)}")
+        _check_keys(self.r, self.d, self.entries, "entries")
         for key, vec in self.entries.items():
             if len(vec) != self.d:
                 raise ValueError(f"vector at {key} has length {len(vec)} != {self.d}")
@@ -70,9 +88,6 @@ class TensorAssignment:
     @property
     def n(self) -> int:
         return self.r * self.d
-
-    def vector(self, subset: Sequence[int]) -> tuple[Rational, ...]:
-        return self.entries[tuple(subset)]
 
     def replace(self, subset: Sequence[int],
                 vec: Sequence[Rational]) -> "TensorAssignment":
@@ -94,12 +109,7 @@ class BasisAssignment:
     labels: dict[tuple[int, ...], int]
 
     def __post_init__(self):
-        n = self.r * self.d
-        expected = comb(n, self.r)
-        if len(self.labels) != expected:
-            raise ValueError(
-                f"expected {expected} labels for (r, d)=({self.r}, {self.d}), "
-                f"got {len(self.labels)}")
+        _check_keys(self.r, self.d, self.labels, "labels")
         for key, lab in self.labels.items():
             if not 1 <= lab <= self.d:
                 raise ValueError(f"label {lab} at {key} outside 1..{self.d}")
@@ -119,7 +129,7 @@ def canonical_witness(r: int, d: int) -> BasisAssignment:
     far, which makes it the standard nontriviality witness.
     """
     labels = witness_labels(r, d).tolist()
-    return BasisAssignment(r, d, dict(zip(subsets(r, r * d), labels)))
+    return BasisAssignment(r, d, dict(zip(_subset_ids(r, r * d), labels)))
 
 
 def witness_labels(r: int, d: int) -> np.ndarray:

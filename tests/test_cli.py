@@ -2,6 +2,7 @@
 
 import io
 import json
+from itertools import combinations
 
 import pytest
 
@@ -54,12 +55,40 @@ def test_det_json_and_text_agree(witness_file, capsys):
     assert "det: -1" in capsys.readouterr().out
 
 
-def test_det_parse_error_names_line(tmp_path, capsys):
+def pairs_with(stray, pair, line):
+    """A file of (r, d) = (2, 2) whose six subset lines hold the pairs of
+    1..4, ``pair`` replaced by ``stray``, each written by ``line``."""
+    return "".join(line(stray if p == pair else p) + "\n"
+                   for p in combinations(range(1, 5), 2))
+
+
+def tensor_line(p):
+    return f"{p[0]} {p[1]} : 1 0"
+
+
+def label_line(p):
+    return f"{p[0]} {p[1]} -> 1"
+
+
+@pytest.mark.parametrize("command, text, line, message", [
+    pytest.param("det", "2 2\n1 2 : 1 0\n1 3 : nonsense 0\n", 3,
+                 "bad rational 'nonsense'", id="det-bad-rational"),
+    *(pytest.param(command, "2 2\n" + pairs_with(stray, pair, tensor_line), 7,
+                   f"{stray} is not one of the 2-subsets of 1..4",
+                   id=f"{command}-tensor-{stray[0]}-{stray[1]}")
+      for command in ("det", "matrix") for stray, pair in [((0, 1), (1, 2)),
+                                                           ((3, 9), (3, 4))]),
+    pytest.param("det", "4 2 2\n" + pairs_with((0, 1), (1, 2), label_line), 7,
+                 "hyperedge (0, 1) is not one of the 2-subsets of 1..4",
+                 id="det-label-0-1"),
+])
+def test_det_parse_error_names_line(tmp_path, capsys, command, text, line, message):
     path = tmp_path / "bad.txt"
-    path.write_text("2 2\n1 2 : 1 0\n1 3 : nonsense 0\n")
-    assert cli.main(["det", str(path)]) == 2
+    path.write_text(text)
+    out = [str(tmp_path / "matrix.txt")] if command == "matrix" else []
+    assert cli.main([command, str(path), *out]) == 2
     err = capsys.readouterr().err
-    assert "line 3" in err
+    assert f"parse error: line {line}: {message}" in err
 
 
 def test_det_missing_file(capsys):

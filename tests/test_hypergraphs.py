@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hgdet.combi import rank_combination
 from hgdet.determinant import basis_det
 from hgdet.exactla import rank_exact
 from hgdet import hypergraphs
+from hgdet import tensors
 from hgdet.hypergraphs import (BettiVector, ClassificationReport, DPartition,
                                Hypergraph, InvalidPartitionError,
                                ResourceCapError, basis_from_partition,
@@ -173,15 +175,20 @@ def test_betti_r4_with_non_full_middle_level(monkeypatch):
 def test_sparse_hypergraph_builds_no_shape_table(monkeypatch):
     # A 2-sphere (the boundary of a tetrahedron away from vertex 1) and
     # a lone triangle on 2000 vertices: the Betti path must touch only
-    # their own cells, never the C(2000, 3) cells of the shape table.
-    built = []
-    shape_table = hypergraphs._shape_table
+    # their own cells, never the C(2000, 3) cells of the shape table or
+    # the subset index.  Nor may a partition or an assignment holding too
+    # few keys build the index before its count is refused.  The spies
+    # fail at once rather than build either.
+    def refuse(*args):
+        raise AssertionError(f"built a C(n, r) table or index for {args}")
 
-    def spy(n, r):
-        built.append((n, r))
-        return shape_table(n, r)
-
-    monkeypatch.setattr(hypergraphs, "_shape_table", spy)
+    for module, name in [(hypergraphs, "_shape_table"), (hypergraphs, "_subset_ids"),
+                         (tensors, "_subset_ids")]:
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(InvalidPartitionError):
+        DPartition(2000, 3, (frozenset({(2, 3, 1000)}),))
+    with pytest.raises(ValueError):
+        tensors.TensorAssignment(3, 700, {(1, 2, 3): (1,) * 700})
     edges = set(combinations((1500, 1700, 1800, 1999), 3))
     for extra in [set(), {(2, 3, 1000)}]:
         h = Hypergraph(2000, 3, frozenset(edges | extra))
@@ -192,7 +199,6 @@ def test_sparse_hypergraph_builds_no_shape_table(monkeypatch):
             assert skeleton_edges(h, s) == set(cx.generators[s - 1])
         assert euler_characteristic(h) == sum((-1) ** (k + 1) * len(cells)
                                               for k, cells in cx.generators.items())
-    assert built == []
 
 
 def nested_tuples(value):
@@ -396,6 +402,23 @@ def test_partition_validation():
         DPartition(4, 2, (frozenset({(1, 2)}), frozenset({(1, 2)})))
     with pytest.raises(InvalidPartitionError):
         DPartition(4, 2, (frozenset({(1, 2)}), frozenset()))
+    with pytest.raises(InvalidPartitionError, match=r"\(1, 2\) assigned to parts 1 and 2"):
+        DPartition(4, 2, (frozenset({(1, 2), (1, 3), (1, 4)}),
+                          frozenset({(1, 2), (2, 3), (2, 4)})))
+    # Six keys, as many as K^2_4 has, with (1, 2) swapped for a key of the
+    # wrong size, an unsorted one, or one outside 1..4.
+    pairs = list(combinations(range(1, 5), 2))
+    for bad in [(1, 2, 3), (2, 1), (0, 1), (3, 5)]:
+        with pytest.raises(InvalidPartitionError, match="is not one of the 2-subsets"):
+            DPartition(4, 2, (frozenset(pairs[1:3] + [bad]), frozenset(pairs[3:])))
+    # Labels index the parts from 1: neither 0 nor d + 1 names a part.
+    for labels in ([0, 1, 1, 2, 2, 2], [3, 1, 1, 2, 2, 2]):
+        with pytest.raises(InvalidPartitionError, match="outside 1..2"):
+            partition_from_labels(4, 2, 2, labels)
+    # Keys equal to the subsets pass, whatever their integer type.
+    numpy_pairs = [tuple(np.int64(v) for v in e) for e in pairs]
+    p = DPartition(4, 2, (frozenset(numpy_pairs[:3]), frozenset(numpy_pairs[3:])))
+    assert p == partition_from_labels(4, 2, 2, [1, 1, 1, 2, 2, 2])
     # A valid 2-partition of K^2_5, where n != r*d: no square system.
     edges = sorted(combinations(range(1, 6), 2))
     p = DPartition(5, 2, (frozenset(edges[:5]), frozenset(edges[5:])))

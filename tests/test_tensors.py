@@ -83,6 +83,12 @@ def test_tensor_validation():
         TensorAssignment(2, 2, entries)
     with pytest.raises(ValueError):
         BasisAssignment(2, 2, {s: 3 for s in subsets(2, 4)})
+    # The right count of keys, one of them outside 1..4.
+    keys = [(3, 9) if s == (3, 4) else s for s in subsets(2, 4)]
+    with pytest.raises(ValueError, match=r"\(3, 9\) is not one of the 2-subsets"):
+        TensorAssignment(2, 2, {s: (1, 0) for s in keys})
+    with pytest.raises(ValueError, match=r"\(3, 9\) is not one of the 2-subsets"):
+        BasisAssignment(2, 2, {s: 1 for s in keys})
 
 
 def test_degenerate_simplex_planted_r3():
