@@ -2,10 +2,13 @@
 
 A rational tensor and a basis assignment (a labelling, such as the
 canonical witness or a d-partition) both reach elimination from the one
-insertion walk of ``system``, never as a matrix.  A tensor has its
-denominators cleared column by column before the fill: each vector is
-scaled by the lcm of its coordinates' denominators
-(:func:`_integer_vectors`).  A column holds the d coordinates of one vector
+insertion walk of ``system``, never as a matrix.  A tensor becomes its
+value array in ``system._tensor_values``, which ``hgdet matrix`` shares:
+one scan of the coordinate types decides whether denominators need
+clearing and whether the array may be int64.  When a Fraction is present,
+each vector is scaled by the lcm of its coordinates' denominators, which
+clears them column by column, and the product of those lcms divides the
+integer determinant.  A column holds the d coordinates of one vector
 while a row mixes rd - r + 1 vectors, so this divisor, and the Hadamard
 bound of the integer system, are smaller than row clearing gives.
 
@@ -34,7 +37,8 @@ Every labelling gets the value of its expanded tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from . import exactla, system
@@ -46,30 +50,22 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
 
     Multilinear in the slots; zero whenever some (r+1)-subset has all its
     facets assigned the same vector; under a slotwise linear map M it scales
-    by det(M) ** C(rd-1, r-1).
+    by det(M) ** C(rd-1, r-1).  Equal values come back as one shared
+    instance.
     """
     exactla._check_threads(threads)
-    vectors, divisor = _integer_vectors(tensor)
-    rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, vectors, tensor.n - 1)
-    return exactla._det_coords(rows, cols, vals, n, divisor, backend)
+    values, scales = system._tensor_values(tensor)
+    rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, values, tensor.n - 1)
+    return _shared(exactla._det_coords(rows, cols, vals, n, prod(scales or ()), backend))
 
 
-def _integer_vectors(tensor: TensorAssignment) -> tuple[list[tuple[int, ...]], int]:
-    """Each vector of ``tensor``, in dictionary order of the r-subsets,
-    times the lcm of its coordinates' denominators, and the product of
-    those lcms.  Column j of the system holds only coordinates of vector j,
-    so this clears its denominators column by column: det(system) is
-    det(integer system) / product."""
-    vectors = []
-    divisor = 1
-    for subset in subsets(tensor.r, tensor.n):
-        vec = tensor.entries[subset]
-        if Fraction in map(type, vec):
-            scale = lcm(*(v.denominator for v in vec))
-            vec = tuple(v.numerator * (scale // v.denominator) for v in vec)
-            divisor *= scale
-        vectors.append(vec)
-    return vectors, divisor
+@lru_cache(maxsize=4096, typed=True)
+def _shared(value):
+    """The first instance seen of an immutable value equal to ``value``.
+    Tensor batches repeat a few determinants, and classifications a few
+    Betti vectors and whole reports, many times over, so a caller that
+    keeps N results holds N references to a few shared instances."""
+    return value
 
 
 def basis_det(basis: BasisAssignment, backend: str = "auto") -> Fraction:

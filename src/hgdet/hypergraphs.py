@@ -47,6 +47,7 @@ included; classifying distinct partitions is safe to run in parallel.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,7 @@ from math import comb, factorial
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
-from .determinant import _label_det
+from .determinant import _label_det, _shared
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
 from .tensors import BasisAssignment, ParseError, _read_records, _subset_ids
@@ -207,15 +208,6 @@ class BettiVector:
         return not any(self.values)
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _shared(value):
-    """The first instance seen of an immutable value equal to ``value``.
-    Classifications repeat a few Betti vectors and whole reports many
-    times over, so a caller that keeps N reports holds N references to
-    a few shared instances, not N reports."""
-    return value
-
-
 def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """|V| - (number of components) of a graph on vertices among 0..n: the
     edges that union-find merges."""
@@ -318,15 +310,20 @@ class DPartition:
         return Hypergraph(self.n, self.r, self.parts[i])
 
 
+def _check_held(held: int, n: int, r: int) -> None:
+    """Raise InvalidPartitionError unless ``held`` hyperedges are those of K^r_n."""
+    if held != comb(n, r):
+        raise InvalidPartitionError(
+            f"parts hold {held} hyperedges, K^{r}_{n} has {comb(n, r)}")
+
+
 def _part_ids(p: DPartition) -> tuple[list[list[int]], list[int]]:
     """Each part's hyperedge ids in ``_subset_ids(r, n)``, which are those in
     the shape table, increasing, and each id's label, the part (from 1)
     holding it.  Raises InvalidPartitionError unless the parts hold each
     r-subset of 1..n once; the count goes first."""
     held = sum(map(len, p.parts))
-    if held != comb(p.n, p.r):
-        raise InvalidPartitionError(
-            f"parts hold {held} hyperedges, K^{p.r}_{p.n} has {comb(p.n, p.r)}")
+    _check_held(held, p.n, p.r)
     index = _subset_ids(p.r, p.n)
     label = [0] * held
     for i, part in enumerate(p.parts, start=1):
@@ -348,13 +345,16 @@ def _part_ids(p: DPartition) -> tuple[list[list[int]], list[int]]:
 def _partition(n: int, r: int, d: int,
                labelled: Iterable[tuple[tuple[int, ...], int]]) -> DPartition:
     """The d-partition of K^r_n whose part ``label`` (from 1) holds each
-    hyperedge of the (hyperedge, label) pairs ``labelled``."""
-    parts: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
+    hyperedge of the (hyperedge, label) pairs ``labelled``.  Only the parts
+    that hold a hyperedge exist until the labels and the hyperedge count
+    are checked, so a large d costs nothing on a malformed input."""
+    parts: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
     for e, lab in labelled:
         if not 1 <= lab <= d:
             raise InvalidPartitionError(f"label {lab} at {e} outside 1..{d}")
-        parts[lab - 1].add(e)
-    return DPartition(n, r, tuple(frozenset(s) for s in parts))
+        parts[lab].add(e)
+    _check_held(sum(map(len, parts.values())), n, r)
+    return DPartition(n, r, tuple(frozenset(parts.get(i, ())) for i in range(1, d + 1)))
 
 
 def _check_square(p: DPartition) -> None:
@@ -592,8 +592,12 @@ def _split_edge(line_no: int, line: str) -> tuple[tuple[int, ...], None]:
 
 def read_hypergraph(fh: IO[str]) -> Hypergraph:
     (n, r), records, n_lines = _read_records(fh, "n r", _split_edge)
-    edges = frozenset(subset for _, subset, _ in records)
+    edges: set[tuple[int, ...]] = set()
+    for line_no, subset, _ in records:
+        if subset in edges:
+            raise ParseError(line_no, f"duplicate hyperedge {subset}")
+        edges.add(subset)
     try:
-        return Hypergraph(n, r, edges)
+        return Hypergraph(n, r, frozenset(edges))
     except ValueError as exc:
         raise ParseError(n_lines, str(exc)) from None

@@ -30,8 +30,12 @@ row b*d + c.  :func:`_label_arrays` fills a labelling, whose vectors are unit
 vectors, so each insertion is one nonzero in row b*d + label - 1; it keeps
 the walk's int32 columns and int8 signs and builds the int32 rows in
 place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
-C(rd, r) x d array, int64 when every coordinate is an int that fits and
-Python objects otherwise.  :func:`_label_rows` gives a labelling's arrays
+C(rd, r) x d array that :func:`_tensor_values` builds and the fill does
+not inspect.  That helper alone picks the dtype, from one scan of the
+coordinate types: it clears denominators by vector only when a Fraction
+is present, and the array is int64 when every coordinate is an int or a
+Fraction and every cleared value lies in (-2**63, 2**63), Python objects
+otherwise.  :func:`_label_rows` gives a labelling's arrays
 as integer rows, for the rank check of classification, and
 :func:`system_matrix` gives a tensor's as an ExactMatrix, for the
 ``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
@@ -42,16 +46,19 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import chain
+from math import comb, lcm
+from operator import attrgetter, index
 from typing import IO, Sequence
 
 import numpy as np
 
 from .combi import check_subset, insertion_sign
 from .exactla import ExactMatrix, IntRows, _int_rows
-from .tensors import (Rational, TensorAssignment, format_rational, subset_array,
-                      subsets)
+from .tensors import (Rational, TensorAssignment, _subset_ids, format_rational,
+                      subset_array)
 
 
 def equation_block(tensor: TensorAssignment,
@@ -178,17 +185,54 @@ def _label_arrays(r: int, d: int, label: Sequence[int] | np.ndarray,
     return rows, col, sign, nrows
 
 
-def _vector_arrays(r: int, d: int, vectors: Sequence[Sequence[Rational]],
+_denominator = attrgetter("denominator")
+
+
+def _tensor_values(tensor: TensorAssignment) -> tuple[np.ndarray, list[int] | None]:
+    """The vectors of ``tensor``, one per r-subset in dictionary order, as
+    one C(rd, r) x d array, and the lcm of each vector's denominators, or
+    None when no coordinate is a Fraction.
+
+    One scan of the coordinate types decides both steps.  When some
+    coordinate is a Fraction, every vector is scaled by its lcm, which
+    clears the denominators column by column.  When every coordinate is an
+    int or a Fraction, the array is int64 unless a cleared value falls
+    outside (-2**63, 2**63): the fill negates values, so -2**63 stays out
+    too.  Otherwise it is an object array of Python ints: ints beyond that
+    range, and the values of bools and numpy integers."""
+    vectors = list(map(tensor.entries.__getitem__, _subset_ids(tensor.r, tensor.n)))
+    types = set(map(type, chain.from_iterable(vectors)))
+    plain = types <= {int, Fraction}
+    if not plain:
+        # Bools and numpy integers as the Python ints they equal: numpy
+        # arithmetic on them would overflow in elimination.
+        vectors = [[v if type(v) is Fraction else index(v) for v in vec]
+                   for vec in vectors]
+    scales = None
+    if Fraction in types:
+        scales = [lcm(*map(_denominator, vec)) for vec in vectors]
+        vectors = [[v.numerator * (scale // v.denominator) for v in vec]
+                    for vec, scale in zip(vectors, scales)]
+    shape = (len(vectors), tensor.d)
+    if plain:
+        try:
+            values = np.fromiter(chain.from_iterable(vectors), np.int64,
+                                 count=shape[0] * shape[1])
+        except OverflowError:
+            pass
+        else:
+            if not (values == np.iinfo(np.int64).min).any():
+                return values.reshape(shape), scales
+    return np.array(vectors, dtype=object).reshape(shape), scales
+
+
+def _vector_arrays(r: int, d: int, values: np.ndarray,
                    top: int) -> tuple[np.ndarray, ...]:
-    """The insertion system over the (r-1)-subsets of 1..top of ``vectors``,
-    one per r-subset in dictionary order, as ``(rows, cols, vals, nrows)``:
-    insertion k of base b puts sign * v in row b*d + c of its column for
-    each nonzero coordinate v at c in 0..d-1.  The vectors are held as one
-    C(rd, r) x d array, int64 when every coordinate is an int of magnitude
-    below 2**63, and an object array of the coordinates otherwise."""
-    values = np.array(vectors, dtype=object).reshape(len(vectors), d)
-    if all(type(v) is int and -(1 << 63) < v < 1 << 63 for v in values.flat):
-        values = values.astype(np.int64)
+    """The insertion system over the (r-1)-subsets of 1..top of the
+    vectors ``values``, a C(rd, r) x d array with one row per r-subset in
+    dictionary order, as ``(rows, cols, vals, nrows)``: insertion k of base
+    b puts sign * v in row b*d + c of its column for each nonzero
+    coordinate v at c in 0..d-1.  ``vals`` has the dtype of ``values``."""
     col, sign = _pattern(r, r * d, top)
     values = values[col] * sign[:, None]
     insertion, c = np.nonzero(values)
@@ -207,10 +251,15 @@ def _label_rows(r: int, d: int, label: Sequence[int],
 
 
 def _matrix(tensor: TensorAssignment, top: int) -> ExactMatrix:
-    vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
-    rows, cols, vals, nrows = _vector_arrays(tensor.r, tensor.d, vectors, top)
+    """The system of ``tensor`` over the (r-1)-subsets of 1..top, each
+    column divided back by the scale that cleared its vector."""
+    values, scales = _tensor_values(tensor)
+    rows, cols, vals, nrows = _vector_arrays(tensor.r, tensor.d, values, top)
+    cols, vals = cols.tolist(), vals.tolist()
+    if scales is not None:
+        vals = list(map(Fraction, vals, map(scales.__getitem__, cols)))
     return ExactMatrix(nrows, comb(tensor.n, tensor.r),
-                       dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())))
+                       dict(zip(zip(rows.tolist(), cols), vals)))
 
 
 def system_matrix(tensor: TensorAssignment) -> SystemMatrix:

@@ -1,7 +1,9 @@
 """Command-line behavior: formats, exit codes, diagnostics."""
 
+import hashlib
 import io
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from hgdet import cli
 from hgdet.hypergraphs import write_hypergraph, Hypergraph
 from hgdet.system import write_matrix
-from hgdet.tensors import (canonical_witness, tensor_from_basis, write_basis,
-                           write_tensor)
+from hgdet.tensors import (TensorAssignment, canonical_witness, tensor_from_basis,
+                           write_basis, write_tensor)
 from hgdet.verify import random_tensor
 import random
 
@@ -130,6 +132,36 @@ def test_matrix_dump(tmp_path, witness_file, capsys):
         assert out.read_text().splitlines()[0].split()[:2] == ["20", "20"]
 
 
+# The sha256 of ``hgdet matrix`` on a seeded (3, 3) tensor of each kind
+# of coordinate: recorded reference dumps, which a change to how a tensor
+# becomes its value array must leave byte for byte.
+MATRIX_DUMP_DIGESTS = {
+    "rational": ("81d125250304dd02d933053f93ccd89c215dfc66a80b097ca2cf34138df8e5d2",
+                 lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+    "integer": ("d99d83a6d4aeb3ed1e054fd163512004ff2bd8f46cff61a7c61886418a159837",
+                lambda rng: rng.randint(-9, 9)),
+    "beyond-int64": ("0cc6efedad748218f9cb4bcc6ea83f91d5a7f70f0322bdd65c27276e8a4652fb",
+                     lambda rng: rng.choice((0, 1, -1, 2**63 - 1, -(2**63 - 1),
+                                             -2**63, 2**63))),
+}
+
+
+@pytest.mark.parametrize("kind", MATRIX_DUMP_DIGESTS)
+def test_matrix_dump_bytes_are_stable(tmp_path, capsys, kind):
+    """The dump of a tensor file is byte for byte the recorded one: the
+    rational tensor's column clearing is undone exactly, and int64 and
+    Python-int values print alike."""
+    digest, coordinate = MATRIX_DUMP_DIGESTS[kind]
+    rng = random.Random(22)
+    tensor = TensorAssignment(3, 3, {s: tuple(coordinate(rng) for _ in range(3))
+                                     for s in combinations(range(1, 10), 3)})
+    path, out = tmp_path / "tensor.txt", tmp_path / "matrix.txt"
+    with open(path, "w") as fh:
+        write_tensor(tensor, fh)
+    assert cli.main(["matrix", str(path), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_table_small(capsys):
     assert cli.main(["table", "--max-dim", "100"]) == 0
     out = capsys.readouterr().out
@@ -188,6 +220,7 @@ def test_betti_empty_hypergraph(tmp_path, capsys):
     ("4 x\n", 1, "non-integer header '4 x'"),
     ("4 3\n1 2 3\n1 3 2\n", 3, "not an increasing 3-subset: (1, 3, 2)"),
     ("4 3\n1 2 3\n\n# comment\n1 2 x\n", 5, "bad hyperedge '1 2 x'"),
+    ("4 3\n1 2 3\n1 2 3\n2 3 4\n", 3, "duplicate hyperedge (1, 2, 3)"),
 ])
 def test_betti_parse_error_names_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.txt"

@@ -8,7 +8,7 @@ from math import isqrt, lcm, prod
 import numpy as np
 import pytest
 
-from hgdet import determinant, exactla, system
+from hgdet import exactla, system
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
@@ -575,8 +575,8 @@ def lift_spy(monkeypatch):
 def integer_det(tensor, value):
     """det of the column-cleared integer system of ``tensor``, whose
     determinant is ``value``."""
-    _, divisor = determinant._integer_vectors(tensor)
-    det = value * divisor
+    _, scales = system._tensor_values(tensor)
+    det = value * prod(scales or ())
     assert det.denominator == 1
     return det.numerator
 
@@ -996,8 +996,8 @@ def test_kernels_receive_the_permuted_system(monkeypatch):
 
         monkeypatch.setattr(exactla, name, spy)
     tensor = seeded_tensor(3, 3)
-    vectors, _ = determinant._integer_vectors(tensor)
-    rows, cols, vals, n = system._vector_arrays(3, 3, vectors, tensor.n - 1)
+    values, _ = system._tensor_values(tensor)
+    rows, cols, vals, n = system._vector_arrays(3, 3, values, tensor.n - 1)
     pos = exactla._pivot_order(n)
     permuted_system = np.zeros((n, n), dtype=object)
     permuted_system[pos[rows], pos[cols]] = vals

@@ -3,6 +3,7 @@
 import io
 import pickle
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
@@ -589,3 +590,18 @@ def test_partition_io_errors():
     assert err.value.line_no == 2
     with pytest.raises(ParseError):
         read_partition(io.StringIO("4 2 2\n1 2 -> 1\n1 2 -> 2\n"))
+
+
+def test_partition_with_many_parts_fails_before_building_them():
+    """A short partition file with d = 100000 fails on its hyperedge count
+    before the d parts exist: its peak under tracemalloc stays below 1 MB,
+    where 100000 empty parts would take tens of MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(tensors.ParseError,
+                           match="line 2: parts hold 1 hyperedges, K\\^2_4 has 6"):
+            read_partition(io.StringIO("4 2 100000\n1 2 -> 1\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

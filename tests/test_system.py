@@ -5,14 +5,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, lcm, prod
 from unittest import mock
 
 import numpy as np
 import pytest
 
-import hgdet.determinant as determinant
 import hgdet.exactla as exactla
 import hgdet.system as system
 import hgdet.tensors as tensors
@@ -308,10 +307,11 @@ def array_rows(rows, cols, vals):
 
 
 def tensor_arrays(tensor, top):
-    """The fill of the tensor's vectors over the (r-1)-subsets of 1..top,
-    as rows and shape."""
+    """The fill of the tensor's vectors, as given, over the (r-1)-subsets
+    of 1..top, as rows and shape."""
     vectors = [tensor.entries[subset] for subset in subsets(tensor.r, tensor.n)]
-    rows, cols, vals, nrows = system._vector_arrays(tensor.r, tensor.d, vectors, top)
+    values = np.array(vectors, dtype=object).reshape(len(vectors), tensor.d)
+    rows, cols, vals, nrows = system._vector_arrays(tensor.r, tensor.d, values, top)
     assert vals.dtype in (np.int64, object)
     return array_rows(rows, cols, vals), nrows, comb(tensor.n, tensor.r)
 
@@ -642,24 +642,76 @@ def test_every_determinant_has_one_entry(route):
         assert route(call) == (value, [eliminator])
 
 
+# Coordinate kinds: a name, the pool a tensor's coordinates come from
+# (given the draw's rng), and the dtype of the value array that
+# ``system._tensor_values`` builds from them.  Ints and Fractions whose
+# cleared values lie in (-2**63, 2**63) give int64; anything else gives
+# Python objects.
+COORDINATE_KINDS = [
+    ("int", lambda rng: range(-9, 10), np.int64),
+    ("int64 bounds", lambda rng: (2**63 - 1, -(2**63 - 1), -1, 1, 2), np.int64),
+    ("2**63", lambda rng: (2**63, -1, 1, 2), object),
+    ("-2**63", lambda rng: (-2**63, -1, 1, 2), object),
+    ("int and Fraction", lambda rng: (Fraction(1, 2), -3, Fraction(-5, 6), 1, 0,
+                                      Fraction(7, 4), 2), np.int64),
+    ("Fraction(3, 1)", lambda rng: (Fraction(3, 1), Fraction(-2, 1), Fraction(1), 5),
+     np.int64),
+    ("Fraction beyond int64", lambda rng: [
+        Fraction(rng.randint(1, 9), rng.randrange(1 << 64, 1 << 65)) for _ in range(20)],
+     object),
+    ("bool", lambda rng: (True, False, 2, -1, 3, -5, 7, -8), object),
+    ("numpy.int64", lambda rng: tuple(map(np.int64, range(-9, 10))), object),
+]
+
+
+def kind_tensor(r, d, pool, rng):
+    """A tensor whose coordinates, in dictionary order of the subsets, run
+    through ``pool`` once in a random order, then are drawn from it."""
+    draws = chain(rng.sample(pool, len(pool)), iter(lambda: rng.choice(pool), None))
+    return TensorAssignment(r, d, {s: tuple(islice(draws, d)) for s in subsets(r, r * d)})
+
+
+def oracle_det(tensor):
+    """The oracle matrix's determinant, with bools and numpy integers read
+    as Python ints: an ExactMatrix of numpy integers would overflow."""
+    plain = TensorAssignment(tensor.r, tensor.d, {
+        s: tuple(v if type(v) is Fraction else int(v) for v in vec)
+        for s, vec in tensor.entries.items()})
+    return det_bareiss(oracle_matrix(plain, tensor.n - 1))
+
+
+def check_tensor_values(tensor, dtype):
+    """The value array of ``tensor`` and its fill have ``dtype``, and the
+    scales are the lcms of each vector's denominators, None without a
+    Fraction.  Returns the fill's arrays and the divisor."""
+    vectors = [tensor.entries[s] for s in subsets(tensor.r, tensor.n)]
+    values, scales = system._tensor_values(tensor)
+    assert values.dtype == dtype and values.shape == (len(vectors), tensor.d)
+    if any(type(v) is Fraction for vec in vectors for v in vec):
+        assert scales == [lcm(*(v.denominator for v in vec)) for vec in vectors]
+    else:
+        assert scales is None
+    *arrays, n = system._vector_arrays(tensor.r, tensor.d, values, tensor.n - 1)
+    assert arrays[2].dtype == dtype
+    return arrays, n, prod(scales or ())
+
+
 @pytest.mark.parametrize("r, d", [(2, 2), (2, 3), (3, 2)])
 def test_tensor_beyond_int64_holds_python_ints(r, d):
-    """Denominators near 2**64 make the column-cleared coordinates exceed
-    2**63: the fill holds them as Python ints in an object array, and
-    every backend gives the oracle's determinant."""
-    rng = random.Random(6000 + 10 * r + d)
-    tensor = TensorAssignment(r, d, {
-        s: tuple(Fraction(rng.randint(1, 9), rng.randrange(1 << 64, 1 << 65))
-                 for _ in range(d))
-        for s in subsets(r, r * d)})
-    vectors, _ = determinant._integer_vectors(tensor)
-    assert max(abs(v) for vec in vectors for v in vec) >= 1 << 63
-    _, _, vals, _ = system._vector_arrays(r, d, vectors, tensor.n - 1)
-    assert vals.dtype == object
-    expected = det_bareiss(oracle_matrix(tensor, tensor.n - 1))
-    assert expected != 0
-    for backend in ("bareiss", "multimodular", "auto"):
-        assert tensor_det(tensor, backend=backend) == expected
+    """For each coordinate kind, the value array has the kind's dtype:
+    Python ints, not int64, hold anything int64 cannot, such as
+    Fractions whose denominators near 2**64 clear to coordinates beyond
+    2**63, and bools and numpy integers keep their values.  Every backend
+    gives the oracle's determinant, which a wrong divisor or an overflow
+    would change."""
+    for kind, pool, dtype in COORDINATE_KINDS:
+        rng = random.Random(6000 + 10 * r + d)
+        tensor = kind_tensor(r, d, pool(rng), rng)
+        check_tensor_values(tensor, dtype)
+        expected = oracle_det(tensor)
+        assert expected != 0, kind
+        for backend in ("bareiss", "multimodular", "auto"):
+            assert tensor_det(tensor, backend=backend) == expected, (kind, backend)
 
 
 def wide_witness_tensor(r, d, rng):
@@ -679,30 +731,35 @@ def test_systems_above_the_peel_bound_reach_the_peel(route):
     """Above ``_PEEL_NNZ`` nonzeros, backend bareiss takes every system to
     the wave peel with the arrays of its fill: the det-auto-sparse witness
     tensors with int64 values (``auto`` picks bareiss), a tensor beyond
-    int64 with Python ints, a planted degenerate tensor, and an
-    ExactMatrix.  Each value is ``_eliminate``'s on the same integer rows
-    and the multimodular backend's."""
+    int64 with Python ints, a planted degenerate tensor, a (3, 3) tensor
+    of each other coordinate kind with the kind's dtype, and an
+    ExactMatrix.
+    Each value is ``_eliminate``'s on the same integer rows, the
+    multimodular backend's and, for the tensors, the oracle's."""
     rng = random.Random(6100)
-    int64 = (np.intp, np.int32, np.int64)
     cases = [
-        (tensor_from_basis(canonical_witness(3, 5)), "auto", int64),
-        (tensor_from_basis(canonical_witness(4, 3)), "auto", int64),
-        (wide_witness_tensor(3, 3, rng), "bareiss", (np.intp, np.int32, object)),
-        (plant_degenerate_simplex(random_tensor(3, 3, rng), rng), "bareiss", int64),
+        (tensor_from_basis(canonical_witness(3, 5)), "auto", np.int64),
+        (tensor_from_basis(canonical_witness(4, 3)), "auto", np.int64),
+        (wide_witness_tensor(3, 3, rng), "bareiss", object),
+        (plant_degenerate_simplex(random_tensor(3, 3, rng), rng), "bareiss", np.int64),
+        # The wide witness tensor stands for the Fractions beyond int64: a
+        # dense (3, 3) one takes seconds in the row-cleared oracle.
+        *((kind_tensor(3, 3, pool(rng), rng), "bareiss", dtype)
+          for kind, pool, dtype in COORDINATE_KINDS if kind != "Fraction beyond int64"),
     ]
     values = []
-    for tensor, backend, dtypes in cases:
-        vectors, divisor = determinant._integer_vectors(tensor)
-        rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, vectors,
-                                                    tensor.n - 1)
+    for tensor, backend, dtype in cases:
+        (rows, cols, vals), n, divisor = check_tensor_values(tensor, dtype)
         assert len(vals) > exactla._PEEL_NNZ
         value, runs = route(lambda: tensor_det(tensor, backend=backend))
-        assert (runs, route.dtypes) == (["_peel_det"], [dtypes])
+        assert (runs, route.dtypes) == (["_peel_det"], [(np.intp, np.int32, dtype)])
         _, det = exactla._eliminate(exactla._int_rows(rows, cols, vals), n, n, want_det=True)
         assert value == Fraction(det, divisor) == tensor_det(tensor, backend="multimodular")
+        assert value == oracle_det(tensor)
         values.append(value)
     assert values[:2] == [KNOWN_WITNESS_DETS[(3, 5)], KNOWN_WITNESS_DETS[(4, 3)]]
     assert values[2] != 0 and values[3] == 0
+    assert 0 not in values[4:]
 
     matrix = system_matrix(cases[0][0]).matrix
     value, runs = route(lambda: det_bareiss(matrix))
@@ -759,7 +816,7 @@ def test_cells_beyond_32_bit_indices_are_refused(monkeypatch):
     for call in (lambda: witness_det(3, 800),
                  lambda: witness_det(3, 800, backend="bareiss"),
                  lambda: system._label_arrays(3, 800, [], system._pattern(3, 2400, 2399)),
-                 lambda: system._vector_arrays(3, 800, [], 2399)):
+                 lambda: system._vector_arrays(3, 800, np.zeros((0, 800), np.int64), 2399)):
         with pytest.raises(MemoryError, match="32-bit"):
             call()
     # The guard sits at the int32 limit itself.
