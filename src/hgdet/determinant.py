@@ -37,7 +37,6 @@ Every labelling gets the value of its expanded tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -50,22 +49,12 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
 
     Multilinear in the slots; zero whenever some (r+1)-subset has all its
     facets assigned the same vector; under a slotwise linear map M it scales
-    by det(M) ** C(rd-1, r-1).  Equal values come back as one shared
-    instance.
+    by det(M) ** C(rd-1, r-1).
     """
     exactla._check_threads(threads)
     values, scales = system._tensor_values(tensor)
     rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, values, tensor.n - 1)
-    return _shared(exactla._det_coords(rows, cols, vals, n, prod(scales or ()), backend))
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _shared(value):
-    """The first instance seen of an immutable value equal to ``value``.
-    Tensor batches repeat a few determinants, and classifications a few
-    Betti vectors and whole reports, many times over, so a caller that
-    keeps N results holds N references to a few shared instances."""
-    return value
+    return exactla._det_coords(rows, cols, vals, n, prod(scales or ()), backend)
 
 
 def basis_det(basis: BasisAssignment, backend: str = "auto") -> Fraction:

@@ -56,7 +56,7 @@ from math import comb, factorial
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
-from .determinant import _label_det, _shared
+from .determinant import _label_det
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
 from .tensors import BasisAssignment, ParseError, _read_records, _subset_ids
@@ -206,6 +206,15 @@ class BettiVector:
 
     def all_zero(self) -> bool:
         return not any(self.values)
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _shared(value):
+    """The first instance seen of an immutable value equal to ``value``.
+    Classifications repeat a few Betti vectors and whole reports many
+    times over, so a caller that keeps N reports holds N references to
+    a few shared instances, not N reports."""
+    return value
 
 
 def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -567,8 +576,6 @@ def read_partition(fh: IO[str]) -> DPartition:
     for line_no, subset, label in records:
         if not 1 <= label <= d:
             raise ParseError(line_no, f"part {label} outside 1..{d}")
-        if subset in assignments:
-            raise ParseError(line_no, f"duplicate hyperedge {subset}")
         assignments[subset] = label
     try:
         return _partition(n, r, d, assignments.items())
@@ -592,12 +599,8 @@ def _split_edge(line_no: int, line: str) -> tuple[tuple[int, ...], None]:
 
 def read_hypergraph(fh: IO[str]) -> Hypergraph:
     (n, r), records, n_lines = _read_records(fh, "n r", _split_edge)
-    edges: set[tuple[int, ...]] = set()
-    for line_no, subset, _ in records:
-        if subset in edges:
-            raise ParseError(line_no, f"duplicate hyperedge {subset}")
-        edges.add(subset)
+    edges = frozenset(subset for _, subset, _ in records)
     try:
-        return Hypergraph(n, r, frozenset(edges))
+        return Hypergraph(n, r, edges)
     except ValueError as exc:
         raise ParseError(n_lines, str(exc)) from None

@@ -225,8 +225,9 @@ def _read_records(fh: IO[str], names: str, split: Callable[[int, str], tuple]):
     The header holds the integers named in ``names``, ``r`` among them.  Each
     other line that is not blank or a ``#`` comment goes through
     ``split(line_no, line) -> (subset, payload)``; its subset must be an
-    increasing r-subset.  Returns the header values, a lazy iterator of
-    ``(line_no, subset, payload)`` and the number of lines.
+    increasing r-subset that no earlier line holds.  Returns the header
+    values, a lazy iterator of ``(line_no, subset, payload)`` and the number
+    of lines.
     """
     lines = fh.read().splitlines()
     if not lines:
@@ -242,6 +243,7 @@ def _read_records(fh: IO[str], names: str, split: Callable[[int, str], tuple]):
     r = values[fields.index("r")]
 
     def records():
+        seen = set()
         for line_no, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -250,6 +252,9 @@ def _read_records(fh: IO[str], names: str, split: Callable[[int, str], tuple]):
             if len(subset) != r or any(subset[i] >= subset[i + 1]
                                        for i in range(r - 1)):
                 raise ParseError(line_no, f"not an increasing {r}-subset: {subset}")
+            if subset in seen:
+                raise ParseError(line_no, f"duplicate subset {subset}")
+            seen.add(subset)
             yield line_no, subset, payload
 
     return values, records(), len(lines)
@@ -272,8 +277,6 @@ def read_tensor(fh: IO[str]) -> TensorAssignment:
         coords = tuple(_parse_rational(tok, line_no) for tok in right.split())
         if len(coords) != d:
             raise ParseError(line_no, f"expected {d} coordinates, got {len(coords)}")
-        if subset in entries:
-            raise ParseError(line_no, f"duplicate subset {subset}")
         entries[subset] = coords
     try:
         return TensorAssignment(r, d, entries)

@@ -220,7 +220,7 @@ def test_betti_empty_hypergraph(tmp_path, capsys):
     ("4 x\n", 1, "non-integer header '4 x'"),
     ("4 3\n1 2 3\n1 3 2\n", 3, "not an increasing 3-subset: (1, 3, 2)"),
     ("4 3\n1 2 3\n\n# comment\n1 2 x\n", 5, "bad hyperedge '1 2 x'"),
-    ("4 3\n1 2 3\n1 2 3\n2 3 4\n", 3, "duplicate hyperedge (1, 2, 3)"),
+    ("4 3\n1 2 3\n1 2 3\n2 3 4\n", 3, "duplicate subset (1, 2, 3)"),
 ])
 def test_betti_parse_error_names_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.txt"
