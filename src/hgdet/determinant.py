@@ -3,9 +3,12 @@
 A rational tensor and a basis assignment (a labelling, such as the
 canonical witness or a d-partition) both reach elimination from the one
 insertion walk of ``system``, never as a matrix.  A tensor becomes its
-value array in ``system._tensor_values``, which ``hgdet matrix`` shares:
-one scan of the coordinate types decides whether denominators need
-clearing and whether the array may be int64.  When a Fraction is present,
+value array in ``system._tensor_values``, which ``hgdet matrix`` shares,
+by the value rule of ``exactla._exact_values`` that every ExactMatrix
+determinant and rank follows too: one scan of the coordinate types
+decides whether denominators need clearing and whether the array may be
+int64, bools and numpy integers count as the Python ints they equal, and
+a float raises TypeError.  When a Fraction is present,
 each vector is scaled by the lcm of its coordinates' denominators, which
 clears them column by column, and the product of those lcms divides the
 integer determinant.  A column holds the d coordinates of one vector

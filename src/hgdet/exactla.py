@@ -5,12 +5,15 @@ vals) of the nonzeros of an n x n integer matrix, each position at most
 once, plus a divisor.  The insertion systems never become a matrix on
 their way there: ``system`` fills its +-1 pattern with a labelling's unit
 vectors (int32 indices, int8 values) or with a tensor's vectors once
-``tensor_det`` has cleared their denominators column by column (int64
-values, or Python ints in an object array when a coordinate does not fit
-int64).  ``det_exact`` gets the arrays from the integer rows of its
-matrix (``_integer_rows``, then ``_coords``): each row holding a fraction
-is scaled by the lcm of its denominators, and the divisor is the product
-of those scales.
+``_exact_values`` has cleared their denominators vector by vector.
+``det_exact`` gets the arrays of its matrix from ``_matrix_coords``, which
+hands ``_exact_values`` the matrix's rows: each row holding a fraction is
+scaled by the lcm of its denominators, and the divisor is the product of
+those scales.  ``_exact_values`` is the one place that reads value types,
+for tensors and matrices alike: ints and Fractions pass, bools and numpy
+integers become the Python ints they equal, and anything else, a float
+too, raises TypeError.  The values are int64 when they fit, Python ints
+in an object array otherwise.
 
 ``_det_coords`` is the one entry of every determinant, handles n = 0, and
 alone picks the eliminator.  Its ``_pick_backend`` validates the backend
@@ -81,8 +84,10 @@ import heapq
 import threading
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import ceil, fsum, gcd, isqrt, lcm, prod
-from typing import Mapping, Sequence, Union
+from operator import attrgetter, index
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -92,8 +97,6 @@ Rational = Union[int, Fraction]
 
 #: The integer row form: row -> column -> nonzero int, empty rows absent.
 IntRows = dict[int, dict[int, int]]
-#: The same with rational values, before ``_clear_denominators``.
-RationalRows = dict[int, dict[int, Rational]]
 
 # Mean nonzeros per row above which backend "auto" picks the multimodular
 # backend.  Protocol: 5 nonsingular random p/q matrices per point (a signed
@@ -204,8 +207,8 @@ class ExactMatrix:
         per-row scale factors, so det(self) == det(integer matrix) / divisor
         and the rank is unchanged.
         """
-        rows, divisor = _integer_rows(self)
-        return {(i, j): v for i, row in rows.items() for j, v in row.items()}, divisor
+        rows, cols, vals, divisor = _matrix_coords(self)
+        return dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())), divisor
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -215,33 +218,65 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _integer_rows(matrix: ExactMatrix) -> tuple[IntRows, int]:
-    """The integer row form of ``matrix`` and its divisor: one pass over
-    ``entries`` groups them into new row dicts, which the caller may hand
-    to elimination, and ``_clear_denominators`` makes them integers."""
-    rows: RationalRows = {}
+_denominator = attrgetter("denominator")
+
+
+def _exact_values(groups: Sequence[Iterable],
+                  count: int) -> tuple[np.ndarray, list[int] | None]:
+    """The ``count`` values of ``groups``, in order, as one flat array of
+    exact integers, and the lcm of each group's denominators, or None when
+    no value is a Fraction: the one place that reads value types, for a
+    tensor's vectors and a matrix's rows alike.
+
+    One scan of the value types decides both steps.  When some value is a
+    Fraction, every group is scaled by its lcm, which clears its
+    denominators.  When every value is an int or a Fraction, the array is
+    int64 unless a cleared value falls outside (-2**63, 2**63): the tensor
+    fill negates values, so -2**63 stays out too.  Otherwise it is an
+    object array of Python ints: ints beyond that range, and the values of
+    bools and numpy integers.  Any other type, a float too, raises
+    TypeError."""
+    types = set(map(type, chain.from_iterable(groups)))
+    plain = types <= {int, Fraction}
+    if not plain:
+        # Bools and numpy integers as the Python ints they equal: numpy
+        # arithmetic on them would overflow in elimination.
+        groups = [[v if type(v) is Fraction else index(v) for v in group]
+                  for group in groups]
+    scales = None
+    if Fraction in types:
+        scales = [lcm(*map(_denominator, group)) for group in groups]
+        groups = [[v.numerator * (scale // v.denominator) for v in group]
+                  for group, scale in zip(groups, scales)]
+    if plain:
+        try:
+            values = np.fromiter(chain.from_iterable(groups), np.int64, count=count)
+        except OverflowError:
+            pass
+        else:
+            if not (values == np.iinfo(np.int64).min).any():
+                return values, scales
+    return np.fromiter(chain.from_iterable(groups), object, count=count), scales
+
+
+def _matrix_coords(matrix: ExactMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The nonzeros of ``matrix`` as integer coordinate arrays (rows, cols,
+    vals) and a divisor: entries grouped by row, rows in order of first
+    appearance, each row cleared of denominators by ``_exact_values``, so
+    det(matrix) == det(integer matrix) / divisor and the rank is
+    unchanged."""
+    by_row: dict[int, dict[int, Rational]] = {}
     for (i, j), v in matrix.entries.items():
-        if not v:
-            continue
-        row = rows.get(i)
-        if row is None:
-            rows[i] = row = {}
-        row[j] = v
-    return rows, _clear_denominators(rows)
-
-
-def _clear_denominators(rows: RationalRows) -> int:
-    """Scale each row holding a fraction, in place, by the lcm of its
-    denominators, so that every value is an int; returns the product of the
-    scales, so det(before) == det(after) / product."""
-    divisor = 1
-    for row in rows.values():
-        if Fraction in map(type, row.values()):
-            scale = lcm(*(v.denominator for v in row.values()))
-            for j, v in row.items():
-                row[j] = v.numerator * (scale // v.denominator)
-            divisor *= scale
-    return divisor
+        if v:
+            row = by_row.get(i)
+            if row is None:
+                by_row[i] = row = {}
+            row[j] = v
+    nnz = sum(map(len, by_row.values()))
+    rows = np.fromiter((i for i, row in by_row.items() for _ in row), np.intp, count=nnz)
+    cols = np.fromiter(chain.from_iterable(by_row.values()), np.intp, count=nnz)
+    vals, scales = _exact_values([row.values() for row in by_row.values()], nnz)
+    return rows, cols, vals, prod(scales or ())
 
 
 def _eliminate(rows: IntRows, nrows: int, ncols: int,
@@ -477,8 +512,8 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
     each position at most once: a wave peel, then ``_eliminate`` on the
     core.  ``_det_coords`` calls it with the arrays of its callers: int32
     indices and int8 values for a labelling, intp rows, int32 columns and
-    int64 or object values for a tensor, intp indices and object values
-    for ``det_exact``.  The peel keeps their types: each wave gathers
+    int64 or object values for a tensor, intp indices and int64 or object
+    values for ``det_exact``.  The peel keeps their types: each wave gathers
     boolean masks, not counts, and drops its own temporaries before it
     compacts the live entries.
 
@@ -545,8 +580,8 @@ def _rank_rows(rows: IntRows, nrows: int, ncols: int) -> int:
 
 def rank_exact(matrix: ExactMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    rows, _ = _integer_rows(matrix)
-    return _rank_rows(rows, matrix.rows, matrix.cols)
+    rows, cols, vals, _ = _matrix_coords(matrix)
+    return _rank_rows(_int_rows(rows, cols, vals), matrix.rows, matrix.cols)
 
 
 def det_bareiss(matrix: ExactMatrix) -> Fraction:
@@ -630,19 +665,6 @@ def _hadamard(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         col_sq[j] += vv
     b2 = min(prod(row_sq), prod(col_sq))
     return (isqrt(b2) + 1 if b2 else 0), col_sq
-
-
-def _coords(rows: IntRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of ``rows``: row indices, column indices and an object
-    array of the int values."""
-    nnz = sum(map(len, rows.values()))
-    row_idx = np.fromiter((i for i, row in rows.items() for _ in row),
-                          dtype=np.intp, count=nnz)
-    col_idx = np.fromiter((j for row in rows.values() for j in row),
-                          dtype=np.intp, count=nnz)
-    vals = np.empty(nnz, dtype=object)
-    vals[:] = [v for row in rows.values() for v in row.values()]
-    return row_idx, col_idx, vals
 
 
 def _float_det_bound(coords: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -1025,8 +1047,9 @@ def _det_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int,
 
     The callers pass: ``basis_det`` and ``witness_det`` int32 rows and
     columns and int8 values; ``tensor_det`` intp rows, int32 columns and
-    int64 values, or Python ints in an object array when a coordinate does
-    not fit int64; ``det_exact`` intp indices and an object array."""
+    int64 values; ``det_exact`` intp indices and int64 values.  Both take
+    Python ints in an object array instead when a value does not fit int64
+    (see ``_exact_values``)."""
     backend = _pick_backend(backend, len(vals), n)
     if n == 0:
         return Fraction(1)
@@ -1053,5 +1076,5 @@ def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> F
     _check_threads(threads)
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant of non-square {matrix!r}")
-    rows, divisor = _integer_rows(matrix)
-    return _det_coords(*_coords(rows), matrix.rows, divisor, backend)
+    rows, cols, vals, divisor = _matrix_coords(matrix)
+    return _det_coords(rows, cols, vals, matrix.rows, divisor, backend)

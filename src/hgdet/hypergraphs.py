@@ -578,6 +578,12 @@ def read_partition(fh: IO[str]) -> DPartition:
             raise ParseError(line_no, f"part {label} outside 1..{d}")
         assignments[subset] = label
     try:
+        # More parts than hyperedges fit no square system; refuse them
+        # before the d parts are built.
+        _check_held(len(assignments), n, r)
+        if d > comb(n, r):
+            raise InvalidPartitionError(
+                f"{d} parts exceed the {comb(n, r)} hyperedges of K^{r}_{n}")
         return _partition(n, r, d, assignments.items())
     except InvalidPartitionError as exc:
         raise ParseError(n_lines, str(exc)) from None

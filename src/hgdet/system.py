@@ -31,11 +31,12 @@ vectors, so each insertion is one nonzero in row b*d + label - 1; it keeps
 the walk's int32 columns and int8 signs and builds the int32 rows in
 place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
 C(rd, r) x d array that :func:`_tensor_values` builds and the fill does
-not inspect.  That helper alone picks the dtype, from one scan of the
-coordinate types: it clears denominators by vector only when a Fraction
-is present, and the array is int64 when every coordinate is an int or a
-Fraction and every cleared value lies in (-2**63, 2**63), Python objects
-otherwise.  :func:`_label_rows` gives a labelling's arrays
+not inspect.  Its values come from ``exactla._exact_values``, the one
+rule for tensors and matrices alike: denominators cleared by vector only
+when a Fraction is present, int64 when every coordinate is an int or a
+Fraction and every cleared value lies in (-2**63, 2**63), Python ints
+otherwise, and TypeError for a float or any other type that is not an
+integer.  :func:`_label_rows` gives a labelling's arrays
 as integer rows, for the rank check of classification, and
 :func:`system_matrix` gives a tensor's as an ExactMatrix, for the
 ``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
@@ -48,15 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import comb, lcm
-from operator import attrgetter, index
+from math import comb
 from typing import IO, Sequence
 
 import numpy as np
 
 from .combi import check_subset, insertion_sign
-from .exactla import ExactMatrix, IntRows, _int_rows
+from .exactla import ExactMatrix, IntRows, _exact_values, _int_rows
 from .tensors import (Rational, TensorAssignment, _subset_ids, format_rational,
                       subset_array)
 
@@ -185,45 +184,16 @@ def _label_arrays(r: int, d: int, label: Sequence[int] | np.ndarray,
     return rows, col, sign, nrows
 
 
-_denominator = attrgetter("denominator")
-
-
 def _tensor_values(tensor: TensorAssignment) -> tuple[np.ndarray, list[int] | None]:
     """The vectors of ``tensor``, one per r-subset in dictionary order, as
-    one C(rd, r) x d array, and the lcm of each vector's denominators, or
-    None when no coordinate is a Fraction.
-
-    One scan of the coordinate types decides both steps.  When some
-    coordinate is a Fraction, every vector is scaled by its lcm, which
-    clears the denominators column by column.  When every coordinate is an
-    int or a Fraction, the array is int64 unless a cleared value falls
-    outside (-2**63, 2**63): the fill negates values, so -2**63 stays out
-    too.  Otherwise it is an object array of Python ints: ints beyond that
-    range, and the values of bools and numpy integers."""
+    one C(rd, r) x d array of exact integers, and the lcm of each vector's
+    denominators, or None when no coordinate is a Fraction: the vectors
+    are the groups of ``exactla._exact_values``, which clears
+    denominators column by column and picks int64 or Python ints."""
     vectors = list(map(tensor.entries.__getitem__, _subset_ids(tensor.r, tensor.n)))
-    types = set(map(type, chain.from_iterable(vectors)))
-    plain = types <= {int, Fraction}
-    if not plain:
-        # Bools and numpy integers as the Python ints they equal: numpy
-        # arithmetic on them would overflow in elimination.
-        vectors = [[v if type(v) is Fraction else index(v) for v in vec]
-                   for vec in vectors]
-    scales = None
-    if Fraction in types:
-        scales = [lcm(*map(_denominator, vec)) for vec in vectors]
-        vectors = [[v.numerator * (scale // v.denominator) for v in vec]
-                    for vec, scale in zip(vectors, scales)]
     shape = (len(vectors), tensor.d)
-    if plain:
-        try:
-            values = np.fromiter(chain.from_iterable(vectors), np.int64,
-                                 count=shape[0] * shape[1])
-        except OverflowError:
-            pass
-        else:
-            if not (values == np.iinfo(np.int64).min).any():
-                return values.reshape(shape), scales
-    return np.array(vectors, dtype=object).reshape(shape), scales
+    values, scales = _exact_values(vectors, shape[0] * shape[1])
+    return values.reshape(shape), scales
 
 
 def _vector_arrays(r: int, d: int, values: np.ndarray,

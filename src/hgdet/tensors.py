@@ -59,8 +59,11 @@ def _subset_ids(r: int, n: int) -> dict[tuple[int, ...], int]:
 
 
 def _check_keys(r: int, d: int, values: dict, noun: str) -> None:
-    """Raise ValueError unless the keys of ``values`` are the r-subsets of
-    1..rd; the count goes first, so the index never outgrows the input."""
+    """Raise ValueError unless r >= 1, d >= 1 and the keys of ``values`` are
+    the r-subsets of 1..rd; the count goes first, so the index never
+    outgrows the input."""
+    if r < 1 or d < 1:
+        raise ValueError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
     expected = comb(r * d, r)
     if len(values) != expected:
         raise ValueError(f"expected {expected} {noun} for (r, d)=({r}, {d}), "

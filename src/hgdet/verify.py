@@ -35,10 +35,13 @@ DEFAULT_SEED = 20250808
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     trials: int
     failures: list[str] = field(default_factory=list)
     details: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -105,12 +108,11 @@ def random_sparse_matrix(n: int, rng: random.Random) -> ExactMatrix:
 
 
 def suite_euler_identity(max_r: int = 12, max_d: int = 12) -> SuiteResult:
-    res = SuiteResult("euler-identity", True, 0)
+    res = SuiteResult("euler-identity", 0)
     for r in range(1, max_r + 1):
         for d in range(1, max_d + 1):
             res.trials += 1
             if not euler_identity_holds(r, d):
-                res.passed = False
                 res.failures.append(f"identity fails at (r, d)=({r}, {d})")
     return res
 
@@ -119,7 +121,7 @@ def suite_relations(seed: int = DEFAULT_SEED, trials: int = 100,
                     pairs: tuple[tuple[int, int], ...] = ((2, 2), (3, 2), (3, 3), (4, 2)),
                     ) -> SuiteResult:
     rng = random.Random(seed)
-    res = SuiteResult("relations", True, 0)
+    res = SuiteResult("relations", 0)
     for r, d in pairs:
         n = r * d
         for t in range(trials):
@@ -127,7 +129,6 @@ def suite_relations(seed: int = DEFAULT_SEED, trials: int = 100,
             for base in combinations(range(1, n + 1), r - 2):
                 res.trials += 1
                 if not relation_holds(tensor, base):
-                    res.passed = False
                     res.failures.append(
                         f"relation {base} violated at (r, d)=({r}, {d}), trial {t}")
     return res
@@ -138,14 +139,13 @@ def suite_vanishing(seed: int = DEFAULT_SEED, trials: int = 100,
                                                           (3, 3), (4, 2)),
                     backend: str = "auto") -> SuiteResult:
     rng = random.Random(seed)
-    res = SuiteResult("vanishing", True, 0)
+    res = SuiteResult("vanishing", 0)
     for r, d in pairs:
         for t in range(trials):
             tensor = plant_degenerate_simplex(random_tensor(r, d, rng), rng)
             res.trials += 1
             value = tensor_det(tensor, backend=backend)
             if value != 0:
-                res.passed = False
                 res.failures.append(
                     f"degenerate tensor has det {value} at (r, d)=({r}, {d}), trial {t}")
     return res
@@ -155,7 +155,7 @@ def suite_sl_invariance(seed: int = DEFAULT_SEED, trials: int = 50,
                         pairs: tuple[tuple[int, int], ...] = ((2, 2), (3, 2), (2, 3)),
                         ) -> SuiteResult:
     rng = random.Random(seed)
-    res = SuiteResult("sl-invariance", True, 0)
+    res = SuiteResult("sl-invariance", 0)
     for r, d in pairs:
         exponent = comb(r * d - 1, r - 1)
         for t in range(trials):
@@ -166,7 +166,6 @@ def suite_sl_invariance(seed: int = DEFAULT_SEED, trials: int = 50,
             lhs = tensor_det(apply_matrix(m, tensor))
             rhs = det_m ** exponent * tensor_det(tensor)
             if lhs != rhs:
-                res.passed = False
                 res.failures.append(
                     f"equivariance broken at (r, d)=({r}, {d}), trial {t}")
     return res
@@ -176,7 +175,7 @@ def suite_backend_agreement(seed: int = DEFAULT_SEED, trials: int = 500,
                             max_size: int = 200,
                             min_singular: int = 50) -> SuiteResult:
     rng = random.Random(seed)
-    res = SuiteResult("backend-agreement", True, 0)
+    res = SuiteResult("backend-agreement", 0)
     singular = 0
     for t in range(trials):
         n = rng.randint(2, max_size)
@@ -192,21 +191,19 @@ def suite_backend_agreement(seed: int = DEFAULT_SEED, trials: int = 500,
         b = det_bareiss(m)
         mm = det_multimodular(m)
         if b != mm:
-            res.passed = False
             res.failures.append(f"backends disagree on trial {t} (n={n}): {b} vs {mm}")
         if b == 0:
             singular += 1
     required = min(min_singular, max(1, trials // 8))
     res.details.append(f"singular instances: {singular}")
     if singular < required:
-        res.passed = False
         res.failures.append(f"only {singular} singular instances, need {required}")
     return res
 
 
 def suite_rank_equality(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteResult:
     rng = random.Random(seed)
-    res = SuiteResult("rank-equality", True, 0)
+    res = SuiteResult("rank-equality", 0)
     checked = 0
     while checked < trials:
         p = random_partition(6, 3, 2, rng)
@@ -215,12 +212,10 @@ def suite_rank_equality(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteRes
         checked += 1
         res.trials += 1
         if not boundary_rank_matches_system(p):
-            res.passed = False
             res.failures.append(f"rank mismatch on sampled partition {checked}")
     witness = partition_from_basis(canonical_witness(3, 2))
     res.trials += 1
     if not boundary_rank_matches_system(witness):
-        res.passed = False
         res.failures.append("rank mismatch on the canonical witness partition")
     return res
 
@@ -228,7 +223,7 @@ def suite_rank_equality(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteRes
 def suite_theorem_r2d2() -> SuiteResult:
     """Exhaustive dual classification of all 64 ordered 2-partitions of the
     complete graph on 4 vertices, against the forest-and-coverage oracle."""
-    res = SuiteResult("theorem-r2d2", True, 0)
+    res = SuiteResult("theorem-r2d2", 0)
     nonzero = 0
     oracle_count = 0
     for p in enumerate_partitions(4, 2, 2):
@@ -238,20 +233,16 @@ def suite_theorem_r2d2() -> SuiteResult:
         if oracle:
             oracle_count += 1
         if (report.det != 0) != oracle:
-            res.passed = False
             res.failures.append(f"determinant disagrees with cycle oracle on {p}")
         if not report.consistent:
-            res.passed = False
             res.failures.append(f"equivalence verdict inconsistent on {p}")
         if report.det != 0:
             nonzero += 1
             if not report.homogeneous:
-                res.passed = False
                 res.failures.append(f"nonzero det on inhomogeneous partition {p}")
     res.details.append(f"nonzero determinants: {nonzero}")
     res.details.append(f"cycle-free partitions: {oracle_count}")
     if nonzero != oracle_count:
-        res.passed = False
         res.failures.append("count mismatch between determinant and oracle")
     return res
 
@@ -261,7 +252,7 @@ def suite_theorem_r3d2(seed: int = DEFAULT_SEED, trials: int = 10000) -> SuiteRe
     3-uniform hypergraph on 6 vertices: uniform samples plus equal-size
     samples, with the homogeneity corollary checked on every nonzero case."""
     rng = random.Random(seed)
-    res = SuiteResult("theorem-r3d2", True, 0)
+    res = SuiteResult("theorem-r3d2", 0)
     nonzero = 0
     for phase, equal_sizes in (("uniform", False), ("equal-size", True)):
         for t in range(trials):
@@ -269,12 +260,10 @@ def suite_theorem_r3d2(seed: int = DEFAULT_SEED, trials: int = 10000) -> SuiteRe
             res.trials += 1
             report = classify_partition(p)
             if not report.consistent:
-                res.passed = False
                 res.failures.append(f"inconsistent verdict ({phase} trial {t})")
             if report.det != 0:
                 nonzero += 1
                 if not report.homogeneous:
-                    res.passed = False
                     res.failures.append(
                         f"nonzero det on inhomogeneous partition ({phase} trial {t})")
     res.details.append(f"nonzero determinants: {nonzero}")
@@ -286,7 +275,7 @@ def suite_expansion_r2d2(seed: int = DEFAULT_SEED, trials: int = 20) -> SuiteRes
     det(T) equals the sum over assignments of the product of selected
     coordinates times the determinant of the assignment's indicator tensor."""
     rng = random.Random(seed)
-    res = SuiteResult("expansion-r2d2", True, 0)
+    res = SuiteResult("expansion-r2d2", 0)
     pair_list = list(subsets(2, 4))
     basis_dets = {}
     for code in range(2 ** len(pair_list)):
@@ -308,7 +297,6 @@ def suite_expansion_r2d2(seed: int = DEFAULT_SEED, trials: int = 20) -> SuiteRes
             total += coeff * bdet
         direct = tensor_det(tensor)
         if total != direct:
-            res.passed = False
             res.failures.append(f"expansion mismatch on trial {t}: {total} vs {direct}")
     return res
 
@@ -319,19 +307,17 @@ def suite_table(max_dim: int = 5000, backend: str = "bareiss",
     dimension fits, asserting magnitude exactly 1, recording the computed
     sign against the known one, and cross-checking both determinant backends
     on the smaller cells."""
-    res = SuiteResult("table", True, 0)
+    res = SuiteResult("table", 0)
     for r, d in table_cells(max_dim):
         dim = system_dimension(r, d)
         res.trials += 1
         value = witness_det(r, d, backend=backend)
         known = KNOWN_WITNESS_DETS.get((r, d))
         if abs(value) != 1:
-            res.passed = False
             res.failures.append(f"({r}, {d}): |det| = {abs(value)} != 1")
         if dim <= cross_check_dim:
             other = witness_det(r, d, backend="multimodular")
             if other != value:
-                res.passed = False
                 res.failures.append(f"({r}, {d}): backends disagree {value} vs {other}")
         agree = "agree" if known is not None and value == known else (
             "DIFFER" if known is not None else "unknown")

@@ -93,6 +93,16 @@ def test_det_parse_error_names_line(tmp_path, capsys, command, text, line, messa
     assert f"parse error: line {line}: {message}" in err
 
 
+@pytest.mark.parametrize("text, r, d", [("2 0\n", 2, 0), ("0 2\n", 0, 2),
+                                        ("0 2 0\n", 2, 0)],
+                         ids=["tensor-d-0", "tensor-r-0", "labels-d-0"])
+def test_det_refuses_r_or_d_below_one(tmp_path, capsys, text, r, d):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert cli.main(["det", str(path)]) == 2
+    assert f"need r >= 1 and d >= 1, got r={r}, d={d}" in capsys.readouterr().err
+
+
 def test_det_missing_file(capsys):
     assert cli.main(["det", "/nonexistent/path.txt"]) == 2
 
@@ -255,7 +265,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     from hgdet.verify import SuiteResult
 
     def failing(seed, trials):
-        return SuiteResult("relations", False, 1, failures=["boom"])
+        return SuiteResult("relations", 1, failures=["boom"])
 
     monkeypatch.setitem(cli.SUITES, "relations", failing)
     assert cli.main(["verify", "relations"]) == 1

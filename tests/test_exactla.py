@@ -453,8 +453,8 @@ def test_auto_on_rows_dispatches_on_nonzeros_per_row(route):
     # A dense 10 x 10 integer matrix, as coordinate arrays.
     rng = random.Random(809)
     dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
-    rows, divisor = exactla._integer_rows(ExactMatrix.from_rows(dense))
-    assert route(lambda: exactla._det_coords(*exactla._coords(rows), 10, divisor)) == (
+    rows, cols, vals, divisor = exactla._matrix_coords(ExactMatrix.from_rows(dense))
+    assert route(lambda: exactla._det_coords(rows, cols, vals, 10, divisor)) == (
         Fraction(int(sympy.Matrix(dense).det())), ["_multimodular"])
 
 
@@ -691,9 +691,9 @@ def float_bound(rows):
     """``_float_det_bound`` of the square integer matrix ``rows`` (a list of
     lists) and its exact |det|, by fraction-free elimination."""
     m = ExactMatrix.from_rows(rows)
-    ints, divisor = exactla._integer_rows(m)
+    *coords, divisor = exactla._matrix_coords(m)
     assert divisor == 1
-    return exactla._float_det_bound(exactla._coords(ints), len(rows)), abs(det_bareiss(m))
+    return exactla._float_det_bound(coords, len(rows)), abs(det_bareiss(m))
 
 
 def dense_integers(n, rng, bits=4):

@@ -593,15 +593,20 @@ def test_partition_io_errors():
 
 
 def test_partition_with_many_parts_fails_before_building_them():
-    """A short partition file with d = 100000 fails on its hyperedge count
-    before the d parts exist: its peak under tracemalloc stays below 1 MB,
+    """A partition file with d = 100000 fails before the d parts exist, on
+    its hyperedge count when it is short and on d > C(n, r) when it holds
+    every hyperedge of K^2_4: its peak under tracemalloc stays below 1 MB,
     where 100000 empty parts would take tens of MB."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(tensors.ParseError,
-                           match="line 2: parts hold 1 hyperedges, K\\^2_4 has 6"):
-            read_partition(io.StringIO("4 2 100000\n1 2 -> 1\n"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    complete = "".join(f"{i} {j} -> 1\n" for i, j in combinations(range(1, 5), 2))
+    for text, message in (
+            ("4 2 100000\n1 2 -> 1\n", "line 2: parts hold 1 hyperedges, K\\^2_4 has 6"),
+            ("4 2 100000\n" + complete,
+             "line 7: 100000 parts exceed the 6 hyperedges of K\\^2_4")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(tensors.ParseError, match=message):
+                read_partition(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (message, peak)

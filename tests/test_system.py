@@ -17,8 +17,8 @@ import hgdet.system as system
 import hgdet.tensors as tensors
 from hgdet.combi import insertion_sign, rank_combination
 from hgdet.determinant import basis_det, tensor_det, witness_det
-from hgdet.exactla import (ExactMatrix, _integer_rows, _rank_rows, det_bareiss,
-                           det_exact, det_multimodular, rank_exact)
+from hgdet.exactla import (ExactMatrix, _rank_rows, det_bareiss, det_exact,
+                           det_multimodular, rank_exact)
 from hgdet.hypergraphs import (classify_partition, partition_from_basis,
                                partition_from_labels)
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
@@ -327,10 +327,10 @@ def check_tensor_route(tensor):
         rows, _, _ = expected
         scale = {i: lcm(*(Fraction(v).denominator for v in row.values()))
                  for i, row in rows.items()}
-        ints, divisor = _integer_rows(matrix)
-        assert ints == {i: {j: v * scale[i] for j, v in row.items()}
-                        for i, row in rows.items()}
-        assert all(type(v) is int for row in ints.values() for v in row.values())
+        ints, divisor = matrix.integer_form()
+        assert ints == {(i, j): v * scale[i] for i, row in rows.items()
+                        for j, v in row.items()}
+        assert all(type(v) is int for v in ints.values())
         assert divisor == prod(scale.values())
 
 
@@ -661,6 +661,9 @@ COORDINATE_KINDS = [
      object),
     ("bool", lambda rng: (True, False, 2, -1, 3, -5, 7, -8), object),
     ("numpy.int64", lambda rng: tuple(map(np.int64, range(-9, 10))), object),
+    # Products of two of these pass 2**63: numpy arithmetic would wrap.
+    ("numpy.int64 past 2**31", lambda rng: tuple(map(np.int64, (
+        3**30 + 7, -(3**30), 3**29 - 1, 5, -2))), object),
 ]
 
 
@@ -714,6 +717,58 @@ def test_tensor_beyond_int64_holds_python_ints(r, d):
             assert tensor_det(tensor, backend=backend) == expected, (kind, backend)
 
 
+def kind_matrix(n, pool, rng):
+    """A nonsingular n x n ExactMatrix whose entries, row by row, run
+    through ``pool`` once in a random order, then are drawn from it, and
+    the same matrix with Python ints for its bools and numpy integers."""
+    while True:
+        draws = chain(rng.sample(pool, len(pool)), iter(lambda: rng.choice(pool), None))
+        dense = [list(islice(draws, n)) for _ in range(n)]
+        plain = [[v if type(v) is Fraction else int(v) for v in row] for row in dense]
+        if sympy_det(plain):
+            return ExactMatrix.from_rows(dense), plain
+
+
+def sympy_det(rows):
+    sympy = pytest.importorskip("sympy")
+    return Fraction(str(sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                                       for v in row] for row in rows]).det()))
+
+
+def test_matrix_values_follow_the_tensor_rule(route):
+    """An ExactMatrix of each coordinate kind reaches elimination by the
+    tensors' value rule: its values, cleared row by row, have the kind's
+    dtype, bools and numpy integers count as the Python ints they equal,
+    and every determinant, the rank and the integer form are those of the
+    same matrix in Python ints and Fractions.  A float raises TypeError
+    in every one of those calls and in tensor_det."""
+    n = 5
+    for kind, pool, dtype in COORDINATE_KINDS:
+        rng = random.Random(6200)
+        matrix, plain = kind_matrix(n, pool(rng), rng)
+        expected = sympy_det(plain)
+        assert route(lambda: det_multimodular(matrix)) == (expected, ["_multimodular"])
+        assert route.dtypes == [(np.intp, np.intp, dtype)], kind
+        assert det_bareiss(matrix) == det_exact(matrix) == expected, kind
+        assert rank_exact(matrix) == n
+        scale = [lcm(*(Fraction(v).denominator for v in row)) for row in plain]
+        ints, divisor = matrix.integer_form()
+        assert ints == {(i, j): v * scale[i] for i, row in enumerate(plain)
+                        for j, v in enumerate(row) if v}, kind
+        assert all(type(v) is int for v in ints.values())
+        assert divisor == prod(scale)
+
+    # A float is not exact: a matrix or a tensor holding one is refused.
+    matrix = ExactMatrix.from_rows([[0.5, 1], [1, 3]])
+    for call in (det_bareiss, det_multimodular, det_exact, rank_exact,
+                 ExactMatrix.integer_form):
+        with pytest.raises(TypeError):
+            call(matrix)
+    tensor = TensorAssignment(2, 1, {(1, 2): (0.5,)})
+    with pytest.raises(TypeError):
+        tensor_det(tensor)
+
+
 def wide_witness_tensor(r, d, rng):
     """The witness labelling with vector p/q * e_label + m * e_(label + 1),
     q above 2**64: its column-cleared coordinates exceed 2**63, and it has
@@ -763,9 +818,10 @@ def test_systems_above_the_peel_bound_reach_the_peel(route):
 
     matrix = system_matrix(cases[0][0]).matrix
     value, runs = route(lambda: det_bareiss(matrix))
-    assert (runs, route.dtypes) == (["_peel_det"], [(np.intp, np.intp, object)])
-    rows, divisor = _integer_rows(matrix)
-    _, det = exactla._eliminate(rows, matrix.rows, matrix.rows, want_det=True)
+    assert (runs, route.dtypes) == (["_peel_det"], [(np.intp, np.intp, np.int64)])
+    rows, cols, vals, divisor = exactla._matrix_coords(matrix)
+    _, det = exactla._eliminate(exactla._int_rows(rows, cols, vals), matrix.rows,
+                                matrix.rows, want_det=True)
     assert value == Fraction(det, divisor) == det_multimodular(matrix) == values[0]
 
 
