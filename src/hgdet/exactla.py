@@ -49,13 +49,12 @@ Two determinant backends are provided and must always agree.
   lies 1-2 bits above |det| where H lies 90-170 bits above.
   ``_lift_divisor`` inverts the matrix A modulo one lifting prime
   p < 2**25 and lifts the solution of A x = b, for a fixed small integer
-  b, until p**k exceeds 2 W N B, with N a Hadamard bound of the Cramer
-  numerators and W the sum of the weights of one fixed combination of the
-  components (Dixon, Numer. Math. 40, 1982); both products of a lifting
-  step run exactly in float64 on 13-bit halves.  Rational reconstruction
-  of that combination gives most of s, the lcm of the denominators of the
-  components, and the few components with a denominator left over give
-  the rest.  The certificate is exact: y = s x must solve A y = s b in
+  b, until p**k exceeds 2 N B, with N a Hadamard bound of the Cramer
+  numerators (Dixon, Numer. Math. 40, 1982); both products of a lifting
+  step run exactly in float64 on 13-bit halves.  s, the lcm of the
+  denominators of the components, grows from 1 by the rational
+  reconstruction of each component that still has a denominator left
+  over.  The certificate is exact: y = s x must solve A y = s b in
   Python ints, and s is divided by gcd(s, y_1, ..., y_n); every
   denominator of A^-1 b divides det by Cramer's rule, and so does s.
   The CRT batch then skips the primes dividing s and is sized so that its
@@ -426,7 +425,7 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
                 push_col(j)
             else:
                 del cols[j]
-                if want_det and j != pc and rank < min(nrows, ncols):
+                if want_det and j != pc:
                     return rank, 0
 
         victims = sorted(cols.pop(pc, ()))
@@ -772,9 +771,9 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     well-conditioned matrices.  Rows and columns are taken in reverse
     order, which keeps fill-in late on the insertion systems.  A divisor s
     of det is lifted first: A x = b is solved p-adically modulo the
-    lifting prime, s is the lcm of the denominators of x, found from one
-    weighted sum of its components and then the components left over, and
-    it is certified exactly (A y = s b with y = s x, then s / gcd(s, y)).
+    lifting prime, s is the lcm of the denominators of x, found component
+    by component from s = 1, and it is certified exactly (A y = s b with
+    y = s x, then s / gcd(s, y)).
     CRT then reconstructs det / s: the batch is the shortest run of primes
     not dividing s whose product, times the lifting prime, exceeds
     2 ceil(B / s), plus one safety prime, and each residue is multiplied
@@ -872,18 +871,16 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     A_j being A with column j replaced by b, so |det(A_j)| <= N, the
     column Hadamard bound of the worst A_j, and det(A) <= ``bound``.
 
-    s comes from one combination first: sum_j w_j x_j, for fixed weights
-    w_j in 1..8, has numerator at most W N with W = sum_j w_j, and the
-    lift runs until p**k exceeds 2 W N ``bound``, so rational
-    reconstruction finds it uniquely; its denominator divides the lcm of
-    the denominators of x.  Then y = s x is read modulo p**k2 > 2 N p**2,
-    centred: a component of magnitude above N has a denominator left
-    over, which is reconstructed from x_j modulo p**k, and s takes it.
-    The two spare digits make a component with a denominator left over
-    land in [-N, N] with probability about p**-2; the certificate then
-    rejects it.  Reading y modulo p**k instead, about twice as many
-    digits, made det-auto-rational 9% slower (``wall_norm_s``, 4
-    alternating pairs of ``perfbench/run.py`` on 2 cores).
+    s is found by one rule, from s = 1: y = s x is read modulo
+    p**k2 > 2 N p**2, centred, and a component of magnitude above N has a
+    denominator left over, which is reconstructed from s x_j modulo p**k
+    and multiplied into s.  The lift runs until p**k exceeds
+    2 N ``bound``, so each reconstruction is unique.  The two spare digits
+    make a component with a denominator left over land in [-N, N] with
+    probability about p**-2; the certificate then rejects it.  Reading y
+    modulo p**k instead, about twice as many digits, made
+    det-auto-rational 9% slower (``wall_norm_s``, 4 alternating pairs of
+    ``perfbench/run.py`` on 2 cores).
 
     The certificate is exact: A y = s b is checked in Python ints, and s is
     divided by gcd(s, y_1, ..., y_n).  Then x = A^-1 b = y / s in lowest
@@ -909,8 +906,7 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
         return None
 
     num_bound = isqrt(sum(v * v for v in rhs) * prod(col_sq) // min(col_sq)) + 1
-    weights = [(j + 1) * 2246822519 % 2 ** 32 % 8 + 1 for j in range(n)]
-    limit = 2 * sum(weights) * num_bound * bound
+    limit = 2 * num_bound * bound
     modulus, k = p, 1
     while modulus <= limit:
         modulus *= p
@@ -927,22 +923,13 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
         residual //= p
     del a, inverse, residual
 
-    # The combination's digits are the weighted sums of the digits, each
-    # below 8 n p.
-    combination = 0
-    for c in (digits @ np.array(weights, dtype=np.int64))[::-1].tolist():
-        combination = combination * p + c
-    found = _rational_reconstruction(combination % modulus, modulus,
-                                     sum(weights) * num_bound, bound)
-    s = 1 if found is None else found[1]
-
-    short, k2 = p, 1
+    s, short, k2 = 1, p, 1
     while short <= 2 * num_bound * p * p and k2 < k:
         short *= p
         k2 += 1
     x = _join_digits(digits[:k2], p)
     half = short // 2
-    y = (x * (s % short) + half) % short - half
+    y = (x + half) % short - half
     j = -1
     while True:
         left = (abs(y[j + 1:]) > num_bound).nonzero()[0]

@@ -11,12 +11,15 @@ dictionary order, whose positions are the cells' ids, and for each cell
 the ids of its s faces in deletion order q, with sign (-1)**q.
 ``_shape_table`` builds the table of K^r_n once per (n, r), in a bounded
 cache, so a cell's id is its dictionary rank.  A partition's parts hold
-each r-subset of 1..n once, the key rule of ``tensors``; one pass of
-lookups in its index ``_subset_ids`` checks a partition and numbers its
-hyperedges, whose tuples are the index's own.  A lone hypergraph gets a
-table of its own cells (``_face_table``), so a few edges on many vertices
-never cost C(n, r) of anything.  The boundary ranks follow from the
-skeleta wherever a rule gives them, so only the rest are eliminated:
+each r-subset of 1..n once, the key rule of ``tensors``.  It is checked
+and numbered once, when built, by one pass of lookups in the index
+``_subset_ids`` that keeps each hyperedge's label; consumers group the
+labels and look nothing up.  ``_partition``, behind every builder,
+refuses more parts than hyperedges before it builds one.  A lone
+hypergraph gets a table of its own cells (``_face_table``), so a few
+edges on many vertices never cost C(n, r) of anything.  The boundary
+ranks follow from the skeleta wherever a rule gives them, so only the
+rest are eliminated:
 
 * rank d_0 = 1 when there is any vertex, else 0;
 * rank d_1 = |V| - (number of components), by union-find over the
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -307,9 +310,27 @@ class DPartition:
     n: int
     r: int
     parts: tuple[frozenset[tuple[int, ...]], ...]
+    # The part (from 1) of each hyperedge, in dictionary order.
+    _labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _part_ids(self)
+        """The one check and numbering of a partition: InvalidPartitionError
+        unless the parts hold each r-subset of 1..n once; the count first."""
+        held = sum(map(len, self.parts))
+        _check_held(held, self.n, self.r)
+        index = _subset_ids(self.r, self.n)
+        label = [0] * held
+        for i, part in enumerate(self.parts, start=1):
+            for e in part:
+                j = index.get(e)
+                if j is None:
+                    raise InvalidPartitionError(
+                        f"hyperedge {e} is not one of the {self.r}-subsets of 1..{self.n}")
+                if label[j]:
+                    raise InvalidPartitionError(
+                        f"hyperedge {e} assigned to parts {label[j]} and {i}")
+                label[j] = i
+        object.__setattr__(self, "_labels", tuple(label))
 
     @property
     def d(self) -> int:
@@ -326,43 +347,30 @@ def _check_held(held: int, n: int, r: int) -> None:
             f"parts hold {held} hyperedges, K^{r}_{n} has {comb(n, r)}")
 
 
-def _part_ids(p: DPartition) -> tuple[list[list[int]], list[int]]:
-    """Each part's hyperedge ids in ``_subset_ids(r, n)``, which are those in
-    the shape table, increasing, and each id's label, the part (from 1)
-    holding it.  Raises InvalidPartitionError unless the parts hold each
-    r-subset of 1..n once; the count goes first."""
-    held = sum(map(len, p.parts))
-    _check_held(held, p.n, p.r)
-    index = _subset_ids(p.r, p.n)
-    label = [0] * held
-    for i, part in enumerate(p.parts, start=1):
-        for e in part:
-            j = index.get(e)
-            if j is None:
-                raise InvalidPartitionError(
-                    f"hyperedge {e} is not one of the {p.r}-subsets of 1..{p.n}")
-            if label[j]:
-                raise InvalidPartitionError(
-                    f"hyperedge {e} assigned to parts {label[j]} and {i}")
-            label[j] = i
+def _part_ids(p: DPartition) -> list[list[int]]:
+    """Each part's hyperedge ids, increasing, grouped from its labels: the
+    ids of ``_subset_ids(r, n)`` and of the shape table."""
     ids: list[list[int]] = [[] for _ in p.parts]
-    for j, i in enumerate(label):
+    for j, i in enumerate(p._labels):
         ids[i - 1].append(j)
-    return ids, label
+    return ids
 
 
 def _partition(n: int, r: int, d: int,
                labelled: Iterable[tuple[tuple[int, ...], int]]) -> DPartition:
     """The d-partition of K^r_n whose part ``label`` (from 1) holds each
     hyperedge of the (hyperedge, label) pairs ``labelled``.  Only the parts
-    that hold a hyperedge exist until the labels and the hyperedge count
-    are checked, so a large d costs nothing on a malformed input."""
+    that hold a hyperedge exist until the labels, the hyperedge count and
+    d <= C(n, r) are checked, so a large d costs nothing."""
     parts: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
     for e, lab in labelled:
         if not 1 <= lab <= d:
             raise InvalidPartitionError(f"label {lab} at {e} outside 1..{d}")
         parts[lab].add(e)
     _check_held(sum(map(len, parts.values())), n, r)
+    if d > comb(n, r):
+        raise InvalidPartitionError(
+            f"{d} parts exceed the {comb(n, r)} hyperedges of K^{r}_{n}")
     return DPartition(n, r, tuple(frozenset(parts.get(i, ())) for i in range(1, d + 1)))
 
 
@@ -376,8 +384,7 @@ def _check_square(p: DPartition) -> None:
 def basis_from_partition(p: DPartition) -> BasisAssignment:
     """The basis assignment sending each hyperedge to its part index."""
     _check_square(p)
-    _, label = _part_ids(p)
-    return BasisAssignment(p.r, p.d, dict(zip(_subset_ids(p.r, p.n), label)))
+    return BasisAssignment(p.r, p.d, dict(zip(_subset_ids(p.r, p.n), p._labels)))
 
 
 def partition_from_basis(b: BasisAssignment) -> DPartition:
@@ -407,7 +414,7 @@ def _deficiency(n: int, skeleta: Iterable[list[set[int]]]
 def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) violating fullness of a skeleton
     below the top level, or None when every part is fully pre-homogeneous."""
-    table, (ids, _) = _shape_table(p.n, p.r), _part_ids(p)
+    table, ids = _shape_table(p.n, p.r), _part_ids(p)
     return _deficiency(p.n, (_skeleta(table, part) for part in ids))
 
 
@@ -429,13 +436,13 @@ def boundary_rank_matches_system(p: DPartition) -> bool:
     assembled by the label-aware route.  Both ranks are eliminated, with no
     rank rule.  Requires a pre-homogeneous partition."""
     _check_square(p)
-    table, (ids, label) = _shape_table(p.n, p.r), _part_ids(p)
+    table, ids = _shape_table(p.n, p.r), _part_ids(p)
     skeleta = [_skeleta(table, part) for part in ids]
     if _deficiency(p.n, skeleta) is not None:
         raise ValueError("rank comparison requires a pre-homogeneous partition")
     boundary_rank = sum(_rank_rows(*_boundary_rows(table, levels, p.r - 1))
                         for levels in skeleta)
-    return boundary_rank == _rank_rows(*_label_rows(p.r, p.d, label, p.n))
+    return boundary_rank == _rank_rows(*_label_rows(p.r, p.d, p._labels, p.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,8 +467,8 @@ def classify_partition(p: DPartition, backend: str = "auto",
     the three-way equivalence."""
     _check_threads(threads)
     _check_square(p)
-    table, (ids, label) = _shape_table(p.n, p.r), _part_ids(p)
-    det = _label_det(p.r, p.d, label, backend)
+    table, ids = _shape_table(p.n, p.r), _part_ids(p)
+    det = _label_det(p.r, p.d, p._labels, backend)
     skeleta = [_skeleta(table, part) for part in ids]
     deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None
@@ -483,9 +490,10 @@ def enumerate_partitions(n: int, r: int, d: int, homogeneous_only: bool = False,
 
     With ``homogeneous_only`` only the label sequences with equal part
     sizes are generated, in the same order, and no other is walked.
-    Raises ValueError when d < 1, and ResourceCapError when the label
+    Raises ValueError when d < 1, ResourceCapError when the label
     sequences walked, d ** C(n, r) of them or the multinomial
-    C(n, r)! / (C(n, r) / d)! ** d equal-size ones, would exceed ``cap``.
+    C(n, r)! / (C(n, r) / d)! ** d equal-size ones, would exceed ``cap``,
+    and InvalidPartitionError on the first partition when d > C(n, r).
     """
     if d < 1:
         raise ValueError(f"need d >= 1 parts, got d={d}")
@@ -578,12 +586,6 @@ def read_partition(fh: IO[str]) -> DPartition:
             raise ParseError(line_no, f"part {label} outside 1..{d}")
         assignments[subset] = label
     try:
-        # More parts than hyperedges fit no square system; refuse them
-        # before the d parts are built.
-        _check_held(len(assignments), n, r)
-        if d > comb(n, r):
-            raise InvalidPartitionError(
-                f"{d} parts exceed the {comb(n, r)} hyperedges of K^{r}_{n}")
         return _partition(n, r, d, assignments.items())
     except InvalidPartitionError as exc:
         raise ParseError(n_lines, str(exc)) from None

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -208,9 +209,9 @@ def _parse_rational(token: str, line_no: int) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+    """``p/q``, or the integer a value equals through ``operator.index``,
+    the rule of ``exactla._exact_values``: a float raises TypeError."""
+    return str(value if isinstance(value, Fraction) else index(value))
 
 
 def write_tensor(tensor: TensorAssignment, fh: IO[str]) -> None:

@@ -429,6 +429,37 @@ def test_partition_validation():
             check(p)
 
 
+def test_partition_keeps_its_labels_out_of_repr_hash_and_equality():
+    """The labels that the one numbering keeps, each hyperedge's part in
+    dictionary order, are no field of a partition's value."""
+    p = partition_from_labels(4, 2, 2, [1, 1, 2, 1, 2, 2])
+    assert p._labels == (1, 1, 2, 1, 2, 2)
+    before = repr(p), hash(p)
+    assert before[0] == f"DPartition(n=4, r=2, parts={p.parts!r})"
+    q = DPartition(p.n, p.r, p.parts)
+    object.__setattr__(q, "_labels", (2, 2, 1, 2, 1, 1))
+    assert (repr(q), hash(q)) == before and q == p
+
+
+def test_consumers_read_the_labels_without_lookups(monkeypatch):
+    """Once a partition is built and the shape table is warm, classifying
+    it, its deficiency and its rank comparison look no hyperedge up."""
+    prehom = partition_from_basis(canonical_witness(3, 2))
+    deficient = partition_from_labels(
+        6, 3, 2, [1 if 6 not in e else 2 for e in combinations(range(1, 7), 3)])
+    expected = (classify_partition(prehom), classify_partition(deficient),
+                skeleton_deficiency(prehom), skeleton_deficiency(deficient),
+                boundary_rank_matches_system(prehom))
+
+    def no_lookup(r, n):
+        raise AssertionError(f"_subset_ids({r}, {n}) called")
+
+    monkeypatch.setattr(hypergraphs, "_subset_ids", no_lookup)
+    assert (classify_partition(prehom), classify_partition(deficient),
+            skeleton_deficiency(prehom), skeleton_deficiency(deficient),
+            boundary_rank_matches_system(prehom)) == expected
+
+
 def test_rank_equality_on_witness():
     p = partition_from_basis(canonical_witness(3, 2))
     assert boundary_rank_matches_system(p)
@@ -530,6 +561,11 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_partitions(3, 3, 1)) == 1
     with pytest.raises(ResourceCapError):
         list(enumerate_partitions(6, 3, 2, cap=1000))
+    # More parts than hyperedges: the first partition is refused, and no
+    # equal split exists.
+    with pytest.raises(InvalidPartitionError, match="4 parts exceed the 3 hyperedges"):
+        next(enumerate_partitions(3, 2, 4))
+    assert list(enumerate_partitions(3, 2, 4, homogeneous_only=True)) == []
 
 
 @pytest.mark.parametrize("d, homogeneous_only", [(0, False), (0, True), (-1, False)])
@@ -595,17 +631,21 @@ def test_partition_io_errors():
 def test_partition_with_many_parts_fails_before_building_them():
     """A partition file with d = 100000 fails before the d parts exist, on
     its hyperedge count when it is short and on d > C(n, r) when it holds
-    every hyperedge of K^2_4: its peak under tracemalloc stays below 1 MB,
-    where 100000 empty parts would take tens of MB."""
+    every hyperedge of K^2_4, and so do 10**6 labels of K^2_4: the peak
+    under tracemalloc stays below 1 MB, where 100000 empty parts would
+    take tens of MB."""
     complete = "".join(f"{i} {j} -> 1\n" for i, j in combinations(range(1, 5), 2))
-    for text, message in (
-            ("4 2 100000\n1 2 -> 1\n", "line 2: parts hold 1 hyperedges, K\\^2_4 has 6"),
-            ("4 2 100000\n" + complete,
-             "line 7: 100000 parts exceed the 6 hyperedges of K\\^2_4")):
+    for build, error, message in (
+            (lambda: read_partition(io.StringIO("4 2 100000\n1 2 -> 1\n")),
+             tensors.ParseError, "line 2: parts hold 1 hyperedges, K\\^2_4 has 6"),
+            (lambda: read_partition(io.StringIO("4 2 100000\n" + complete)),
+             tensors.ParseError, "line 7: 100000 parts exceed the 6 hyperedges of K\\^2_4"),
+            (lambda: partition_from_labels(4, 2, 10**6, [1] * 6),
+             InvalidPartitionError, "1000000 parts exceed the 6 hyperedges of K\\^2_4")):
         tracemalloc.start()
         try:
-            with pytest.raises(tensors.ParseError, match=message):
-                read_partition(io.StringIO(text))
+            with pytest.raises(error, match=message):
+                build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

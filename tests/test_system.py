@@ -24,7 +24,7 @@ from hgdet.hypergraphs import (classify_partition, partition_from_basis,
 from hgdet.reference import KNOWN_WITNESS_DETS, system_dimension
 from hgdet.system import equation_block, relation_holds, system_matrix, write_matrix
 from hgdet.tensors import (BasisAssignment, TensorAssignment, canonical_witness,
-                           subsets, tensor_from_basis, witness_labels)
+                           subsets, tensor_from_basis, witness_labels, write_tensor)
 from hgdet.verify import plant_degenerate_simplex, random_tensor, random_vector
 
 from oracles import basis_rows, combine_columns, facet_column_relation, full_system_matrix
@@ -249,6 +249,24 @@ def test_write_matrix_format():
     row, col, value = lines[1].split()
     assert int(row) >= 1 and int(col) >= 1
     assert value.lstrip("-").isdigit()
+
+
+def test_dumps_write_exact_values_and_refuse_floats():
+    """Matrix and tensor dumps write a Fraction as p/q and any other value
+    as the integer it equals, through ``operator.index``: numpy integers and
+    bools pass, and a float raises TypeError instead of being truncated."""
+    buf = io.StringIO()
+    write_matrix(ExactMatrix.from_rows([[Fraction(1, 2), np.int64(-7)],
+                                        [True, Fraction(4, 2)]]), buf)
+    assert buf.getvalue() == "2 2 4\n1 1 1/2\n1 2 -7\n2 1 1\n2 2 2\n"
+    entries = {s: (np.int64(1), Fraction(-1, 3)) for s in subsets(2, 4)}
+    buf = io.StringIO()
+    write_tensor(TensorAssignment(2, 2, entries), buf)
+    assert buf.getvalue().splitlines()[:2] == ["2 2", "1 2 : 1 -1/3"]
+    with pytest.raises(TypeError):
+        write_matrix(ExactMatrix.from_rows([[0.5, 1], [1, 2.75]]), io.StringIO())
+    with pytest.raises(TypeError):
+        write_tensor(TensorAssignment(2, 2, entries | {(1, 2): (0.5, 1)}), io.StringIO())
 
 
 def test_degenerate_tensor_has_zero_det():
