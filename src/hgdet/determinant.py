@@ -25,7 +25,14 @@ callers differ only in the walk they fill:
   the labels (``system._label_arrays``): classification and tensor batches
   repeat one shape.  ``basis_det`` reads its labels off the assignment
   and hands them to ``_label_det``, which ``classify_partition`` calls
-  with labels filled from the parts' ids.
+  with the partition's labels.  ``_label_det`` counts the labels first.
+  Row b*d + c - 1 of a labelling's system meets only the columns labelled
+  c, so those columns live in the C(rd - 1, r - 1) rows of colour c, one
+  per base, and a colour that labels more columns than that has dependent
+  columns.  The d colours label d * C(rd - 1, r - 1) columns in all, so
+  unless each labels exactly C(rd - 1, r - 1), one labels more, and the
+  determinant is 0 with no fill.  ``tensor_det`` has no such rule, so on
+  a labelling's expanded tensor it stays an independent check.
 * ``witness_det`` fills the uncached walk (``system._insertion_arrays``)
   with labels that come straight from the witness rule: int32 rows and
   columns and int8 values, 9 bytes per nonzero, and about 21 at the peak
@@ -40,7 +47,7 @@ Every labelling gets the value of its expanded tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from . import exactla, system
@@ -68,8 +75,15 @@ def basis_det(basis: BasisAssignment, backend: str = "auto") -> Fraction:
 
 def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto") -> Fraction:
     """:func:`basis_det` of the labelling ``label``, one label in 1..d per
-    r-subset of 1..rd in dictionary order, filled into the cached pattern."""
+    r-subset of 1..rd in dictionary order, filled into the cached pattern,
+    or 0 with no fill when some colour does not label C(rd - 1, r - 1)
+    subsets (see the module docstring).  An unknown backend is refused
+    first."""
+    exactla._pick_backend(backend, 0, 0)
     n = r * d
+    share = comb(n - 1, r - 1)
+    if any(label.count(c) != share for c in range(1, d + 1)):
+        return Fraction(0)
     arrays = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
     return exactla._det_coords(*arrays, 1, backend)
 

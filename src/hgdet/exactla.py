@@ -470,9 +470,16 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
         return rank, 0
     if rank < nrows:
         return rank, 0
-    perm = np.empty(nrows, dtype=np.intp)
-    perm[pivot_rows] = pivot_cols
-    return rank, _array_permutation_sign(perm) * peeled * pivots[-1]
+    # The sign of the pairing, by its cycles: each cycle of length l is
+    # l - 1 transpositions.
+    perm = dict(zip(pivot_rows, pivot_cols))
+    det = peeled * pivots[-1]
+    while perm:
+        i, j = perm.popitem()
+        while j != i:
+            j = perm.pop(j)
+            det = -det
+    return rank, det
 
 
 def _array_permutation_sign(perm: np.ndarray) -> int:

@@ -8,7 +8,9 @@ b_k = dim C_k - rank d_k - rank d_{k+1}.
 
 The cells come from a face table: for each level s, s-subsets in
 dictionary order, whose positions are the cells' ids, and for each cell
-the ids of its s faces in deletion order q, with sign (-1)**q.
+the ids of its s faces in deletion order q, with sign (-1)**q, and its
+boundary row, a read-only mapping from face id to that sign, which for
+s >= 2 leaves out the faces through the table's least vertex.
 ``_shape_table`` builds the table of K^r_n once per (n, r), in a bounded
 cache, so a cell's id is its dictionary rank.  A partition's parts hold
 each r-subset of 1..n once, the key rule of ``tensors``.  It is checked
@@ -25,9 +27,9 @@ rest are eliminated:
 * rank d_1 = |V| - (number of components), by union-find over the
   1-skeleton;
 * rank d_k = C(n-1, k) when every (k+1)-subset of 1..n is a cell;
-* any other boundary is built from the face ids straight into the integer
-  row form, without the columns of the cells through the least vertex,
-  which never change its rank, and its rank taken by one exact
+* any other boundary is copied from the table's rows into the integer
+  row form, so without the columns of the cells through the least
+  vertex, which never change its rank, and its rank taken by one exact
   elimination.
 
 For r = 3 only the top map d_2 is eliminated, and for r = 2 nothing is.
@@ -41,10 +43,12 @@ when it is pre-homogeneous and every part has vanishing top Betti number,
 and any such partition is automatically homogeneous.  ``classify_partition``
 reads the deficiency and the Betti numbers of each part from the same
 skeleta, with at most one elimination per part for r = 3, and the
-determinant's labels from the same numbering.
+determinant's labels from the same numbering; parts of unequal size give
+det 0 with no fill (see ``determinant``).
 
 Everything here is a pure function of immutable values, the cached tables
-included; classifying distinct partitions is safe to run in parallel.
+included: their rows are read-only, and elimination works on copies.
+Classifying distinct partitions is safe to run in parallel.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
@@ -95,15 +100,20 @@ class Hypergraph:
 
 # Shapes that _shape_table keeps.  A run repeats few shapes: a
 # classification sweep one (n, r), a suite a handful.  The table of
-# K^3_6 takes 4 KB (tracemalloc), that of K^5_15, the (5, 3) partitions,
-# 4944 cells in 0.8 MB; a sweep over many shapes keeps only the last few.
+# K^3_6 takes 12 KB (tracemalloc, beside the subset index it shares),
+# that of K^5_15, the (5, 3) partitions, 4944 cells in 2.0 MB, two thirds
+# of it the rows; a sweep over many shapes keeps only the last few.
 _SHAPE_CACHE_SIZE = 8
 
-#: A face table: one ``(cells, faces)`` per level s in 0..r.  ``cells`` are
-#: s-subsets in dictionary order, and a cell's id is its position there;
-#: ``faces[i]`` holds the ids, in level s - 1, of the faces of cell i, the
-#: q-th (from 0) deleting its q-th vertex, with sign (-1)**q.
-FaceTable = tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]
+#: A face table: one ``(cells, faces, rows)`` per level s in 0..r.
+#: ``cells`` are s-subsets in dictionary order, and a cell's id is its
+#: position there; ``faces[i]`` holds the ids, in level s - 1, of the faces
+#: of cell i, the q-th (from 0) deleting its q-th vertex, with sign
+#: (-1)**q; ``rows[i]`` is cell i's boundary row, a read-only mapping from
+#: face id to that sign, without the faces through the table's least
+#: vertex for s >= 2 (see ``_boundary_rows``).
+FaceTable = tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...],
+                        tuple[MappingProxyType[int, int], ...]], ...]
 
 
 def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
@@ -116,10 +126,16 @@ def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
         below = sorted({c[:q] + c[q + 1:] for c in cells for q in range(s)}
                        if s > 1 else [()])
         index = {c: i for i, c in enumerate(below)}
-        table.append((tuple(cells), tuple(tuple(index[c[:q] + c[q + 1:]]
-                                                for q in range(s)) for c in cells)))
+        faces = tuple(tuple(index[c[:q] + c[q + 1:]] for q in range(s)) for c in cells)
+        # Ids below ``low`` are the cells through the least vertex, which
+        # sort first.
+        low = bisect_left(below, (below[0][0] + 1,)) if s > 1 and below else 0
+        signs = (1, -1) * (s // 2 + 1)
+        rows = tuple(MappingProxyType({f: sign for f, sign in zip(ids, signs) if f >= low})
+                     for ids in faces)
+        table.append((tuple(cells), faces, rows))
         cells = below
-    table.append((((),), ((),)))
+    table.append((((),), ((),), (MappingProxyType({}),)))
     return tuple(reversed(table))
 
 
@@ -243,22 +259,18 @@ def _spanning_forest_size(n: int, edges: Iterable[tuple[int, int]]) -> int:
 def _boundary_rows(table: FaceTable, levels: list[set[int]],
                    k: int) -> tuple[IntRows, int, int]:
     """The transpose of the boundary map d_k in the integer row form: one
-    row per cell of degree k, holding the alternating signs of its faces,
-    in columns indexed by the table's ids of degree k - 1.  Returns (rows,
-    nrows, ncols), whose rank is that of d_k.
+    row per cell of degree k, a copy of its row in the table, in columns
+    indexed by the table's ids of degree k - 1.  Returns (rows, nrows,
+    ncols), whose rank is that of d_k.
 
-    For k >= 1 the columns of the cells through the table's least vertex
-    v, which sort first, are left out.  They never change the rank: a
+    For k >= 1 the table's rows leave out the columns of the cells through
+    its least vertex v, which sort first.  They never change the rank: a
     cycle z of degree k - 1 whose cells all hold v is 0, since each cell c
     of z gives d z the entry +-z_c at c - v, a cell without v that no
     other cell of z gives."""
-    faces = table[k + 1][1]
-    signs = (1, -1) * (k // 2 + 1)
-    below = table[k][0]
-    low = bisect_left(below, (below[0][0] + 1,)) if k else 0
-    rows: IntRows = {j: {f: sign for f, sign in zip(faces[c], signs) if f >= low}
-                     for j, c in enumerate(levels[k + 1])}
-    return rows, len(levels[k + 1]), len(below)
+    rows = table[k + 1][2]
+    return ({j: rows[c].copy() for j, c in enumerate(levels[k + 1])},
+            len(levels[k + 1]), len(table[k][0]))
 
 
 def _boundary_rank(table: FaceTable, levels: list[set[int]], n: int, k: int) -> int:
@@ -297,7 +309,7 @@ def euler_characteristic(h: Hypergraph) -> int:
     """Alternating cell count sum_{s=0}^{r} (-1)^s |E_s|, the empty cell
     counting as E_0.  Equals -sum_k (-1)^k b_k over the reduced degrees."""
     return sum((-1) ** s * len(cells)
-               for s, (cells, _) in enumerate(_face_table(h.edges, h.r)))
+               for s, (cells, *_) in enumerate(_face_table(h.edges, h.r)))
 
 
 # --- partitions --------------------------------------------------------------

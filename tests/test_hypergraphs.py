@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgdet.combi import rank_combination
-from hgdet.determinant import basis_det
+from hgdet.determinant import basis_det, tensor_det
 from hgdet.exactla import rank_exact
 from hgdet import hypergraphs
 from hgdet import tensors
@@ -215,19 +216,81 @@ def test_shape_table_matches_ranks_and_chain_complex(r):
         table = hypergraphs._shape_table(n, r)
         assert len(table) == r + 1
         cx = chain_complex(Hypergraph.complete(n, r))
-        for s, (cells, faces) in enumerate(table):
+        for s, (cells, faces, rows) in enumerate(table):
             assert list(cells) == cx.generators[s - 1]
             assert [rank_combination(c, n) for c in cells] == list(range(comb(n, s)))
-            assert len(faces) == len(cells)
+            assert len(faces) == len(rows) == len(cells)
             assert all(len(f) == s for f in faces)
             if s:
                 entries = {(f, i): (-1) ** q for i, ids in enumerate(faces)
                            for q, f in enumerate(ids)}
                 assert entries == cx.boundary[s - 1].entries
-        assert nested_tuples(table)
+            assert nested_tuples((cells, faces))
         assert hypergraphs._shape_table(n, r) is table
     maxsize = hypergraphs._shape_table.cache_info().maxsize
     assert maxsize == hypergraphs._SHAPE_CACHE_SIZE
+
+
+def assert_rows_leave_out_the_least_vertex(table):
+    """Each row of ``table`` is read-only and holds its cell's faces with
+    sign (-1)**q, leaving out at levels s >= 2 the ids below ``low``: the
+    cells of level s - 1 through the table's least vertex."""
+    least = table[1][0][0][0] if len(table) > 1 and table[1][0] else None
+    for s, (cells, faces, rows) in enumerate(table):
+        below = table[s - 1][0] if s >= 2 else ()
+        low = sum(least in c for c in below)
+        assert all(least in c for c in below[:low])
+        assert len(rows) == len(cells)
+        for i, row in enumerate(rows):
+            assert isinstance(row, MappingProxyType)
+            assert row == {f: (-1) ** q for q, f in enumerate(faces[i]) if f >= low}
+
+
+def test_table_rows_leave_out_the_least_vertex():
+    for r in range(5):
+        for n in range(r, 9):
+            assert_rows_leave_out_the_least_vertex(hypergraphs._shape_table(n, r))
+    rng = random.Random(31)
+    for r in range(1, 5):
+        for n in range(r, 9):
+            everything = list(combinations(range(1, n + 1), r))
+            for size in {0, 1, min(3, len(everything)), len(everything) // 2}:
+                edges = rng.sample(everything, size)
+                table = hypergraphs._face_table(edges, r)
+                assert_rows_leave_out_the_least_vertex(table)
+                assert table[r][0] == tuple(sorted(edges))
+
+
+def test_table_rows_are_read_only():
+    table = hypergraphs._shape_table(6, 3)
+    row = table[3][2][0]
+    with pytest.raises(TypeError):
+        row[0] = 5
+    before = [dict(row) for row in table[3][2]]
+    levels = hypergraphs._skeleta(table, range(20))
+    rows, nrows, ncols = hypergraphs._boundary_rows(table, levels, 2)
+    assert (nrows, ncols) == (20, 15)
+    for out in rows.values():
+        out.clear()
+        out[0] = 7
+    assert [dict(row) for row in table[3][2]] == before
+
+
+# The 6-vertex projective plane; its complement in K^3_6 is another one.
+PROJECTIVE_PLANE = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)})
+
+
+def test_projective_plane_pair_has_det_4():
+    """Each part is a projective plane, with H_1 = Z/2 and rational Betti
+    numbers 0: the first det^{S^3} value that is not +-1."""
+    rest = frozenset(combinations(range(1, 7), 3)) - PROJECTIVE_PLANE
+    p = DPartition(6, 3, (PROJECTIVE_PLANE, rest))
+    report = classify_partition(p)
+    basis = basis_from_partition(p)
+    assert report.det == basis_det(basis) == tensor_det(tensor_from_basis(basis)) == 4
+    assert report.homogeneous and report.consistent
+    assert all(b.all_zero() for b in report.betti)
 
 
 def oracle_partitions(n, r, d, trials):

@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod
 from unittest import mock
 
@@ -523,6 +523,120 @@ def test_basis_det_rejects_an_unknown_backend():
         basis_det(canonical_witness(2, 2), backend="gauss")
 
 
+# --- the count rule and the block identity ----------------------------------
+
+
+def balanced_labels(r, d, rng):
+    """A seeded labelling of the r-subsets of 1..rd whose every colour
+    holds C(rd - 1, r - 1) of them."""
+    label = [c for c in range(1, d + 1) for _ in range(comb(r * d - 1, r - 1))]
+    rng.shuffle(label)
+    return label
+
+
+def unbalanced_labels(r, d, rng):
+    """A seeded labelling in which some colour does not hold
+    C(rd - 1, r - 1) subsets."""
+    share = comb(r * d - 1, r - 1)
+    while True:
+        label = [rng.randint(1, d) for _ in range(comb(r * d, r))]
+        if any(label.count(c) != share for c in range(1, d + 1)):
+            return label
+
+
+def label_cases():
+    """All 64 labellings of (2, 2), then seeded balanced and unbalanced
+    ones of (3, 2) and (2, 3)."""
+    for label in product((1, 2), repeat=6):
+        yield 2, 2, list(label)
+    rng = random.Random(2525)
+    for r, d in ((3, 2), (2, 3)):
+        for _ in range(10):
+            yield r, d, balanced_labels(r, d, rng)
+            yield r, d, unbalanced_labels(r, d, rng)
+
+
+def test_label_det_equals_the_expanded_tensor_det(route):
+    """``basis_det`` equals ``tensor_det``, which has no count rule, on
+    every case; only the balanced labellings reach ``_det_coords``."""
+    seen = {"balanced": 0, "unbalanced": 0, "nonzero": 0}
+    for r, d, label in label_cases():
+        basis = BasisAssignment(r, d, dict(zip(subsets(r, r * d), label)))
+        value, runs = route(lambda: basis_det(basis))
+        assert value == tensor_det(tensor_from_basis(basis))
+        share = comb(r * d - 1, r - 1)
+        balanced = all(label.count(c) == share for c in range(1, d + 1))
+        assert len(runs) == balanced
+        seen["balanced" if balanced else "unbalanced"] += 1
+        seen["nonzero"] += value != 0
+    assert all(seen.values()), seen
+
+
+def test_unbalanced_labelling_is_zero_with_no_fill(route, monkeypatch):
+    """The count rule answers before the fill, and never before refusing
+    an unknown backend."""
+    rng = random.Random(26)
+    label = unbalanced_labels(3, 2, rng)
+    basis = BasisAssignment(3, 2, dict(zip(subsets(3, 6), label)))
+    p = partition_from_labels(6, 3, 2, label)
+
+    def refuse(*args):
+        raise AssertionError("filled an unbalanced labelling")
+
+    monkeypatch.setattr(system, "_label_arrays", refuse)
+    assert route(lambda: basis_det(basis)) == (0, [])
+    assert route(lambda: classify_partition(p).det) == (0, [])
+    assert classify_partition(p).consistent
+    with pytest.raises(ValueError):
+        basis_det(basis, backend="nope")
+
+
+def colour_block_dets(r, d, label):
+    """det A_c for each colour c: the system restricted to the rows of
+    colour c and the columns labelled c, both renumbered in increasing
+    order, each through ``_det_coords``."""
+    n = r * d
+    m = comb(n - 1, r - 1)
+    rows, cols, vals, _ = system._label_arrays(r, d, label,
+                                               system._insertion_arrays(r, n, n - 1))
+    label = np.asarray(label)
+    dets = []
+    for c in range(1, d + 1):
+        keep = rows % d == c - 1
+        assert (label[cols[keep]] == c).all()
+        columns = np.flatnonzero(label == c)
+        assert len(columns) == m
+        dets.append(exactla._det_coords(rows[keep] // d, np.searchsorted(columns, cols[keep]),
+                                        vals[keep], m, 1, "bareiss"))
+    return dets
+
+
+def block_sign(r, d, label):
+    """(-1)**(inv + C(m, 2) * C(d, 2)): inv sorts the columns by label, and
+    C(m, 2) * C(d, 2) sends row b*d + c - 1 to row (c - 1)*m + b."""
+    m = comb(r * d - 1, r - 1)
+    inv = sum(a > b for i, a in enumerate(label) for b in label[i + 1:])
+    return (-1) ** (inv + comb(m, 2) * comb(d, 2))
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+def test_labelling_det_is_the_signed_product_of_colour_blocks(r, d):
+    """det = eps * prod_c det A_c on the witness cell and on 20 seeded
+    balanced labellings, half of them a swap or two from the witness, so
+    that some are nonsingular: the block identity the count rule rests
+    on."""
+    rng = random.Random(100 * r + d)
+    labels = [witness_labels(r, d).tolist()]
+    labels += [balanced_labels(r, d, rng) for _ in range(10)]
+    labels += [swapped_witness(r, d, rng) for _ in range(10)]
+    for k, label in enumerate(labels):
+        basis = BasisAssignment(r, d, dict(zip(subsets(r, r * d), label)))
+        value = basis_det(basis, backend="bareiss")
+        assert value == block_sign(r, d, label) * prod(colour_block_dets(r, d, label))
+        if k == 0:
+            assert value == KNOWN_WITNESS_DETS.get((r, d), value) and abs(value) == 1
+
+
 # --- the array route against the row route ----------------------------------
 
 
@@ -845,8 +959,9 @@ def test_systems_above_the_peel_bound_reach_the_peel(route):
 
 def test_array_route_is_32_bit(monkeypatch, route):
     """The wave peel receives int32 rows and columns and int8 values, and
-    the permutation whose sign it takes last is int32; before it, the empty
-    core's ``_eliminate`` takes the sign of its own, empty, permutation."""
+    the one permutation whose sign it takes with numpy is its own int32
+    one; the empty core's ``_eliminate`` walks its pairing's cycles in
+    Python."""
     dtypes = []
     sign = exactla._array_permutation_sign
 
@@ -857,7 +972,7 @@ def test_array_route_is_32_bit(monkeypatch, route):
     monkeypatch.setattr(exactla, "_array_permutation_sign", sign_spy)
     assert route(lambda: witness_det(5, 5, backend="bareiss")) == (1, ["_peel_det"])
     assert route.dtypes == [(np.int32, np.int32, np.int8)]
-    assert dtypes == [np.intp, np.int32]
+    assert dtypes == [np.int32]
 
 
 def test_array_route_peak_memory_per_nonzero():
