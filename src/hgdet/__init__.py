@@ -1,8 +1,7 @@
 """Exact determinants of subset-indexed vector families and the partition
 homology that characterizes their zeros."""
 
-from .combi import (binomial, euler_identity_holds, insertion_sign,
-                    rank_combination, unrank_combination)
+from .combi import binomial, euler_identity_holds, insertion_sign
 from .determinant import basis_det, tensor_det, witness_det
 from .exactla import (ExactMatrix, det_bareiss, det_exact, det_multimodular,
                       rank_exact)

@@ -1,8 +1,8 @@
-"""Subset indexing, insertion signs, and the Euler-characteristic identity.
+"""Subset checks, insertion signs, and the Euler-characteristic identity.
 
 Subsets of {1, ..., n} are represented as strictly increasing tuples of
 positive integers and ordered lexicographically (dictionary order).
-Ranks are 0-based; vertex labels are 1-based everywhere.
+Vertex labels are 1-based everywhere.
 """
 
 from __future__ import annotations
@@ -34,33 +34,6 @@ def check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
     if t and (t[0] < 1 or t[-1] > n):
         raise ValueError(f"subset {t} out of range 1..{n}")
     return t
-
-
-def rank_combination(subset: Sequence[int], n: int) -> int:
-    """0-based position of a k-subset of 1..n in dictionary order:
-    C(n, k) - 1 - sum_i C(n - c_i, k + 1 - i) for c_1 < ... < c_k."""
-    t = check_subset(subset, n)
-    k = len(t)
-    return comb(n, k) - 1 - sum(comb(n - c, k - i) for i, c in enumerate(t))
-
-
-def unrank_combination(idx: int, k: int, n: int) -> tuple[int, ...]:
-    """Inverse of rank_combination: the idx-th k-subset of 1..n."""
-    if k < 0 or n < 0 or not 0 <= idx < comb(n, k):
-        raise ValueError(f"rank {idx} out of range for C({n},{k}) subsets")
-    out = []
-    c = 1
-    remaining = idx
-    for i in range(k):
-        while True:
-            skipped = comb(n - c, k - i - 1)
-            if remaining < skipped:
-                out.append(c)
-                c += 1
-                break
-            remaining -= skipped
-            c += 1
-    return tuple(out)
 
 
 def insertion_sign(s: int, base: Sequence[int]) -> tuple[int, int]:

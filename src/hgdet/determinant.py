@@ -35,11 +35,14 @@ callers differ only in the walk they fill:
   a labelling's expanded tensor it stays an independent check.
 * ``witness_det`` fills the uncached walk (``system._insertion_arrays``)
   with labels that come straight from the witness rule: int32 rows and
-  columns and int8 values, 9 bytes per nonzero, and about 21 at the peak
-  of a wave peel.  Its labels are new on every call and ``hgdet table``
-  builds each cell once, so a cache would only keep the arrays alive.  A
-  cell whose C(rd, r) rows exceed int32 indices is refused with
-  MemoryError before anything is allocated.
+  columns and int8 values, 9 bytes per nonzero.  At the peak of a wave
+  peel (tracemalloc) that is 19.5-20.5 bytes per nonzero from (5, 6) up,
+  and 21-22 on (8, 2), (9, 2) and (6, 3), whose gathers span one or a
+  few chunks and so copy more of their indices to intp at once.  Its
+  labels are new on every call and ``hgdet table`` builds each cell once,
+  so a cache would only keep the arrays alive.  A cell whose C(rd, r)
+  rows exceed int32 indices is refused with MemoryError before anything
+  is allocated.
 
 Every labelling gets the value of its expanded tensor.
 """

@@ -126,15 +126,28 @@ _LIFT_PRIME = 33_554_393
 # of ``_peel_det`` instead of ``_eliminate``'s own peel on integer rows.
 # Per call on one core, best of 15 interleaved passes, on nonsingular
 # labellings filled from the cached pattern, ``_eliminate`` against the peel:
-#   83 K^3_6 labellings of classify-r3d2, 40         47 us    188 us
-#   witness (4, 2), 175                              136 us    260 us
-#   witness (3, 3), 196                              163 us    184 us
-#   witness (2, 8), 225                              217 us    197 us
-#   witness (3, 4), 550                              439 us    237 us
-#   witness (3, 5), 1183                            1021 us    318 us
+#   83 K^3_6 labellings of classify-r3d2, 40         39 us    124 us
+#   witness (4, 2), 175                              132 us    182 us
+#   witness (3, 3), 196                              156 us    131 us
+#   witness (2, 8), 225                              190 us    135 us
+#   witness (3, 4), 550                              369 us    167 us
+#   witness (3, 5), 1183                             805 us    218 us
+# The crossover lies between 175 and 225 nonzeros: at 196 the two came
+# within 15% of each other either way over repeated runs, so 250 stays.
 # Sending every system to the peel raised classify-r3d2 ``op_p99_norm_ms``
 # from 0.349 to 0.481 ms (medians of 3 runs of ``perfbench/run.py``).
 _PEEL_NNZ = 250
+
+# Entries per step of ``_gather``.  With int32 indices, ``take`` is about
+# twice as fast as fancy indexing and ``compress`` 1.5-5 times as fast as
+# boolean-mask indexing (numpy 2.4), but both copy an int32 index, or the
+# positions that a mask selects, to a new intp array: over a whole peel
+# that adds up to 8 bytes per nonzero at its peak (``witness_det(10, 2)``
+# went from 19.7 to 22.6), over a chunk at most 0.5 MB.  A key of at most
+# one chunk, as on the small systems of det-auto-sparse, gets one plain
+# call.  ``mode="clip"`` keeps ``take`` from buffering each step's view of
+# ``out`` (every index is in range).
+_GATHER_CHUNK = 1 << 16
 
 
 class ReconstructionError(RuntimeError):
@@ -172,32 +185,6 @@ class ExactMatrix:
                 if v:
                     entries[(i, j)] = v
         return cls(rows, cols, entries)
-
-    def to_dense(self) -> list[list[Rational]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self.entries.items()})
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matmul")
-        by_row: dict[int, list[tuple[int, Rational]]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], Rational] = {}
-        for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + v * w
-        return ExactMatrix(self.rows, other.cols, acc)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def integer_form(self) -> tuple[dict[tuple[int, int], int], int]:
         """Clear denominators row by row.
@@ -482,6 +469,25 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
     return rank, det
 
 
+def _gather(a: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """``a[key]`` for a 1-D array ``a``, with ``key`` an array of valid
+    indices into it or a boolean mask as long as it, by ``take`` or
+    ``compress`` in steps of ``_GATHER_CHUNK`` entries of ``key``; a
+    masked step takes the positions it selects."""
+    mask = key.dtype == bool
+    if len(key) <= _GATHER_CHUNK:
+        return a.compress(key) if mask else a.take(key)
+    out = np.empty(np.count_nonzero(key) if mask else len(key), dtype=a.dtype)
+    at = 0
+    for lo in range(0, len(key), _GATHER_CHUNK):
+        part, source = key[lo:lo + _GATHER_CHUNK], a
+        if mask:
+            part, source = np.flatnonzero(part), a[lo:lo + _GATHER_CHUNK]
+        source.take(part, out=out[at:at + len(part)], mode="clip")
+        at += len(part)
+    return out
+
+
 def _array_permutation_sign(perm: np.ndarray) -> int:
     """Sign of the permutation k -> perm[k], from its cycle count.  Pointer
     doubling gives each point the least point of its cycle within 2**k
@@ -491,11 +497,11 @@ def _array_permutation_sign(perm: np.ndarray) -> int:
     least = points
     step = perm
     while True:
-        merged = np.minimum(least, least[step])
+        merged = np.minimum(least, _gather(least, step))
         if np.array_equal(merged, least):
             break
         least = merged
-        step = step[step]
+        step = _gather(step, step)
     cycles = np.count_nonzero(least == points)
     return 1 if (len(perm) - cycles) % 2 == 0 else -1
 
@@ -519,9 +525,9 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
     core.  ``_det_coords`` calls it with the arrays of its callers: int32
     indices and int8 values for a labelling, intp rows, int32 columns and
     int64 or object values for a tensor, intp indices and int64 or object
-    values for ``det_exact``.  The peel keeps their types: each wave gathers
-    boolean masks, not counts, and drops its own temporaries before it
-    compacts the live entries.
+    values for ``det_exact``.  The peel keeps their types: each wave reads
+    boolean masks, not counts, through ``_gather``, and drops its own
+    temporaries before it compacts the live entries.
 
     Each wave pivots on every singleton column and every singleton row at
     once.  Two singleton columns on one row, or two singleton rows on one
@@ -550,20 +556,23 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
                 return 0
             single.append(count == 1)
             del count
-        pivot = single[0][rows] | single[1][cols]
+        pivot = _gather(single[0], rows)
+        pivot |= _gather(single[1], cols)
         if not pivot.any():
             break
-        pr, pc = rows[pivot], cols[pivot]
+        pr, pc = _gather(rows, pivot), _gather(cols, pivot)
         peeled += len(pr)
         dead_row[pr] = True
         dead_col[pc] = True
         if np.count_nonzero(dead_row) < peeled or np.count_nonzero(dead_col) < peeled:
             return 0
         perm[pr] = pc
-        product *= prod(vals[pivot].tolist())
+        product *= prod(_gather(vals, pivot).tolist())
         del pivot, pr, pc
-        live = ~(dead_row[rows] | dead_col[cols])
-        rows, cols, vals = rows[live], cols[live], vals[live]
+        live = _gather(dead_row, rows)
+        live |= _gather(dead_col, cols)
+        np.logical_not(live, out=live)
+        rows, cols, vals = _gather(rows, live), _gather(cols, live), _gather(vals, live)
         del live
 
     # The core, renumbered; sigma pairs its rows and columns in order.

@@ -129,30 +129,33 @@ def _insertion_arrays(r: int, n: int, top: int) -> tuple[np.ndarray, np.ndarray]
     the enlarged subset, C(n, r) - 1 - sum_k C(n - c_k, r + 1 - k) for
     c_1 < ... < c_r, for a chunk of bases at once with no subset built."""
     _check_index_width(r, n)
-    # term[k, c]: the rank term of element c at 1-based position k.
+    # term[k, c]: the rank term of element c at 1-based position k, read
+    # flat at k*(n + 1) + c.
     term = np.array([[comb(n - c, r + 1 - k) for c in range(n + 1)]
-                     for k in range(r + 2)], dtype=np.int64)
+                     for k in range(r + 2)], dtype=np.int64).ravel()
     bases = subset_array(r - 1, top)
     nbases, per = len(bases), n - r + 1
-    k = np.arange(1, r)
-    elements = np.arange(1, n + 1)
+    at_k = np.arange(1, r) * (n + 1)
+    elements = np.tile(np.arange(1, n + 1), min(nbases, _WALK_CHUNK))
     skipped = np.arange(per)
     col = np.empty((nbases, per), dtype=np.int32)
     for lo in range(0, nbases, _WALK_CHUNK):
         chunk = bases[lo:lo + _WALK_CHUNK]
         m = len(chunk)
-        member = np.zeros((m, n + 1), dtype=bool)
-        member[np.arange(m)[:, None], chunk] = True
-        s = np.broadcast_to(elements, (m, n))[~member[:, 1:]].reshape(m, per)
+        outside = np.ones((m, n + 1), dtype=bool)
+        outside[np.arange(m)[:, None], chunk] = False
+        s = np.compress(outside[:, 1:].ravel(), elements[:m * n]).reshape(m, per)
         pos = s - 1 - skipped
         # split[b, p]: the rank terms of base b when p of its elements
         # precede the inserted one, those keeping position k + 1 and the
         # rest k + 2.
+        at = chunk + at_k
         split = np.zeros((m, r), dtype=np.int64)
-        np.cumsum(term[k, chunk], axis=1, out=split[:, 1:])
-        split[:, :-1] += np.cumsum(term[k + 1, chunk][:, ::-1], axis=1)[:, ::-1]
-        rank = np.take_along_axis(split, pos, axis=1)
-        rank += term[pos + 1, s]
+        np.cumsum(np.take(term, at), axis=1, out=split[:, 1:])
+        at += n + 1
+        split[:, :-1] += np.cumsum(np.take(term, at)[:, ::-1], axis=1)[:, ::-1]
+        rank = np.take(split, pos + np.arange(0, m * r, r)[:, None])
+        rank += np.take(term, (pos + 1) * (n + 1) + s)
         col[lo:lo + m] = np.subtract(comb(n, r) - 1, rank, out=rank)
     sign = np.tile(np.where(skipped % 2, -1, 1).astype(np.int8), nbases)
     return col.ravel(), sign
@@ -204,10 +207,12 @@ def _vector_arrays(r: int, d: int, values: np.ndarray,
     b puts sign * v in row b*d + c of its column for each nonzero
     coordinate v at c in 0..d-1.  ``vals`` has the dtype of ``values``."""
     col, sign = _pattern(r, r * d, top)
-    values = values[col] * sign[:, None]
-    insertion, c = np.nonzero(values)
+    values = np.take(values, col, axis=0)
+    values *= sign[:, None]
+    at = np.flatnonzero(values)
+    insertion, c = np.divmod(at, d)
     rows = insertion // (r * d - r + 1) * d + c
-    return rows, col[insertion], values[insertion, c], d * comb(top, r - 1)
+    return rows, np.take(col, insertion), np.take(values, at), d * comb(top, r - 1)
 
 
 def _label_rows(r: int, d: int, label: Sequence[int],

@@ -48,7 +48,7 @@ def subset_array(r: int, n: int) -> np.ndarray:
         firsts = np.repeat(np.arange(1, n - j + 1, dtype=dtype), lengths)
         tails = np.concatenate([np.arange(len(out) - k, len(out)) for k in lengths]
                                or [np.zeros(0, dtype=np.intp)])
-        out = np.column_stack((firsts, out[tails]))
+        out = np.column_stack((firsts, np.take(out, tails, axis=0)))
     return out
 
 
@@ -145,8 +145,13 @@ def witness_labels(r: int, d: int) -> np.ndarray:
     if d < 1:
         raise ValueError(f"witness requires d >= 1, got {d}")
     rows = subset_array(r, r * d)
-    t = rows.sum(axis=1, dtype=np.intp) % r
-    i_t = rows[np.arange(len(rows)), t]
+    # Column by column: numpy's sum along the short rows is 3x slower.
+    t = np.zeros(len(rows), dtype=np.intp)
+    for column in rows.T:
+        t += column
+    t %= r
+    t += np.arange(0, rows.size, r)
+    i_t = np.take(rows, t)
     # ceil(i_t / r) without leaving the unsigned type.
     return (i_t - 1) // r + 1
 

@@ -19,6 +19,8 @@ from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
 from hgdet.verify import plant_degenerate_simplex, random_tensor
 
+from oracles import to_dense, transpose
+
 
 def cofactor_det(rows):
     """Independent reference determinant by Laplace expansion."""
@@ -106,7 +108,7 @@ def test_rank_transpose_invariance():
         rows = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0
                  for _ in range(c)] for _ in range(n)]
         m = ExactMatrix.from_rows(rows)
-        assert rank_exact(m) == rank_exact(m.transpose())
+        assert rank_exact(m) == rank_exact(transpose(m))
 
 
 def test_backends_agree_on_larger_sparse():
@@ -289,11 +291,11 @@ def check_against_oracles(rows, sympy):
     sm = sympy.Matrix(rows)
     rank = sm.rank()
     assert rank_exact(m) == rank
-    assert rank_exact(m.transpose()) == rank
+    assert rank_exact(transpose(m)) == rank
     if len(rows) == len(rows[0]):
         det = det_bareiss(m)
         assert det == int(sm.det())
-        assert det_bareiss(m.transpose()) == det
+        assert det_bareiss(transpose(m)) == det
         if len(rows) <= 7:
             assert det == cofactor_det(rows)
         return det
@@ -377,12 +379,12 @@ def check_core_against_oracles(rows, sympy):
     sm = sympy.Matrix(rows)
     rank = sm.rank()
     assert rank_exact(m) == rank
-    assert rank_exact(m.transpose()) == rank
+    assert rank_exact(transpose(m)) == rank
     if len(rows) == len(rows[0]):
         det = Fraction(str(sm.det()))
         assert det == cofactor_det(rows)
         assert det_bareiss(m) == det
-        assert det_bareiss(m.transpose()) == det
+        assert det_bareiss(transpose(m)) == det
         assert det_multimodular(m) == det
 
 
@@ -556,6 +558,135 @@ def test_wave_peel_emptied_row_needs_no_core(monkeypatch):
     assert cores == [3]
     assert value == det_bareiss(ExactMatrix.from_rows(rows)) != 0
 
+# Rows, columns and values in the three kinds that ``_det_coords`` hands
+# ``_peel_det``: a labelling's, a tensor's, and a matrix of Python ints.
+ARRAY_KINDS = [(np.int32, np.int32, np.int8), (np.intp, np.int32, np.int64),
+               (np.intp, np.intp, object)]
+
+
+def peel_in_kind(coords, n, kind):
+    """``_peel_det`` of the nonzeros ``coords`` (rows, cols, vals) of an
+    n x n matrix, with the arrays in the dtypes ``kind``."""
+    return exactla._peel_det(*(np.asarray(x, dtype) for x, dtype in zip(coords, kind)), n)
+
+
+def test_wave_peel_matches_bareiss_in_every_array_kind():
+    """The random, permuted-triangular and planted-core cases of
+    ``test_wave_peel_matches_bareiss`` give ``det_bareiss``'s value in each
+    kind of coordinate arrays that reaches the peel."""
+    rng = random.Random(927)
+    seen = set()
+    for k in range(300):
+        n = rng.randint(1, 9)
+        if k % 3 == 0:
+            rows = permuted(lower_triangle(n, rng, fill=rng.choice((0.2, 0.6))), rng)
+        elif k % 3 == 1:
+            rows = permuted(planted_core(rng.randint(0, 5), rng, core=rng.randint(2, 4)),
+                            rng)
+        else:
+            fill = rng.choice((0.15, 0.25, 0.4))
+            rows = [[nonzero(rng) if rng.random() < fill else 0 for _ in range(n)]
+                    for _ in range(n)]
+        expected = det_bareiss(ExactMatrix.from_rows(rows))
+        seen.add(expected != 0)
+        nz = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        coords = tuple(zip(*nz)) or ((), (), ())
+        for kind in ARRAY_KINDS:
+            assert peel_in_kind(coords, len(rows), kind) == expected, kind
+    assert seen == {False, True}
+
+
+def cycle_walk_sign(perm):
+    """Sign of k -> perm[k], by walking each cycle in Python."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign
+
+
+def levelled_system(seed):
+    """A seeded square system of more than two ``_gather`` chunks that
+    peels in two waves onto a planted 5 x 5 core, as its coordinate arrays
+    (rows, cols, vals), its size, its determinant and the shuffled rows
+    and columns.  Before they are shuffled, it is [[L, 0], [B, C]]: L is
+    lower triangular with a +-1 diagonal, and each of its rows above level
+    0, of four levels, has three entries in the columns of lower levels; B
+    has entries in level-0 columns only, and C is dense.  So det =
+    sgn(row order) * sgn(column order) * prod(diag L) * det C."""
+    rng = np.random.default_rng(seed)
+    m, levels, core = 50_000, 4, 5
+    n = m + core
+    first = m // levels
+    upper = np.repeat(np.arange(first, m), 3)
+    core_rows = np.arange(m, n)
+    dense = rng.choice([-3, -2, -1, 1, 2, 3], (core, core))
+    rows = np.concatenate((np.arange(m), upper, np.repeat(core_rows, 4 + core)))
+    cols = np.concatenate((np.arange(m), rng.integers(0, upper // first * first),
+                           np.column_stack((rng.integers(0, first, (core, 4)),
+                                            np.tile(core_rows, (core, 1)))).ravel()))
+    vals = rng.choice([-3, -2, -1, 1, 2, 3], len(rows))
+    vals[:m] = rng.choice([-1, 1], m)
+    vals[-core * (4 + core):].reshape(core, -1)[:, 4:] = dense
+    # A repeated random position keeps its first value.
+    _, once = np.unique(rows * n + cols, return_index=True)
+    row_order, col_order = rng.permutation(n), rng.permutation(n)
+    det = (cycle_walk_sign(row_order.tolist()) * cycle_walk_sign(col_order.tolist())
+           * prod(vals[:m].tolist()) * cofactor_det(dense.tolist()))
+    coords = (row_order[rows[once]], col_order[cols[once]], vals[once])
+    return coords, n, det, (row_order, col_order)
+
+
+def test_wave_peel_across_gather_chunks(monkeypatch):
+    """Systems of more than two ``_gather`` chunks, in every array kind:
+    a planted core gives its value, an emptied row gives 0 at the count
+    check, and two singleton columns on one row give 0 at the pivot
+    check, both before any core."""
+    cores = core_spy(monkeypatch)
+    (rows, cols, vals), n, det, (row_order, col_order) = levelled_system(928)
+    m = n - 5
+    assert len(vals) > 2 * exactla._GATHER_CHUNK
+    assert det != 0
+    # The first core row loses its core entries, so it is empty once
+    # level 0 is peeled.
+    kept = (rows != row_order[m]) | ~np.isin(cols, col_order[m:])
+    emptied = rows[kept], cols[kept], vals[kept]
+    # Top-level row m - 1 takes the only entry of top-level column m - 2
+    # from row m - 2, so columns m - 1 and m - 2 are both singletons on it.
+    moved = np.flatnonzero((rows == row_order[m - 2]) & (cols == col_order[m - 2]))
+    assert len(moved) == 1 and np.count_nonzero(cols == col_order[m - 2]) == 1
+    assert np.count_nonzero(cols == col_order[m - 1]) == 1
+    paired = rows.copy(), cols, vals
+    paired[0][moved] = row_order[m - 1]
+    for kind in ARRAY_KINDS:
+        for case, value, core in (((rows, cols, vals), det, [5]), (emptied, 0, []),
+                                  (paired, 0, [])):
+            cores.clear()
+            assert peel_in_kind(case, n, kind) == value, kind
+            assert cores == core
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.intp])
+def test_array_permutation_sign_matches_cycle_walk(dtype):
+    """Seeded random permutations of sizes 0 to beyond two ``_gather``
+    chunks, the identity and the n-cycle: the pointer-doubling sign
+    equals the sign from Python's cycle walk."""
+    rng = np.random.default_rng(929)
+    for n in (0, 1, 2, 3, 17, 1000, 2 * exactla._GATHER_CHUNK + 8):
+        cycle = np.roll(np.arange(n), 1)
+        # The n-cycle is odd exactly for even n, the largest size included.
+        assert cycle_walk_sign(cycle.tolist()) == (-1 if n and n % 2 == 0 else 1)
+        for perm in [rng.permutation(n) for _ in range(3)] + [np.arange(n), cycle]:
+            assert (exactla._array_permutation_sign(perm.astype(dtype))
+                    == cycle_walk_sign(perm.tolist()))
+
 
 # --- multimodular: a lifted divisor of det, then CRT on the cofactor --------
 
@@ -702,7 +833,7 @@ def dense_integers(n, rng, bits=4):
 
 
 def witness_rows(r, d):
-    return system_matrix(tensor_from_basis(canonical_witness(r, d))).matrix.to_dense()
+    return to_dense(system_matrix(tensor_from_basis(canonical_witness(r, d))).matrix)
 
 
 def lower_minus_ones(n):
