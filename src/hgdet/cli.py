@@ -124,6 +124,7 @@ def cmd_matrix(args) -> Outcome:
 def cmd_table(args) -> Outcome:
     report = RunReport(f"table max-dim={args.max_dim}",
                        _digest_args("table", args.max_dim), args.backend)
+    differ = False
     for r, d in sorted(KNOWN_WITNESS_DETS.keys() | set(table_cells(args.max_dim))):
         dim = system_dimension(r, d)
         key = f"({r},{d})"
@@ -133,8 +134,9 @@ def cmd_table(args) -> Outcome:
         value = witness_det(r, d, backend=args.backend)
         known = KNOWN_WITNESS_DETS.get((r, d))
         agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
+        differ |= agree == "DIFFER"
         report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
-    return report, EXIT_OK
+    return report, EXIT_VIOLATION if differ else EXIT_OK
 
 
 def cmd_classify(args) -> Outcome:

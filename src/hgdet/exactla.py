@@ -68,11 +68,15 @@ Two determinant backends are provided and must always agree.
   squared column norms that N is taken from.  Rows and columns are both
   taken in the reverse dictionary order of ``_pivot_order``, which keeps
   fill-in late; one permutation on both sides leaves det unchanged.  The
-  lift's inverse and each prime scatter the values mod q into a dense
-  array, and each prime runs the lazily reducing elimination of
-  ``_kernels.det_mod_p``, one prime after another in one loop: the few
+  arrays become one dense n x n array in that order, once, int64 when
+  max|a| < 2**63 and Python ints otherwise, and everything after reads
+  it: the float bound when max|a| < 2**52, the lift's inverse mod p, and
+  each prime's residue mod q, which runs the lazily reducing elimination
+  of ``_kernels.det_mod_p``, one prime after another in one loop: the few
   primes of a lifted determinant leave nothing to spread over workers,
-  and the numpy steps of the many of a plain CRT hold the GIL.
+  and the numpy steps of the many of a plain CRT hold the GIL.  The
+  primes descend from 2**31 by a cached pure function, which needs no
+  lock, and the batch walks them until its product passes its target.
 
 Rank is computed over the rationals by the same fraction-free elimination.
 """
@@ -80,13 +84,12 @@ Rank is computed over the rationals by the same fraction-free elimination.
 from __future__ import annotations
 
 import heapq
-import threading
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import ceil, fsum, gcd, isqrt, lcm, prod
 from operator import attrgetter, index
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -606,12 +609,6 @@ def det_bareiss(matrix: ExactMatrix) -> Fraction:
 
 # --- multimodular backend ---------------------------------------------------
 
-# The lock guards the shared cache for callers that run determinants
-# concurrently (see ``hypergraphs``); the package itself never does.
-_prime_cache: list[int] = []
-_prime_lock = threading.Lock()
-
-
 @cache
 def _small_primes() -> list[int]:
     """The primes up to sqrt(_PRIME_CEILING), sieved once per process."""
@@ -624,28 +621,28 @@ def _small_primes() -> list[int]:
     return [p for p in range(2, limit) if sieve[p]]
 
 
-def _extend_primes(count: int) -> None:
-    small = _small_primes()
-    candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_CEILING - 1
-    while len(_prime_cache) < count:
-        is_prime = True
-        for p in small:
-            if p * p > candidate:
-                break
-            if candidate % p == 0:
-                is_prime = False
-                break
-        if is_prime:
-            _prime_cache.append(candidate)
+@cache
+def _prime_below(m: int) -> int:
+    """The largest prime below m, by trial division; m lies far above
+    every small prime.  A pure function, so its cache needs no lock: two
+    threads that miss at once compute the same value."""
+    candidate = (m - 2) | 1
+    while not all(candidate % p for p in _small_primes()):
         candidate -= 2
+    return candidate
+
+
+def _descending_primes() -> Iterator[int]:
+    """The primes below _PRIME_CEILING, largest first."""
+    q = _PRIME_CEILING
+    while True:
+        q = _prime_below(q)
+        yield q
 
 
 def modular_primes(count: int) -> list[int]:
     """The first ``count`` primes descending from just below 2**31."""
-    with _prime_lock:
-        if len(_prime_cache) < count:
-            _extend_primes(count)
-        return _prime_cache[:count]
+    return list(islice(_descending_primes(), count))
 
 
 def crt_combine(residues: Sequence[int], primes: Sequence[int]) -> int:
@@ -682,14 +679,13 @@ def _hadamard(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return (isqrt(b2) + 1 if b2 else 0), col_sq
 
 
-def _float_det_bound(coords: tuple[np.ndarray, np.ndarray, np.ndarray],
-                     n: int) -> int | None:
-    """A power of two bounding |det A| for the n x n integer matrix A whose
-    nonzeros are ``coords``, certified by rounding-error analysis; None
-    when an entry has magnitude 2**52 or more, a diagonal entry of R is
-    0, ``inv`` raises, or an intermediate is not finite.  Near-orthogonal
-    columns make it about 1 bit above |det|, where the Hadamard bound of A
-    may be 100 or more.
+def _float_det_bound(a: np.ndarray) -> int | None:
+    """A power of two bounding |det A| for the square int64 array A, whose
+    entries the caller keeps below 2**52 in magnitude, certified by
+    rounding-error analysis; None when a diagonal entry of R is 0, ``inv``
+    raises, or an intermediate is not finite.  Near-orthogonal columns
+    make it about 1 bit above |det|, where the Hadamard bound of A may be
+    100 or more.
 
     R is the factor of A = QR in float64.  Z is R^-1 diag(R), computed,
     then forced to be unit upper triangular: zero below the diagonal and
@@ -725,16 +721,8 @@ def _float_det_bound(coords: tuple[np.ndarray, np.ndarray, np.ndarray],
     2**-10, and a margin of one bit covers it.  A norm below 2**-400 gives
     None, so that no square is lost to underflow.
     """
-    rows, cols, vals = coords
-    try:
-        values = vals.astype(np.float64)
-    except OverflowError:
-        return None
-    # A value of 2**52 or more rounds to at least 2**52 in float64.
-    if not np.abs(values).max() < 2.0 ** 52:
-        return None
-    a = np.zeros((n, n))
-    a[rows, cols] = values
+    n = len(a)
+    a = a.astype(np.float64)
     with np.errstate(all="ignore"):
         r = np.linalg.qr(a, mode="r")
         diag = r.diagonal().copy()
@@ -768,14 +756,9 @@ def _float_det_bound(coords: tuple[np.ndarray, np.ndarray, np.ndarray],
     return 1 << max(0, ceil(log_det + 1))
 
 
-def _residue_mod_p(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
-                   p: int) -> int:
-    """det mod p of the n x n matrix whose nonzeros are ``coords``: row
-    indices, column indices and an object array of the integer values."""
-    rows, cols, vals = coords
-    a = np.zeros((n, n), dtype=np.int64)
-    a[rows, cols] = vals % p
-    return det_mod_p(a, p)
+def _residue_mod_p(a: np.ndarray, q: int) -> int:
+    """det mod q of the square integer array ``a``, int64 or object."""
+    return det_mod_p((a % q).astype(np.int64, copy=False), q)
 
 
 def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
@@ -793,10 +776,12 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     CRT then reconstructs det / s: the batch is the shortest run of primes
     not dividing s whose product, times the lifting prime, exceeds
     2 ceil(B / s), plus one safety prime, and each residue is multiplied
-    by s^-1.  When the matrix is singular modulo the lifting prime, an
-    int64 or float64 bound of the lift fails, or the certificate fails,
-    s = 1 and the batch is the plain one.  A mismatch between the
-    safety residue and the reconstructed value raises ReconstructionError.
+    by s^-1.  The float bound, the lift and every residue read one dense
+    array of the system in that order, built once.  When the matrix is
+    singular modulo the lifting prime, an int64 or float64 bound of the
+    lift fails, or the certificate fails, s = 1 and the batch is the plain
+    one.  A mismatch between the safety residue and the reconstructed
+    value raises ReconstructionError.
     """
     _check_threads(threads)
     return det_exact(matrix, backend="multimodular")
@@ -806,20 +791,12 @@ def _crt_primes(target: int, s: int, modulus: int) -> tuple[list[int], int]:
     """The shortest prefix of ``modular_primes``, skipping the divisors of
     s, whose product times ``modulus`` exceeds ``target``, and the next
     such prime, the safety prime."""
-    # Every prime exceeds 2**30, so this many reach the target when none
-    # divides s; each one that does asks for one more.
-    count = target.bit_length() // 30 + 2
-    while True:
-        base: list[int] = []
-        product = modulus
-        for q in modular_primes(count):
-            if s % q == 0:
-                continue
-            if product > target:
-                return base, q
-            base.append(q)
-            product *= q
-        count += 1
+    primes = (q for q in _descending_primes() if s % q)
+    base: list[int] = []
+    while modulus <= target:
+        base.append(next(primes))
+        modulus *= base[-1]
+    return base, next(primes)
 
 
 def _rational_reconstruction(u: int, m: int, num_bound: int,
@@ -870,13 +847,14 @@ def _join_digits(digits: np.ndarray, p: int) -> np.ndarray:
     return level[0]
 
 
-def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
-                  bound: int, p: int, col_sq: list[int]) -> tuple[int, int] | None:
-    """(s, det mod p) for a divisor s of the determinant of the n x n
-    integer matrix A whose nonzeros are ``coords`` (values as Python
-    ints) and whose squared column norms are ``col_sq``, in any order,
-    certified exactly; None when A is singular mod p, an int64 or float64
-    bound would not hold, or the certificate fails.
+def _lift_divisor(a: np.ndarray, amax: int,
+                  coords: tuple[np.ndarray, np.ndarray, np.ndarray], bound: int,
+                  p: int, col_sq: list[int]) -> tuple[int, int] | None:
+    """(s, det mod p) for a divisor s of the determinant of the square
+    integer array A = ``a``, with max|a| = ``amax``, nonzeros ``coords``
+    and squared column norms ``col_sq``, in any order, certified exactly;
+    None when A is singular mod p, an int64 or float64 bound would not
+    hold, or the certificate fails.
 
     Dixon's p-adic lifting solves A x = b for a fixed b of small
     integers: with C = A^-1 mod p and r_0 = b, each digit is
@@ -904,18 +882,16 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     divides det(A) by Cramer's rule.
     """
     rows, cols, vals = coords
+    n = len(a)
     # b: integers in [-8, 8] from a multiplicative hash of the row index,
     # so that no row structure of the system repeats in it.
     rhs = [(i + 1) * 2654435761 % 2 ** 32 % 17 - 8 for i in range(n)]
-    amax = max(map(abs, vals))
     # ``inverse_mod_p`` needs n * p * p < 2**63; r_i - A x_i stays below
     # max|b| + n * max|a| * p; the float64 products need the bound of
     # ``_exact_product`` for C (entries below p) and for A.
     if (n * p * p >= 1 << 63 or 8 + n * amax * p >= 1 << 63
             or n * max(amax, p) * max(1 << 13, p >> 13) >= 1 << 53):
         return None
-    a = np.zeros((n, n), dtype=np.int64)
-    a[rows, cols] = vals
     inverse = a % p
     det_p = inverse_mod_p(inverse, p)
     if not det_p:
@@ -962,6 +938,7 @@ def _lift_divisor(coords: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
         y = (y * found[1] + half) % short - half
     del digits
 
+    # On the nonzeros: the dense array would cost n * n Python products.
     lhs = np.zeros(n, dtype=object)
     np.add.at(lhs, rows, vals * y[cols])
     if (lhs != np.array(rhs, dtype=object) * s).any():
@@ -987,32 +964,35 @@ def _pivot_order(n: int) -> np.ndarray:
 def _multimodular(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
     """det of the n x n integer matrix with nonzeros ``vals`` at (rows,
     cols), by CRT (see det_multimodular)."""
-    # Python ints from here on, so that no bound is taken in numpy integers.
-    vals = vals.astype(object)
     bound, col_sq = _hadamard(rows, cols, vals, n)
     if bound == 0:
         return 0
 
-    # Both kernels run on P A P^T, P the permutation of ``_pivot_order``,
-    # and det(P A P^T) = det A.
+    # The bound, the lift and every residue read one dense array of
+    # P A P^T, P the permutation of ``_pivot_order``, and
+    # det(P A P^T) = det A.  max|a| is a Python int, so that no bound is
+    # taken in numpy integers.
     pos = _pivot_order(n)
-    coords = (pos[rows], pos[cols], vals)
-    float_bound = _float_det_bound(coords, n)
-    if float_bound is not None:
-        bound = min(bound, float_bound)
+    rows, cols = pos[rows], pos[cols]
+    amax = int(abs(vals).max())
+    a = np.zeros((n, n), dtype=np.int64 if amax < 1 << 63 else object)
+    a[rows, cols] = vals
+    # float64 holds every entry exactly below 2**52.
+    if amax < 1 << 52:
+        bound = min(bound, _float_det_bound(a) or bound)
 
     # t = det / s is reconstructed, ``known`` holding its residue mod the
     # lifting prime; when the lift fails, s = 1 and nothing is known: plain
     # CRT.
     p = _LIFT_PRIME
-    lifted = _lift_divisor(coords, n, bound, p, col_sq)
+    lifted = _lift_divisor(a, amax, (rows, cols, vals), bound, p, col_sq)
     s, known = 1, {}
     if lifted is not None:
         s, det_p = lifted
         known[p] = det_p * pow(s, -1, p) % p
     base, safety = _crt_primes(2 * -(-bound // s), s, prod(known))
 
-    residues = [_residue_mod_p(coords, n, q) * pow(s, -1, q) % q
+    residues = [_residue_mod_p(a, q) * pow(s, -1, q) % q
                 for q in base + [safety]]
 
     moduli = [*known, *base]

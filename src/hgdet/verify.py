@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from inspect import signature
 from itertools import combinations
 from math import comb
 
@@ -327,20 +328,29 @@ def suite_table(max_dim: int = 5000, backend: str = "bareiss",
 
 
 SUITES = {
-    "euler-identity": lambda seed, trials: suite_euler_identity(),
-    "relations": lambda seed, trials: suite_relations(seed, trials or 100),
-    "vanishing": lambda seed, trials: suite_vanishing(seed, trials or 100),
-    "sl-invariance": lambda seed, trials: suite_sl_invariance(seed, trials or 50),
-    "backend-agreement": lambda seed, trials: suite_backend_agreement(seed, trials or 500),
-    "rank-equality": lambda seed, trials: suite_rank_equality(seed, trials or 200),
-    "theorem-r2d2": lambda seed, trials: suite_theorem_r2d2(),
-    "theorem-r3d2": lambda seed, trials: suite_theorem_r3d2(seed, trials or 10000),
-    "expansion-r2d2": lambda seed, trials: suite_expansion_r2d2(seed, trials or 20),
-    "table": lambda seed, trials: suite_table(),
+    "euler-identity": suite_euler_identity,
+    "relations": suite_relations,
+    "vanishing": suite_vanishing,
+    "sl-invariance": suite_sl_invariance,
+    "backend-agreement": suite_backend_agreement,
+    "rank-equality": suite_rank_equality,
+    "theorem-r2d2": suite_theorem_r2d2,
+    "theorem-r3d2": suite_theorem_r3d2,
+    "expansion-r2d2": suite_expansion_r2d2,
+    "table": suite_table,
 }
 
 
 def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteResult:
+    """Run the suite ``name`` with the seed and trial count given, and its
+    own defaults for the rest.  Raises KeyError on an unknown name and
+    ValueError on a value that the suite does not take."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed if seed is not None else DEFAULT_SEED, trials)
+    suite = SUITES[name]
+    given = {key: value for key, value in (("seed", seed), ("trials", trials))
+             if value is not None}
+    refused = [key for key in given if key not in signature(suite).parameters]
+    if refused:
+        raise ValueError(f"suite {name!r} takes no {' or '.join(refused)}")
+    return suite(**given)

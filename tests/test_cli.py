@@ -247,6 +247,8 @@ def test_verify_euler(capsys):
 
 def test_verify_with_trials(capsys):
     assert cli.main(["verify", "vanishing", "--trials", "2", "--seed", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "passed: true" in out and "checks: 10" in out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -257,6 +259,26 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert "passed" not in captured.out
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["euler-identity", "--seed", "3"], "seed"),
+    (["theorem-r2d2", "--trials", "2"], "trials"),
+    (["table", "--seed", "3", "--trials", "2"], "seed or trials"),
+])
+def test_verify_refuses_options_a_suite_does_not_take(capsys, argv, refused):
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: suite {argv[0]!r} takes no {refused}\n"
+    assert captured.out == ""
+
+
+def test_table_exits_1_when_a_value_differs(monkeypatch, capsys):
+    assert cli.main(["table", "--max-dim", "30"]) == 0
+    assert "DIFFER" not in capsys.readouterr().out
+    monkeypatch.setitem(cli.KNOWN_WITNESS_DETS, (2, 2), -cli.KNOWN_WITNESS_DETS[(2, 2)])
+    assert cli.main(["table", "--max-dim", "30"]) == 1
+    assert "(2,2): dim=6 det=-1 known=1 DIFFER" in capsys.readouterr().out
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 
@@ -264,7 +286,7 @@ def test_verify_unknown_suite(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from hgdet.verify import SuiteResult
 
-    def failing(seed, trials):
+    def failing(**options):
         return SuiteResult("relations", 1, failures=["boom"])
 
     monkeypatch.setitem(cli.SUITES, "relations", failing)
@@ -274,7 +296,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_resource_cap_exit_code(monkeypatch):
     from hgdet.hypergraphs import ResourceCapError
 
-    def capped(seed, trials):
+    def capped(**options):
         raise ResourceCapError("too many")
 
     monkeypatch.setitem(cli.SUITES, "relations", capped)

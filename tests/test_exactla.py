@@ -1,6 +1,9 @@
 """Exact linear algebra: both determinant backends against a cofactor oracle."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm, prod
@@ -8,7 +11,7 @@ from math import isqrt, lcm, prod
 import numpy as np
 import pytest
 
-from hgdet import exactla, system
+from hgdet import exactla, hypergraphs, system, tensors
 from hgdet.exactla import (ExactMatrix, ReconstructionError, crt_combine,
                            det_bareiss, det_exact, det_multimodular,
                            hadamard_bound, modular_primes, rank_exact)
@@ -17,7 +20,7 @@ from hgdet.hypergraphs import classify_partition, partition_from_basis
 from hgdet.reference import KNOWN_WITNESS_DETS
 from hgdet.system import system_matrix
 from hgdet.tensors import canonical_witness, tensor_from_basis
-from hgdet.verify import plant_degenerate_simplex, random_tensor
+from hgdet.verify import plant_degenerate_simplex, random_partition, random_tensor
 
 from oracles import to_dense, transpose
 
@@ -161,7 +164,7 @@ def test_det_exact_dispatch():
         det_exact(m, backend="gauss")
 
 
-def test_modular_primes_properties(monkeypatch):
+def test_modular_primes_properties():
     primes = modular_primes(40)
     assert len(set(primes)) == 40
     assert all(p < 2 ** 31 for p in primes)
@@ -171,9 +174,71 @@ def test_modular_primes_properties(monkeypatch):
     # deterministic across calls
     assert modular_primes(10) == primes[:10]
     # growing an empty cache twice gives the same prefix
-    monkeypatch.setattr(exactla, "_prime_cache", [])
+    exactla._prime_below.cache_clear()
     assert modular_primes(3) == primes[:3]
     assert modular_primes(4) == primes[:4]
+
+
+def test_modular_primes_follow_prevprime_from_2_31():
+    sympy = pytest.importorskip("sympy")
+    expected, q = [], 2 ** 31
+    for _ in range(64):
+        q = int(sympy.prevprime(q))
+        expected.append(q)
+    assert modular_primes(64) == expected
+
+
+def on_four_threads(work):
+    """``work()`` on four threads, more than the cores of a small machine,
+    that start together and switch often; their results."""
+    start = threading.Barrier(4, timeout=60)
+
+    def run(_):
+        start.wait()
+        return work()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            return list(pool.map(run, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_modular_primes_agree_across_threads():
+    """The prime sequence is a pure cached function with no lock: four
+    threads that grow an empty cache at once all get the same list."""
+    expected = modular_primes(200)
+    exactla._prime_below.cache_clear()
+    assert on_four_threads(lambda: modular_primes(200)) == [expected] * 4
+
+
+def walk_crt_primes(target, s, modulus):
+    """``_crt_primes`` by brute force: the primes not dividing s, in order,
+    one more at a time until the product exceeds the target."""
+    primes = [q for q in modular_primes(300) if s % q]
+    k = 0
+    while modulus * prod(primes[:k]) <= target:
+        k += 1
+    return primes[:k], primes[k]
+
+
+def test_crt_batch_skips_the_primes_dividing_s():
+    primes = modular_primes(6)
+    base, safety = exactla._crt_primes(1 << 40, prod(primes[:3]), 1)
+    assert base == primes[3:5] and safety == primes[5]
+
+
+def test_crt_batch_matches_a_brute_force_walk():
+    rng = random.Random(27)
+    primes = modular_primes(60)
+    for _ in range(60):
+        target = rng.getrandbits(rng.randint(1, 2500))
+        s = prod(rng.sample(primes, rng.randint(0, 4))) * rng.randint(1, 1000)
+        modulus = rng.choice((1, exactla._LIFT_PRIME))
+        assert (exactla._crt_primes(target, s, modulus)
+                == walk_crt_primes(target, s, modulus))
 
 
 def test_crt_combine():
@@ -219,10 +284,10 @@ def test_reconstruction_error_is_raised_on_corrupt_residues(monkeypatch):
     original = ex._residue_mod_p
     calls = []
 
-    def corrupt(ints, n, p):
-        calls.append(p)
-        r = original(ints, n, p)
-        return r if len(calls) > 1 else (r + 1) % p
+    def corrupt(a, q):
+        calls.append(q)
+        r = original(a, q)
+        return r if len(calls) > 1 else (r + 1) % q
 
     monkeypatch.setattr(ex, "_residue_mod_p", corrupt)
     with pytest.raises(ReconstructionError):
@@ -248,6 +313,54 @@ def test_multimodular_big_integer_residues():
         assert expected != 0
         assert det_multimodular(m) == expected
     assert det_multimodular(ExactMatrix.from_rows([[big, big], [big, big]])) == 0
+
+
+def test_entries_between_2_52_and_2_63_run_plain_crt(monkeypatch):
+    """An entry in [2**52, 2**63) keeps the one dense array int64, gets no
+    float bound (float64 need not hold it exactly) and fails the lift's
+    int64 guard, so plain CRT on the Hadamard bound gives the value."""
+    rng = random.Random(25)
+    rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]
+    rows[2][5] = (1 << 60) + 12345
+    rows[6][1] = -(1 << 52)
+    m = ExactMatrix.from_rows(rows)
+    lifts = lift_spy(monkeypatch)
+    seen = []
+    residue = exactla._residue_mod_p
+
+    def spy(a, q):
+        seen.append(a.dtype)
+        return residue(a, q)
+
+    monkeypatch.setattr(exactla, "_residue_mod_p", spy)
+    monkeypatch.setattr(exactla, "_float_det_bound", lambda a: seen.append("float"))
+    assert det_multimodular(m) == det_bareiss(m) != 0
+    assert lifts == [None]
+    assert len(seen) > 2 and set(seen) == {np.dtype(np.int64)}
+
+
+def test_determinants_and_classification_agree_across_threads():
+    """``hypergraphs`` calls classification safe to run in parallel: four
+    threads, started together on cleared caches, give the sequential
+    values of ``det_multimodular`` (a plain CRT run on a singular matrix
+    among them) and ``classify_partition``."""
+    rng = random.Random(28)
+    matrices = [ExactMatrix.from_rows(random_dense(n, rng, rational=True))
+                for n in (6, 20)]
+    wide = [[rng.randint(-1 << 30, 1 << 30) for _ in range(16)] for _ in range(15)]
+    matrices.append(ExactMatrix.from_rows(wide + [wide[0]]))
+    partitions = [random_partition(6, 3, 2, rng) for _ in range(20)]
+
+    def work():
+        return ([det_multimodular(m) for m in matrices],
+                [classify_partition(p) for p in partitions])
+
+    expected = work()
+    assert expected[0][-1] == 0
+    for cached in (exactla._small_primes, exactla._prime_below, tensors._subset_ids,
+                   system._pattern, hypergraphs._shape_table, hypergraphs._shared):
+        cached.cache_clear()
+    assert on_four_threads(work) == [expected] * 4
 
 
 # --- peel phase: singleton rows and columns ahead of the Bareiss core --------
@@ -819,12 +932,23 @@ def test_certificate_reduces_a_denominator_too_large(monkeypatch):
 # --- the floating-point bound on |det| ---------------------------------------
 
 def float_bound(rows):
-    """``_float_det_bound`` of the square integer matrix ``rows`` (a list of
-    lists) and its exact |det|, by fraction-free elimination."""
+    """The bound that ``_float_det_bound`` gives ``det_multimodular`` on the
+    square integer matrix ``rows`` (a list of lists), None when it gives
+    none or is not called, and the exact |det|, by fraction-free
+    elimination, which the multimodular value must equal."""
     m = ExactMatrix.from_rows(rows)
-    *coords, divisor = exactla._matrix_coords(m)
-    assert divisor == 1
-    return exactla._float_det_bound(coords, len(rows)), abs(det_bareiss(m))
+    bounds = []
+    bound = exactla._float_det_bound
+
+    def spy(a):
+        bounds.append(bound(a))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactla, "_float_det_bound", spy)
+        det = det_multimodular(m)
+    assert det == det_bareiss(m)
+    return (bounds or [None])[0], abs(det)
 
 
 def dense_integers(n, rng, bits=4):
@@ -1020,7 +1144,7 @@ def test_a_float_bound_above_hadamard_changes_nothing(monkeypatch):
     expected = tensor_det(tensor, backend="bareiss")
     calls = det_mod_p_spy(monkeypatch)
     runs = []
-    for fake in (lambda coords, n: None, lambda coords, n: 1 << 100_000):
+    for fake in (lambda a: None, lambda a: 1 << 100_000):
         monkeypatch.setattr(exactla, "_float_det_bound", fake)
         calls.clear()
         assert tensor_det(tensor, backend="multimodular") == expected
