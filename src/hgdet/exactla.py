@@ -68,10 +68,11 @@ Two determinant backends are provided and must always agree.
   squared column norms that N is taken from.  Rows and columns are both
   taken in the reverse dictionary order of ``_pivot_order``, which keeps
   fill-in late; one permutation on both sides leaves det unchanged.  The
-  arrays become one dense n x n array in that order, once, int64 when
-  max|a| < 2**63 and Python ints otherwise, and everything after reads
-  it: the float bound when max|a| < 2**52, the lift's inverse mod p, and
-  each prime's residue mod q, which runs the lazily reducing elimination
+  arrays become one dense int64 n x n array in that order, once, and
+  everything after reads it: the float bound when max|a| < 2**52, the
+  lift's inverse mod p, and each prime's residue mod q (from max|a| >=
+  2**63 on, the residues alone, each prime writing the nonzeros mod q into
+  the array first), which runs the lazily reducing elimination
   of ``_kernels.det_mod_p``, one prime after another in one loop: the few
   primes of a lifted determinant leave nothing to spread over workers,
   and the numpy steps of the many of a plain CRT hold the GIL.  The
@@ -757,8 +758,8 @@ def _float_det_bound(a: np.ndarray) -> int | None:
 
 
 def _residue_mod_p(a: np.ndarray, q: int) -> int:
-    """det mod q of the square integer array ``a``, int64 or object."""
-    return det_mod_p((a % q).astype(np.int64, copy=False), q)
+    """det mod q of the square int64 array ``a``."""
+    return det_mod_p(a % q, q)
 
 
 def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
@@ -777,7 +778,9 @@ def det_multimodular(matrix: ExactMatrix, threads: int = 1) -> Fraction:
     not dividing s whose product, times the lifting prime, exceeds
     2 ceil(B / s), plus one safety prime, and each residue is multiplied
     by s^-1.  The float bound, the lift and every residue read one dense
-    array of the system in that order, built once.  When the matrix is
+    int64 array of the system in that order, built once; with an entry of
+    2**63 or more, only the residues run, and each prime refills the array
+    with the nonzeros mod q.  When the matrix is
     singular modulo the lifting prime, an int64 or float64 bound of the
     lift fails, or the certificate fails, s = 1 and the batch is the plain
     one.  A mismatch between the safety residue and the reconstructed
@@ -975,8 +978,13 @@ def _multimodular(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) 
     pos = _pivot_order(n)
     rows, cols = pos[rows], pos[cols]
     amax = int(abs(vals).max())
-    a = np.zeros((n, n), dtype=np.int64 if amax < 1 << 63 else object)
-    a[rows, cols] = vals
+    # From 2**63 on there is no float bound and no lift, and each prime
+    # writes the nonzeros mod q into the array: an object array would cost
+    # n * n Python remainders a prime.
+    big = amax >= 1 << 63
+    a = np.zeros((n, n), dtype=np.int64)
+    if not big:
+        a[rows, cols] = vals
     # float64 holds every entry exactly below 2**52.
     if amax < 1 << 52:
         bound = min(bound, _float_det_bound(a) or bound)
@@ -985,15 +993,18 @@ def _multimodular(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) 
     # lifting prime; when the lift fails, s = 1 and nothing is known: plain
     # CRT.
     p = _LIFT_PRIME
-    lifted = _lift_divisor(a, amax, (rows, cols, vals), bound, p, col_sq)
+    lifted = None if big else _lift_divisor(a, amax, (rows, cols, vals), bound, p, col_sq)
     s, known = 1, {}
     if lifted is not None:
         s, det_p = lifted
         known[p] = det_p * pow(s, -1, p) % p
     base, safety = _crt_primes(2 * -(-bound // s), s, prod(known))
 
-    residues = [_residue_mod_p(a, q) * pow(s, -1, q) % q
-                for q in base + [safety]]
+    residues = []
+    for q in base + [safety]:
+        if big:
+            a[rows, cols] = vals % q
+        residues.append(_residue_mod_p(a, q) * pow(s, -1, q) % q)
 
     moduli = [*known, *base]
     x = crt_combine([*known.values(), *residues[:-1]], moduli)

@@ -315,6 +315,27 @@ def test_multimodular_big_integer_residues():
     assert det_multimodular(ExactMatrix.from_rows([[big, big], [big, big]])) == 0
 
 
+def test_big_integer_residues_read_int64_arrays(monkeypatch):
+    """With an entry of 2**63 or more there is no float bound and no lift,
+    and each prime's residue reads the one int64 array holding the
+    nonzeros mod that prime."""
+    m = ExactMatrix.from_rows([[1 << 80, 3, 0], [5, 0, 7], [0, -(1 << 70), 11]])
+    lifts = lift_spy(monkeypatch)
+    seen = []
+    residue = exactla._residue_mod_p
+
+    def spy(a, q):
+        assert a.dtype == np.int64 and 0 <= a.min() and a.max() < q
+        seen.append(id(a))
+        return residue(a, q)
+
+    monkeypatch.setattr(exactla, "_residue_mod_p", spy)
+    monkeypatch.setattr(exactla, "_float_det_bound", lambda a: seen.append("float"))
+    assert det_multimodular(m) == det_bareiss(m) != 0
+    assert lifts == []
+    assert len(seen) > 2 and len(set(seen)) == 1
+
+
 def test_entries_between_2_52_and_2_63_run_plain_crt(monkeypatch):
     """An entry in [2**52, 2**63) keeps the one dense array int64, gets no
     float bound (float64 need not hold it exactly) and fails the lift's
@@ -1041,13 +1062,18 @@ def test_float_bound_falls_back(monkeypatch):
     assert float_bound([[top, 1], [1, 1]])[0] is None
     assert float_bound([[-top, 1], [1, 1]])[0] is None
     assert float_bound([[1 << 2000, 1], [1, 1]])[0] is None
-    # A zero column leaves a zero on the diagonal of R.
-    assert float_bound([[0, 1, 2], [0, 3, 4], [0, 5, 7]])[0] is None
+    # A zero column leaves a zero on the diagonal of R.  The determinant
+    # never asks for a bound here, since the Hadamard bound is already 0,
+    # so the function is called directly.
+    zero_column = np.array([[0, 1, 2], [0, 3, 4], [0, 5, 7]], dtype=np.int64)
+    assert exactla._float_det_bound(zero_column) is None
+    assert exactla._float_det_bound(zero_column + np.eye(3, dtype=np.int64)) >= 12
 
     def singular(a):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
+    assert exactla._float_det_bound(np.array([[2, 1], [1, 2]], dtype=np.int64)) is None
     assert float_bound([[2, 1], [1, 2]])[0] is None
 
 
