@@ -16,9 +16,11 @@ while a row mixes rd - r + 1 vectors, so this divisor, and the Hadamard
 bound of the integer system, are smaller than row clearing gives.
 
 Every system is filled in one form, the coordinate arrays (rows, cols,
-vals) of its nonzeros and a row count, and each determinant then calls
-``exactla._det_coords`` once, which alone picks the eliminator.  The
-callers differ only in the walk they fill:
+vals) of its nonzeros and a row count, and each determinant then hands
+the three arrays in one list to ``exactla._det_coords``, once, which
+alone picks the eliminator.  The callers keep no other reference, and the
+wave peel empties the list, so it frees each array as it compacts it.
+The callers differ only in the walk they fill:
 
 * ``tensor_det`` and ``basis_det`` fill the cached pattern
   (``system._pattern``) with the vectors (``system._vector_arrays``) or
@@ -35,9 +37,10 @@ callers differ only in the walk they fill:
   a labelling's expanded tensor it stays an independent check.
 * ``witness_det`` fills the uncached walk (``system._insertion_arrays``)
   with labels that come straight from the witness rule: int32 rows and
-  columns and int8 values, 9 bytes per nonzero.  At the peak of a wave
-  peel (tracemalloc) that is 19.5-20.5 bytes per nonzero from (5, 6) up,
-  and 21-22 on (8, 2), (9, 2) and (6, 3), whose gathers span one or a
+  columns and int8 values, 9 bytes per nonzero, all freed in the first
+  wave.  At the peak of a wave peel (tracemalloc) that is 13.2-13.7 bytes
+  per nonzero from (5, 6) up, 14.8-15.3 on (9, 2) and (5, 5), and
+  19.4-20.9 on (8, 2) and (6, 3), whose counts and gathers span one or a
   few chunks and so copy more of their indices to intp at once.  Its
   labels are new on every call and ``hgdet table`` builds each cell once,
   so a cache would only keep the arrays alive.  A cell whose C(rd, r)
@@ -66,8 +69,8 @@ def tensor_det(tensor: TensorAssignment, backend: str = "auto", threads: int = 1
     """
     exactla._check_threads(threads)
     values, scales = system._tensor_values(tensor)
-    rows, cols, vals, n = system._vector_arrays(tensor.r, tensor.d, values, tensor.n - 1)
-    return exactla._det_coords(rows, cols, vals, n, prod(scales or ()), backend)
+    *arrays, n = system._vector_arrays(tensor.r, tensor.d, values, tensor.n - 1)
+    return exactla._det_coords(arrays, n, prod(scales or ()), backend)
 
 
 def basis_det(basis: BasisAssignment, backend: str = "auto") -> Fraction:
@@ -87,8 +90,8 @@ def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto") -> F
     share = comb(n - 1, r - 1)
     if any(label.count(c) != share for c in range(1, d + 1)):
         return Fraction(0)
-    arrays = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
-    return exactla._det_coords(*arrays, 1, backend)
+    *arrays, nrows = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
+    return exactla._det_coords(arrays, nrows, 1, backend)
 
 
 def witness_det(r: int, d: int, backend: str = "auto", threads: int = 1) -> Fraction:
@@ -97,6 +100,6 @@ def witness_det(r: int, d: int, backend: str = "auto", threads: int = 1) -> Frac
     exactla._check_threads(threads)
     n = r * d
     system._check_index_width(r, n)
-    arrays = system._label_arrays(r, d, witness_labels(r, d),
-                                  system._insertion_arrays(r, n, n - 1))
-    return exactla._det_coords(*arrays, 1, backend)
+    *arrays, nrows = system._label_arrays(r, d, witness_labels(r, d),
+                                          system._insertion_arrays(r, n, n - 1))
+    return exactla._det_coords(arrays, nrows, 1, backend)

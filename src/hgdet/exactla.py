@@ -16,11 +16,13 @@ too, raises TypeError.  The values are int64 when they fit, Python ints
 in an object array otherwise.
 
 ``_det_coords`` is the one entry of every determinant, handles n = 0, and
-alone picks the eliminator.  Its ``_pick_backend`` validates the backend
-name and resolves "auto".  The multimodular backend takes the arrays as
-they are.  For "bareiss", a system of more than ``_PEEL_NNZ`` nonzeros
-goes to ``_peel_det``, a wave peel with numpy that keeps the arrays'
-types, then ``_eliminate`` on the integer rows of the core; a smaller one
+alone picks the eliminator.  It takes the arrays in one list, which its
+callers keep no other reference to.  Its ``_pick_backend`` validates the
+backend name and resolves "auto".  The multimodular backend takes the
+arrays as they are.  For "bareiss", a system of more than ``_PEEL_NNZ``
+nonzeros goes to ``_peel_det``, a wave peel with numpy that empties the
+list, keeps the arrays' types and frees each array once it is compacted,
+then ``_eliminate`` on the integer rows of the core; a smaller one
 goes to ``_eliminate`` on its integer row form, a dict from row index to a
 dict from column index to a nonzero int, with empty rows absent
 (``_int_rows``).  Elimination consumes those rows.  The rule is the same
@@ -146,11 +148,12 @@ _PEEL_NNZ = 250
 # twice as fast as fancy indexing and ``compress`` 1.5-5 times as fast as
 # boolean-mask indexing (numpy 2.4), but both copy an int32 index, or the
 # positions that a mask selects, to a new intp array: over a whole peel
-# that adds up to 8 bytes per nonzero at its peak (``witness_det(10, 2)``
-# went from 19.7 to 22.6), over a chunk at most 0.5 MB.  A key of at most
+# that adds up to 7 bytes per nonzero at its peak (``witness_det(10, 2)``
+# went from 13.5 to 20.5), over a chunk at most 0.5 MB.  A key of at most
 # one chunk, as on the small systems of det-auto-sparse, gets one plain
-# call.  ``mode="clip"`` keeps ``take`` from buffering each step's view of
-# ``out`` (every index is in range).
+# call, and so do the counts of ``_line_counts``.  ``mode="clip"`` keeps
+# ``take`` from buffering each step's view of ``out`` (every index is in
+# range).
 _GATHER_CHUNK = 1 << 16
 
 
@@ -523,28 +526,48 @@ def _int_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> IntRows:
     return out
 
 
-def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> int:
+def _line_counts(index: np.ndarray, n: int) -> np.ndarray:
+    """The number of entries of each of the n lines that ``index`` names,
+    as intp.  ``np.add.at`` reads an int32 ``index`` in place, where
+    ``np.bincount`` copies it to intp first.  A key of at most one
+    ``_GATHER_CHUNK`` copies little, and there ``np.bincount`` takes half
+    the time (3 against 6 us on 1183 entries): with ``np.add.at`` alone,
+    det-auto-sparse ``wall_norm_s`` rose 5%."""
+    if len(index) <= _GATHER_CHUNK:
+        return np.bincount(index, minlength=n)
+    count = np.zeros(n, dtype=np.intp)
+    np.add.at(count, index, 1)
+    return count
+
+
+def _peel_det(arrays: list[np.ndarray], n: int) -> int:
     """det of the n x n integer matrix with nonzeros ``vals`` at (rows, cols),
-    each position at most once: a wave peel, then ``_eliminate`` on the
-    core.  ``_det_coords`` calls it with the arrays of its callers: int32
-    indices and int8 values for a labelling, intp rows, int32 columns and
-    int64 or object values for a tensor, intp indices and int64 or object
-    values for ``det_exact``.  The peel keeps their types: each wave reads
-    boolean masks, not counts, through ``_gather``, and drops its own
-    temporaries before it compacts the live entries.
+    each position at most once, handed over as the list ``arrays`` =
+    [rows, cols, vals], which the peel empties: it then holds the only
+    references, and each wave frees an array as soon as its compacted copy
+    exists.  A wave peel, then ``_eliminate`` on the core.  ``_det_coords``
+    hands it the arrays of its callers: int32 indices and int8 values for a
+    labelling, intp rows, int32 columns and int64 or object values for a
+    tensor, intp indices and int64 or object values for ``det_exact``.  The
+    peel keeps their types: each wave reads counts and boolean masks, not
+    copies of the indices, through ``_line_counts`` and ``_gather``, and
+    drops its own temporaries before it compacts the live entries.
 
     Each wave pivots on every singleton column and every singleton row at
     once.  Two singleton columns on one row, or two singleton rows on one
     column, are proportional, and a live row or column with no entry left
     is zero: each gives det 0.  Otherwise the wave's pivots lie on distinct
     rows and columns, and Laplace expansion along each in turn multiplies
-    the determinant of what is left by their values.  When no singleton
-    remains, the core (the live rows and columns, renumbered in increasing
-    order) goes to ``_eliminate`` as integer rows, even when it is empty.
-    Then det = sgn(sigma) * (product of the pivots) * det(core), where sigma
-    sends each peeled row to its pivot column and the k-th live row to the
-    k-th live column.
+    the determinant of what is left by their values: (-1) to the number of
+    -1 pivots times the product of the others, with no Python int for a
+    +-1 pivot.  When no singleton remains, the core (the live rows and
+    columns, renumbered in increasing order) goes to ``_eliminate`` as
+    integer rows, even when it is empty.  Then det = sgn(sigma) * (product
+    of the pivots) * det(core), where sigma sends each peeled row to its
+    pivot column and the k-th live row to the k-th live column.
     """
+    rows, cols, vals = arrays
+    arrays.clear()
     perm = np.empty(n, dtype=np.int32)
     dead_row = np.zeros(n, dtype=bool)
     dead_col = np.zeros(n, dtype=bool)
@@ -553,7 +576,7 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
     while True:
         single = []
         for index in (rows, cols):
-            count = np.bincount(index, minlength=n)
+            count = _line_counts(index, n)
             # Only live lines hold entries, so an empty live line shows as
             # a missing nonzero count.
             if np.count_nonzero(count) < n - peeled:
@@ -571,12 +594,19 @@ def _peel_det(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> i
         if np.count_nonzero(dead_row) < peeled or np.count_nonzero(dead_col) < peeled:
             return 0
         perm[pr] = pc
-        product *= prod(_gather(vals, pivot).tolist())
+        pivots = _gather(vals, pivot)
         del pivot, pr, pc
+        if np.count_nonzero(pivots == -1) % 2:
+            product = -product
+        other = (pivots != 1) & (pivots != -1)
+        product *= prod(_gather(pivots, other).tolist())
+        del pivots, other
         live = _gather(dead_row, rows)
         live |= _gather(dead_col, cols)
         np.logical_not(live, out=live)
-        rows, cols, vals = _gather(rows, live), _gather(cols, live), _gather(vals, live)
+        rows = _gather(rows, live)
+        cols = _gather(cols, live)
+        vals = _gather(vals, live)
         del live
 
     # The core, renumbered; sigma pairs its rows and columns in order.
@@ -1029,30 +1059,33 @@ def _pick_backend(backend: str, nnz: int, n: int) -> str:
     return backend
 
 
-def _det_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int,
-                divisor: int = 1, backend: str = "auto") -> Fraction:
+def _det_coords(arrays: list[np.ndarray], n: int, divisor: int = 1,
+                backend: str = "auto") -> Fraction:
     """det / divisor of the n x n integer matrix with nonzeros ``vals`` at
-    (rows, cols), each position at most once: the one entry of every
-    determinant, and the one place that picks its eliminator.  For the
-    backend of :func:`_pick_backend`, "multimodular" takes the arrays as
-    they are; "bareiss" runs the wave peel of :func:`_peel_det` above
-    ``_PEEL_NNZ`` nonzeros, and ``_eliminate`` on their integer rows
-    otherwise.
+    (rows, cols), each position at most once, given as the list ``arrays``
+    = [rows, cols, vals]: the one entry of every determinant, and the one
+    place that picks its eliminator.  For the backend of
+    :func:`_pick_backend`, "multimodular" takes the arrays as they are;
+    "bareiss" runs the wave peel of :func:`_peel_det` above ``_PEEL_NNZ``
+    nonzeros, and ``_eliminate`` on their integer rows otherwise.  The
+    peel empties the list, so a caller that keeps no other reference lets
+    it free each array once compacted.
 
     The callers pass: ``basis_det`` and ``witness_det`` int32 rows and
     columns and int8 values; ``tensor_det`` intp rows, int32 columns and
     int64 values; ``det_exact`` intp indices and int64 values.  Both take
     Python ints in an object array instead when a value does not fit int64
     (see ``_exact_values``)."""
-    backend = _pick_backend(backend, len(vals), n)
+    nnz = len(arrays[2])
+    backend = _pick_backend(backend, nnz, n)
     if n == 0:
         return Fraction(1)
     if backend == "multimodular":
-        det = _multimodular(rows, cols, vals, n)
-    elif len(vals) > _PEEL_NNZ:
-        det = _peel_det(rows, cols, vals, n)
+        det = _multimodular(*arrays, n)
+    elif nnz > _PEEL_NNZ:
+        det = _peel_det(arrays, n)
     else:
-        _, det = _eliminate(_int_rows(rows, cols, vals), n, n, want_det=True)
+        _, det = _eliminate(_int_rows(*arrays), n, n, want_det=True)
     return Fraction(det, divisor)
 
 
@@ -1070,5 +1103,5 @@ def det_exact(matrix: ExactMatrix, backend: str = "auto", threads: int = 1) -> F
     _check_threads(threads)
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant of non-square {matrix!r}")
-    rows, cols, vals, divisor = _matrix_coords(matrix)
-    return _det_coords(rows, cols, vals, matrix.rows, divisor, backend)
+    *arrays, divisor = _matrix_coords(matrix)
+    return _det_coords(arrays, matrix.rows, divisor, backend)

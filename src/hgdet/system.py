@@ -55,7 +55,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .combi import check_subset, insertion_sign
-from .exactla import ExactMatrix, IntRows, _exact_values, _int_rows
+from .exactla import ExactMatrix, IntRows, _exact_values, _gather, _int_rows
 from .tensors import (Rational, TensorAssignment, _subset_ids, format_rational,
                       subset_array)
 
@@ -183,7 +183,7 @@ def _label_arrays(r: int, d: int, label: Sequence[int] | np.ndarray,
     per = r * d - r + 1
     nrows = d * (len(col) // per)
     rows = np.repeat(np.arange(-1, nrows - 1, d, dtype=np.int32), per)
-    rows += np.asarray(label)[col]
+    rows += _gather(np.asarray(label), col)
     return rows, col, sign, nrows
 
 

@@ -305,9 +305,9 @@ def suite_expansion_r2d2(seed: int = DEFAULT_SEED, trials: int = 20) -> SuiteRes
 def suite_table(max_dim: int = 5000, backend: str = "bareiss",
                 cross_check_dim: int = 1000) -> SuiteResult:
     """Reproduce the known witness determinants for every cell whose system
-    dimension fits, asserting magnitude exactly 1, recording the computed
-    sign against the known one, and cross-checking both determinant backends
-    on the smaller cells."""
+    dimension fits, asserting magnitude exactly 1 and the published value
+    where there is one, recording the computed sign against the known one,
+    and cross-checking both determinant backends on the smaller cells."""
     res = SuiteResult("table", 0)
     for r, d in table_cells(max_dim):
         dim = system_dimension(r, d)
@@ -322,6 +322,8 @@ def suite_table(max_dim: int = 5000, backend: str = "bareiss",
                 res.failures.append(f"({r}, {d}): backends disagree {value} vs {other}")
         agree = "agree" if known is not None and value == known else (
             "DIFFER" if known is not None else "unknown")
+        if agree == "DIFFER":
+            res.failures.append(f"({r}, {d}): computed {value}, published {known}")
         res.details.append(
             f"({r}, {d}) dim={dim}: computed={value} known={known} {agree}")
     return res

@@ -24,7 +24,8 @@ def route(monkeypatch):
     ``_det_coords`` entry during it, the first eliminator that entry ran:
     ``_eliminate``, ``_peel_det`` or ``_multimodular`` (None for n = 0).
     ``route.dtypes`` then holds, per entry, the dtypes of the arrays that
-    eliminator was handed.  Only ``exactla`` is patched, so elimination
+    eliminator was handed, whether as arguments or, to the wave peel, as
+    one list.  Only ``exactla`` is patched, so elimination
     outside a determinant, as in a rank, is not recorded, nor is the
     ``_eliminate`` that ends a wave peel."""
     names, dtypes, inside = [], [], []
@@ -42,7 +43,8 @@ def route(monkeypatch):
     def eliminator(*args, original, name, **kwargs):
         if inside and names[inside[-1]] is None:
             names[inside[-1]] = name
-            dtypes[inside[-1]] = tuple(a.dtype for a in args if isinstance(a, np.ndarray))
+            arrays = args[0] if isinstance(args[0], list) else args
+            dtypes[inside[-1]] = tuple(a.dtype for a in arrays if isinstance(a, np.ndarray))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exactla, "_det_coords", entry)

@@ -279,6 +279,22 @@ def test_table_exits_1_when_a_value_differs(monkeypatch, capsys):
     assert "(2,2): dim=6 det=-1 known=1 DIFFER" in capsys.readouterr().out
 
 
+def test_verify_table_exits_1_when_a_value_differs(monkeypatch, capsys):
+    """``verify table`` on the cells up to dimension 30, so that it runs in
+    well under a second: exit 0, and 1 with a flipped (2, 2) sign."""
+    from hgdet import verify
+    from hgdet.reference import table_cells
+
+    monkeypatch.setattr(verify, "table_cells", lambda max_dim: table_cells(30))
+    assert cli.main(["verify", "table"]) == 0
+    assert "DIFFER" not in capsys.readouterr().out
+    monkeypatch.setitem(cli.KNOWN_WITNESS_DETS, (2, 2), -cli.KNOWN_WITNESS_DETS[(2, 2)])
+    assert cli.main(["verify", "table"]) == 1
+    out = capsys.readouterr().out
+    assert "(2, 2) dim=6: computed=-1 known=1 DIFFER" in out
+    assert "(2, 2): computed -1, published 1" in out
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "nope"]) == 2
 

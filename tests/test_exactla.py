@@ -589,8 +589,8 @@ def test_auto_on_rows_dispatches_on_nonzeros_per_row(route):
     # A dense 10 x 10 integer matrix, as coordinate arrays.
     rng = random.Random(809)
     dense = [[rng.randint(1, 9) for _ in range(10)] for _ in range(10)]
-    rows, cols, vals, divisor = exactla._matrix_coords(ExactMatrix.from_rows(dense))
-    assert route(lambda: exactla._det_coords(rows, cols, vals, 10, divisor)) == (
+    *arrays, divisor = exactla._matrix_coords(ExactMatrix.from_rows(dense))
+    assert route(lambda: exactla._det_coords(arrays, 10, divisor)) == (
         Fraction(int(sympy.Matrix(dense).det())), ["_multimodular"])
 
 
@@ -615,7 +615,7 @@ def wave_peel_det(rows):
     nz = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
     coords = [np.array(x, dtype=np.int64) for x in zip(*nz)] or [
         np.zeros(0, dtype=np.int64)] * 3
-    return exactla._peel_det(*coords, len(rows))
+    return exactla._peel_det(coords, len(rows))
 
 
 def core_spy(monkeypatch):
@@ -701,15 +701,27 @@ ARRAY_KINDS = [(np.int32, np.int32, np.int8), (np.intp, np.int32, np.int64),
 def peel_in_kind(coords, n, kind):
     """``_peel_det`` of the nonzeros ``coords`` (rows, cols, vals) of an
     n x n matrix, with the arrays in the dtypes ``kind``."""
-    return exactla._peel_det(*(np.asarray(x, dtype) for x, dtype in zip(coords, kind)), n)
+    return exactla._peel_det([np.asarray(x, dtype) for x, dtype in zip(coords, kind)], n)
+
+
+def with_diagonal(diagonal, rng):
+    """A permuted lower triangle whose diagonal, its only nonzero
+    permutation term and so the wave peel's pivots, is ``diagonal``."""
+    rows = lower_triangle(len(diagonal), rng, fill=0.4)
+    for i, v in enumerate(diagonal):
+        rows[i][i] = v
+    return permuted(rows, rng)
 
 
 def test_wave_peel_matches_bareiss_in_every_array_kind():
     """The random, permuted-triangular and planted-core cases of
     ``test_wave_peel_matches_bareiss`` give ``det_bareiss``'s value in each
-    kind of coordinate arrays that reaches the peel."""
+    kind of coordinate arrays that reaches the peel, and so do three pivot
+    products: pivots beyond int64 of both signs (object values only), an
+    odd number of -1 pivots among non-unit ones, and a -128 pivot, which
+    int8 ``abs`` leaves negative."""
     rng = random.Random(927)
-    seen = set()
+    cases = []
     for k in range(300):
         n = rng.randint(1, 9)
         if k % 3 == 0:
@@ -721,13 +733,23 @@ def test_wave_peel_matches_bareiss_in_every_array_kind():
             fill = rng.choice((0.15, 0.25, 0.4))
             rows = [[nonzero(rng) if rng.random() < fill else 0 for _ in range(n)]
                     for _ in range(n)]
+        cases.append((rows, ARRAY_KINDS))
+    big = 2**70
+    diagonals = [([big + 3, -(big + 5), -1, 2, 1, -(big + 7)], ARRAY_KINDS[2:]),
+                 ([-1, 2, -1, -3, -1, 1, 3], ARRAY_KINDS),
+                 ([-128, 1, 2, -1, 1], ARRAY_KINDS)]
+    cases += [(with_diagonal(diagonal, rng), kinds) for diagonal, kinds in diagonals]
+    seen = set()
+    for rows, kinds in cases:
         expected = det_bareiss(ExactMatrix.from_rows(rows))
         seen.add(expected != 0)
         nz = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
         coords = tuple(zip(*nz)) or ((), (), ())
-        for kind in ARRAY_KINDS:
+        for kind in kinds:
             assert peel_in_kind(coords, len(rows), kind) == expected, kind
     assert seen == {False, True}
+    assert [abs(det_bareiss(ExactMatrix.from_rows(rows))) for rows, _ in cases[-3:]] == [
+        abs(prod(diagonal)) for diagonal, _ in diagonals]
 
 
 def cycle_walk_sign(perm):

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod
@@ -427,9 +428,9 @@ def divisor_spy(monkeypatch):
     seen = []
     det_coords = exactla._det_coords
 
-    def spy(rows, cols, vals, n, divisor=1, backend="auto"):
-        seen.append((array_rows(rows, cols, vals), divisor))
-        return det_coords(rows, cols, vals, n, divisor, backend)
+    def spy(arrays, n, divisor=1, backend="auto"):
+        seen.append((array_rows(*arrays), divisor))
+        return det_coords(arrays, n, divisor, backend)
 
     monkeypatch.setattr(exactla, "_det_coords", spy)
     return seen
@@ -607,8 +608,8 @@ def colour_block_dets(r, d, label):
         assert (label[cols[keep]] == c).all()
         columns = np.flatnonzero(label == c)
         assert len(columns) == m
-        dets.append(exactla._det_coords(rows[keep] // d, np.searchsorted(columns, cols[keep]),
-                                        vals[keep], m, 1, "bareiss"))
+        dets.append(exactla._det_coords([rows[keep] // d, np.searchsorted(columns, cols[keep]),
+                                         vals[keep]], m, 1, "bareiss"))
     return dets
 
 
@@ -645,9 +646,9 @@ def bareiss_label_det(r, d, label, peel_nnz):
     """The labelling's determinant by ``_det_coords`` with backend
     ``bareiss`` on the walk's arrays, ``_PEEL_NNZ`` set to ``peel_nnz``."""
     n = r * d
-    arrays = system._label_arrays(r, d, label, system._insertion_arrays(r, n, n - 1))
+    *arrays, nrows = system._label_arrays(r, d, label, system._insertion_arrays(r, n, n - 1))
     with mock.patch.object(exactla, "_PEEL_NNZ", peel_nnz):
-        return exactla._det_coords(*arrays, 1, "bareiss")
+        return exactla._det_coords(arrays, nrows, 1, "bareiss")
 
 
 def row_route_det(r, d, label):
@@ -976,10 +977,64 @@ def test_array_route_is_32_bit(monkeypatch, route):
     assert dtypes == [np.int32]
 
 
+def permutation_sign_spy(monkeypatch):
+    """Run each ``check`` of the returned list when the wave peel takes
+    its permutation sign, after its last wave."""
+    checks = []
+    sign = exactla._array_permutation_sign
+
+    def spy(perm):
+        for check in checks:
+            check()
+        return sign(perm)
+
+    monkeypatch.setattr(exactla, "_array_permutation_sign", spy)
+    return checks
+
+
+def test_wave_peel_frees_the_arrays_it_is_handed(monkeypatch):
+    """``_peel_det`` empties the list it is handed, so on a fresh (5, 5)
+    walk no array of it is alive once the waves are done."""
+    checks = permutation_sign_spy(monkeypatch)
+    arrays = list(system._label_arrays(5, 5, witness_labels(5, 5),
+                                       system._insertion_arrays(5, 25, 24)))
+    nrows = arrays.pop()
+    refs = [weakref.ref(a) for a in arrays]
+    seen = []
+    checks.append(lambda: seen.append((arrays == [], [ref() is None for ref in refs])))
+    assert exactla._peel_det(arrays, nrows) == 1
+    assert seen == [(True, [True] * 3)]
+
+
+def test_witness_det_frees_the_walk_after_the_first_wave(monkeypatch):
+    """Through ``witness_det``, the arrays of ``system._label_arrays`` are
+    all dead when the wave peel takes its sign, and the list the peel was
+    handed is empty: no caller keeps them alive."""
+    checks = permutation_sign_spy(monkeypatch)
+    refs, handed, seen = [], [], []
+    label_arrays, peel_det = system._label_arrays, exactla._peel_det
+
+    def label_spy(*args):
+        out = label_arrays(*args)
+        refs.extend(weakref.ref(a) for a in out[:3])
+        return out
+
+    def peel_spy(arrays, n):
+        handed.append(arrays)
+        return peel_det(arrays, n)
+
+    monkeypatch.setattr(system, "_label_arrays", label_spy)
+    monkeypatch.setattr(exactla, "_peel_det", peel_spy)
+    checks.append(lambda: seen.append((handed[0] == [], [ref() is None for ref in refs])))
+    assert witness_det(5, 5, backend="bareiss") == 1
+    assert len(handed) == 1 and seen == [(True, [True] * 3)]
+
+
 def test_array_route_peak_memory_per_nonzero():
-    """The (5, 6) witness, 617 526 nonzeros, peaks at no more than 25 bytes
-    per nonzero under tracemalloc on the array route; nnz-sized int64
-    temporaries would bring it back above 40."""
+    """The (5, 6) witness, 617 526 nonzeros, peaks at no more than 15 bytes
+    per nonzero under tracemalloc on the array route (13.7 when measured);
+    the walk kept alive through the peel, or nnz-sized intp copies of its
+    indices, would bring it back above 20."""
     nnz = comb(29, 4) * 26
     assert nnz == 617_526
     tracemalloc.start()
@@ -988,15 +1043,16 @@ def test_array_route_peak_memory_per_nonzero():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * nnz, peak / nnz
+    assert peak <= 15 * nnz, peak / nnz
 
 
 def test_peel_gathers_keep_the_peak_per_nonzero():
-    """The (10, 2) witness, 1 016 158 nonzeros, peaks at no more than 21
-    bytes per nonzero under tracemalloc (19.7 when measured).  The peel's
-    gathers and compactions over the whole system would copy its int32
-    indices, or the positions they keep, to intp arrays of up to 8 bytes
-    per nonzero: whole-array ``np.take`` and ``np.compress`` gave 22.6."""
+    """The (10, 2) witness, 1 016 158 nonzeros, peaks at no more than 14.5
+    bytes per nonzero under tracemalloc (13.5 when measured).  The peel's
+    counts, gathers and compactions over the whole system would copy its
+    int32 indices, or the positions they keep, to intp arrays of up to 8
+    bytes per nonzero: ``np.bincount`` counts gave 19.7, and whole-array
+    ``np.take`` and ``np.compress`` on top of them 22.6."""
     nnz = comb(19, 9) * 11
     assert nnz == 1_016_158
     tracemalloc.start()
@@ -1005,7 +1061,7 @@ def test_peel_gathers_keep_the_peak_per_nonzero():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * nnz, peak / nnz
+    assert peak <= 14.5 * nnz, peak / nnz
 
 
 def test_cells_beyond_32_bit_indices_are_refused(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hgdet.reference import KNOWN_WITNESS_DETS
 from hgdet.verify import (run_suite, suite_backend_agreement, suite_expansion_r2d2,
                           suite_rank_equality, suite_relations, suite_sl_invariance,
                           suite_table, suite_theorem_r3d2, suite_vanishing)
@@ -54,6 +55,20 @@ def test_table_suite_small():
     res = suite_table(max_dim=100, cross_check_dim=100)
     assert res.passed
     assert all("agree" in line for line in res.details)
+
+
+def test_table_suite_fails_when_a_sign_differs(monkeypatch):
+    """A computed witness value whose sign differs from the published one
+    is a failure as well as a ``DIFFER`` detail; the details are the same
+    lines either way."""
+    res = suite_table(max_dim=30)
+    assert res.passed
+    monkeypatch.setitem(KNOWN_WITNESS_DETS, (2, 2), -KNOWN_WITNESS_DETS[(2, 2)])
+    flipped = suite_table(max_dim=30)
+    assert not flipped.passed
+    assert flipped.failures == ["(2, 2): computed -1, published 1"]
+    assert res.details[0] == "(2, 2) dim=6: computed=-1 known=-1 agree"
+    assert flipped.details == ["(2, 2) dim=6: computed=-1 known=1 DIFFER", *res.details[1:]]
 
 
 def test_suite_determinism():
