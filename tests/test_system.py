@@ -994,25 +994,37 @@ def permutation_sign_spy(monkeypatch):
 
 def test_wave_peel_frees_the_arrays_it_is_handed(monkeypatch):
     """``_peel_det`` empties the list it is handed, so on a fresh (5, 5)
-    walk no array of it is alive once the waves are done."""
+    walk no array of it is alive once the waves are done; and the first
+    wave frees rows and columns as their compacted copies are made, before
+    it compacts the values."""
     checks = permutation_sign_spy(monkeypatch)
     arrays = list(system._label_arrays(5, 5, witness_labels(5, 5),
                                        system._insertion_arrays(5, 25, 24)))
     nrows = arrays.pop()
     refs = [weakref.ref(a) for a in arrays]
+    gather, freed = exactla._gather, []
+
+    def gather_spy(a, key):
+        if a is refs[2]():
+            freed.append((refs[0]() is None, refs[1]() is None))
+        return gather(a, key)
+
+    monkeypatch.setattr(exactla, "_gather", gather_spy)
     seen = []
     checks.append(lambda: seen.append((arrays == [], [ref() is None for ref in refs])))
     assert exactla._peel_det(arrays, nrows) == 1
     assert seen == [(True, [True] * 3)]
+    # The values are gathered for the pivots, then compacted.
+    assert freed == [(False, False), (True, True)]
 
 
 def test_witness_det_frees_the_walk_after_the_first_wave(monkeypatch):
     """Through ``witness_det``, the arrays of ``system._label_arrays`` are
-    all dead when the wave peel takes its sign, and the list the peel was
-    handed is empty: no caller keeps them alive."""
-    checks = permutation_sign_spy(monkeypatch)
+    all dead when the second wave counts its rows, and the list the peel
+    was handed is empty: no caller keeps them alive."""
     refs, handed, seen = [], [], []
     label_arrays, peel_det = system._label_arrays, exactla._peel_det
+    line_counts = exactla._line_counts
 
     def label_spy(*args):
         out = label_arrays(*args)
@@ -1023,11 +1035,18 @@ def test_witness_det_frees_the_walk_after_the_first_wave(monkeypatch):
         handed.append(arrays)
         return peel_det(arrays, n)
 
+    def counts_spy(index, n):
+        # Each wave counts rows, then columns.
+        seen.append((handed[0] == [], [ref() is None for ref in refs]))
+        return line_counts(index, n)
+
     monkeypatch.setattr(system, "_label_arrays", label_spy)
     monkeypatch.setattr(exactla, "_peel_det", peel_spy)
-    checks.append(lambda: seen.append((handed[0] == [], [ref() is None for ref in refs])))
+    monkeypatch.setattr(exactla, "_line_counts", counts_spy)
     assert witness_det(5, 5, backend="bareiss") == 1
-    assert len(handed) == 1 and seen == [(True, [True] * 3)]
+    assert len(handed) == 1 and len(seen) > 2
+    assert seen[0] == (True, [False] * 3)
+    assert seen[2] == (True, [True] * 3)
 
 
 def test_array_route_peak_memory_per_nonzero():
