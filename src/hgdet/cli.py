@@ -15,17 +15,17 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .determinant import basis_det, tensor_det, witness_det
+from .determinant import basis_det, tensor_det
 from .exactla import ReconstructionError
 from .hypergraphs import (InvalidPartitionError, ResourceCapError,
                           basis_from_partition, betti_numbers,
                           classify_partition, euler_characteristic,
                           read_hypergraph, read_partition)
-from .reference import KNOWN_WITNESS_DETS, system_dimension, table_cells
+from .reference import system_dimension
 from .system import system_matrix, write_matrix
 from .tensors import (BasisAssignment, ParseError, canonical_witness, read_tensor,
                       tensor_from_basis, write_basis)
-from .verify import SUITES, run_suite
+from .verify import SUITES, _witness_table, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -125,17 +125,10 @@ def cmd_table(args) -> Outcome:
     report = RunReport(f"table max-dim={args.max_dim}",
                        _digest_args("table", args.max_dim), args.backend)
     differ = False
-    for r, d in sorted(KNOWN_WITNESS_DETS.keys() | set(table_cells(args.max_dim))):
-        dim = system_dimension(r, d)
-        key = f"({r},{d})"
-        if dim > args.max_dim:
-            report.outputs[key] = f"dim={dim} skipped"
-            continue
-        value = witness_det(r, d, backend=args.backend)
-        known = KNOWN_WITNESS_DETS.get((r, d))
-        agree = ("agree" if value == known else "DIFFER") if known is not None else "unknown"
-        differ |= agree == "DIFFER"
-        report.outputs[key] = f"dim={dim} det={value} known={known} {agree}"
+    for (r, d), dim, value, known, verdict in _witness_table(args.max_dim, args.backend):
+        report.outputs[f"({r},{d})"] = (f"dim={dim} skipped" if value is None else
+                                        f"dim={dim} det={value} known={known} {verdict}")
+        differ |= verdict == "DIFFER"
     return report, EXIT_VIOLATION if differ else EXIT_OK
 
 

@@ -6,9 +6,9 @@ insertion walk of ``system``, never as a matrix.  A tensor becomes its
 value array in ``system._tensor_values``, which ``hgdet matrix`` shares,
 by the value rule of ``exactla._exact_values`` that every ExactMatrix
 determinant and rank follows too: one scan of the coordinate types
-decides whether denominators need clearing and whether the array may be
-int64, bools and numpy integers count as the Python ints they equal, and
-a float raises TypeError.  When a Fraction is present,
+decides whether denominators need clearing, bools and numpy integers
+count as the Python ints they equal, so they are int64 when they fit as
+any int is, and a float raises TypeError.  When a Fraction is present,
 each vector is scaled by the lcm of its coordinates' denominators, which
 clears them column by column, and the product of those lcms divides the
 integer determinant.  A column holds the d coordinates of one vector
@@ -27,7 +27,8 @@ The callers differ only in the walk they fill:
   the labels (``system._label_arrays``): classification and tensor batches
   repeat one shape.  ``basis_det`` reads its labels off the assignment
   and hands them to ``_label_det``, which ``classify_partition`` calls
-  with the partition's labels.  ``_label_det`` counts the labels first.
+  with the partition's labels.  ``_label_det`` counts the labels first,
+  by ``_balanced``, which ``hypergraphs`` asks for homogeneity too.
   Row b*d + c - 1 of a labelling's system meets only the columns labelled
   c, so those columns live in the C(rd - 1, r - 1) rows of colour c, one
   per base, and a colour that labels more columns than that has dependent
@@ -86,12 +87,19 @@ def _label_det(r: int, d: int, label: Sequence[int], backend: str = "auto") -> F
     subsets (see the module docstring).  An unknown backend is refused
     first."""
     exactla._pick_backend(backend, 0, 0)
-    n = r * d
-    share = comb(n - 1, r - 1)
-    if any(label.count(c) != share for c in range(1, d + 1)):
+    if not _balanced(r, d, label):
         return Fraction(0)
+    n = r * d
     *arrays, nrows = system._label_arrays(r, d, label, system._pattern(r, n, n - 1))
     return exactla._det_coords(arrays, nrows, 1, backend)
+
+
+def _balanced(r: int, d: int, label: Sequence[int]) -> bool:
+    """Whether each colour 1..d labels C(rd - 1, r - 1) of the r-subsets
+    of 1..rd in ``label``: the count rule of :func:`_label_det`, and the
+    even split of a homogeneous partition."""
+    share = comb(r * d - 1, r - 1)
+    return all(label.count(c) == share for c in range(1, d + 1))
 
 
 def witness_det(r: int, d: int, backend: str = "auto", threads: int = 1) -> Fraction:

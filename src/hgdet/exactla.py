@@ -12,8 +12,8 @@ scaled by the lcm of its denominators, and the divisor is the product of
 those scales.  ``_exact_values`` is the one place that reads value types,
 for tensors and matrices alike: ints and Fractions pass, bools and numpy
 integers become the Python ints they equal, and anything else, a float
-too, raises TypeError.  The values are int64 when they fit, Python ints
-in an object array otherwise.
+too, raises TypeError.  The values are int64 when they fit, whatever
+integer type they came in, and Python ints in an object array otherwise.
 
 ``_det_coords`` is the one entry of every determinant, handles n = 0, and
 alone picks the eliminator.  It takes the arrays in one list, which its
@@ -221,19 +221,15 @@ def _exact_values(groups: Sequence[Iterable],
     no value is a Fraction: the one place that reads value types, for a
     tensor's vectors and a matrix's rows alike.
 
-    One scan of the value types decides both steps.  When some value is a
-    Fraction, every group is scaled by its lcm, which clears its
-    denominators.  When every value is an int or a Fraction, the array is
-    int64 unless a cleared value falls outside (-2**63, 2**63): the tensor
-    fill negates values, so -2**63 stays out too.  Otherwise it is an
-    object array of Python ints: ints beyond that range, and the values of
-    bools and numpy integers.  Any other type, a float too, raises
-    TypeError."""
+    One scan of the value types decides both steps.  Bools and numpy
+    integers count as the Python ints they equal, and any other type
+    that is not an int or a Fraction, a float too, raises TypeError.
+    When some value is a Fraction, every group is scaled by its lcm,
+    which clears its denominators.  The array is int64 unless a cleared
+    value falls outside (-2**63, 2**63), since the tensor fill negates
+    values, and an object array of Python ints otherwise."""
     types = set(map(type, chain.from_iterable(groups)))
-    plain = types <= {int, Fraction}
-    if not plain:
-        # Bools and numpy integers as the Python ints they equal: numpy
-        # arithmetic on them would overflow in elimination.
+    if not types <= {int, Fraction}:
         groups = [[v if type(v) is Fraction else index(v) for v in group]
                   for group in groups]
     scales = None
@@ -241,14 +237,13 @@ def _exact_values(groups: Sequence[Iterable],
         scales = [lcm(*map(_denominator, group)) for group in groups]
         groups = [[v.numerator * (scale // v.denominator) for v in group]
                   for group, scale in zip(groups, scales)]
-    if plain:
-        try:
-            values = np.fromiter(chain.from_iterable(groups), np.int64, count=count)
-        except OverflowError:
-            pass
-        else:
-            if not (values == np.iinfo(np.int64).min).any():
-                return values, scales
+    try:
+        values = np.fromiter(chain.from_iterable(groups), np.int64, count=count)
+    except OverflowError:
+        pass
+    else:
+        if not (values == np.iinfo(np.int64).min).any():
+            return values, scales
     return np.fromiter(chain.from_iterable(groups), object, count=count), scales
 
 

@@ -64,7 +64,7 @@ from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Sequence
 
 from .combi import check_subset
-from .determinant import _label_det
+from .determinant import _balanced, _label_det
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
 from .tensors import BasisAssignment, ParseError, _read_records, _subset_ids
@@ -359,13 +359,15 @@ def _check_held(held: int, n: int, r: int) -> None:
             f"parts hold {held} hyperedges, K^{r}_{n} has {comb(n, r)}")
 
 
-def _part_ids(p: DPartition) -> list[list[int]]:
-    """Each part's hyperedge ids, increasing, grouped from its labels: the
-    ids of ``_subset_ids(r, n)`` and of the shape table."""
+def _part_skeleta(p: DPartition) -> tuple[FaceTable, list[list[set[int]]]]:
+    """The shape table of ``p`` and the ``_skeleta`` of each part in it,
+    whose hyperedge ids, those of ``_subset_ids(r, n)``, come grouped from
+    the partition's labels."""
+    table = _shape_table(p.n, p.r)
     ids: list[list[int]] = [[] for _ in p.parts]
     for j, i in enumerate(p._labels):
         ids[i - 1].append(j)
-    return ids
+    return table, [_skeleta(table, part) for part in ids]
 
 
 def _partition(n: int, r: int, d: int,
@@ -426,8 +428,7 @@ def _deficiency(n: int, skeleta: Iterable[list[set[int]]]
 def skeleton_deficiency(p: DPartition) -> tuple[int, int, int, int] | None:
     """First (part, level, count, expected) violating fullness of a skeleton
     below the top level, or None when every part is fully pre-homogeneous."""
-    table, ids = _shape_table(p.n, p.r), _part_ids(p)
-    return _deficiency(p.n, (_skeleta(table, part) for part in ids))
+    return _deficiency(p.n, _part_skeleta(p)[1])
 
 
 def is_prehomogeneous(p: DPartition) -> bool:
@@ -438,8 +439,7 @@ def is_prehomogeneous(p: DPartition) -> bool:
 
 def is_homogeneous(p: DPartition) -> bool:
     """Pre-homogeneous with hyperedges split evenly: C(rd-1, r-1) per part."""
-    share = comb(p.n - 1, p.r - 1)
-    return is_prehomogeneous(p) and all(len(part) == share for part in p.parts)
+    return is_prehomogeneous(p) and _balanced(p.r, p.d, p._labels)
 
 
 def boundary_rank_matches_system(p: DPartition) -> bool:
@@ -448,8 +448,7 @@ def boundary_rank_matches_system(p: DPartition) -> bool:
     assembled by the label-aware route.  Both ranks are eliminated, with no
     rank rule.  Requires a pre-homogeneous partition."""
     _check_square(p)
-    table, ids = _shape_table(p.n, p.r), _part_ids(p)
-    skeleta = [_skeleta(table, part) for part in ids]
+    table, skeleta = _part_skeleta(p)
     if _deficiency(p.n, skeleta) is not None:
         raise ValueError("rank comparison requires a pre-homogeneous partition")
     boundary_rank = sum(_rank_rows(*_boundary_rows(table, levels, p.r - 1))
@@ -479,13 +478,11 @@ def classify_partition(p: DPartition, backend: str = "auto",
     the three-way equivalence."""
     _check_threads(threads)
     _check_square(p)
-    table, ids = _shape_table(p.n, p.r), _part_ids(p)
     det = _label_det(p.r, p.d, p._labels, backend)
-    skeleta = [_skeleta(table, part) for part in ids]
+    table, skeleta = _part_skeleta(p)
     deficiency = _deficiency(p.n, skeleta)
     prehom = deficiency is None
-    share = comb(p.n - 1, p.r - 1)
-    hom = prehom and all(len(part) == share for part in ids)
+    hom = prehom and _balanced(p.r, p.d, p._labels)
     betti = tuple(_betti(table, levels, p.n) for levels in skeleta)
     det_nonzero = det != 0
     all_zero = prehom and all(b.all_zero() for b in betti)

@@ -33,11 +33,11 @@ place.  :func:`_vector_arrays` fills a tensor's vectors, held as one
 C(rd, r) x d array that :func:`_tensor_values` builds and the fill does
 not inspect.  Its values come from ``exactla._exact_values``, the one
 rule for tensors and matrices alike: denominators cleared by vector only
-when a Fraction is present, int64 when every coordinate is an int or a
-Fraction and every cleared value lies in (-2**63, 2**63), Python ints
-otherwise, and TypeError for a float or any other type that is not an
-integer.  :func:`_label_rows` gives a labelling's arrays
-as integer rows, for the rank check of classification, and
+when a Fraction is present, int64 when every cleared value lies in
+(-2**63, 2**63), bools and numpy integers too, Python ints otherwise, and
+TypeError for a float or any other type that is not an integer.
+:func:`_label_rows` gives a labelling's arrays as integer rows, for the
+rank check of classification, and
 :func:`system_matrix` gives a tensor's as an ExactMatrix, for the
 ``hgdet matrix`` dump and the tests; :func:`equation_block` builds one
 equation from the tensor, for :func:`relation_holds` and as the tests'

@@ -17,6 +17,7 @@ from fractions import Fraction
 from inspect import signature
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .combi import euler_identity_holds
 from .determinant import tensor_det, witness_det
@@ -302,6 +303,24 @@ def suite_expansion_r2d2(seed: int = DEFAULT_SEED, trials: int = 20) -> SuiteRes
     return res
 
 
+def _witness_table(max_dim: int, backend: str) -> Iterator[tuple]:
+    """The one walk of the witness table, shared by ``hgdet table`` and
+    the table suite: for each cell (r, d) of ``table_cells(max_dim)`` and
+    of the known values, in order, ``(cell, dim, value, known, verdict)``.
+    ``value`` is the witness determinant, None on a cell beyond the grid
+    of ``max_dim``, and ``verdict`` judges it against the published
+    ``known``: "agree", "DIFFER", "unknown" when nothing is published, and
+    None with no value."""
+    computed = set(table_cells(max_dim))
+    for cell in sorted(KNOWN_WITNESS_DETS.keys() | computed):
+        known = KNOWN_WITNESS_DETS.get(cell)
+        value = verdict = None
+        if cell in computed:
+            value = witness_det(*cell, backend=backend)
+            verdict = "unknown" if known is None else "agree" if value == known else "DIFFER"
+        yield cell, system_dimension(*cell), value, known, verdict
+
+
 def suite_table(max_dim: int = 5000, backend: str = "bareiss",
                 cross_check_dim: int = 1000) -> SuiteResult:
     """Reproduce the known witness determinants for every cell whose system
@@ -309,23 +328,20 @@ def suite_table(max_dim: int = 5000, backend: str = "bareiss",
     where there is one, recording the computed sign against the known one,
     and cross-checking both determinant backends on the smaller cells."""
     res = SuiteResult("table", 0)
-    for r, d in table_cells(max_dim):
-        dim = system_dimension(r, d)
+    for (r, d), dim, value, known, verdict in _witness_table(max_dim, backend):
+        if value is None:
+            continue
         res.trials += 1
-        value = witness_det(r, d, backend=backend)
-        known = KNOWN_WITNESS_DETS.get((r, d))
         if abs(value) != 1:
             res.failures.append(f"({r}, {d}): |det| = {abs(value)} != 1")
         if dim <= cross_check_dim:
             other = witness_det(r, d, backend="multimodular")
             if other != value:
                 res.failures.append(f"({r}, {d}): backends disagree {value} vs {other}")
-        agree = "agree" if known is not None and value == known else (
-            "DIFFER" if known is not None else "unknown")
-        if agree == "DIFFER":
+        if verdict == "DIFFER":
             res.failures.append(f"({r}, {d}): computed {value}, published {known}")
         res.details.append(
-            f"({r}, {d}) dim={dim}: computed={value} known={known} {agree}")
+            f"({r}, {d}) dim={dim}: computed={value} known={known} {verdict}")
     return res
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from hgdet import cli
 from hgdet.hypergraphs import write_hypergraph, Hypergraph
+from hgdet.reference import KNOWN_WITNESS_DETS
 from hgdet.system import write_matrix
 from hgdet.tensors import (TensorAssignment, canonical_witness, tensor_from_basis,
                            write_basis, write_tensor)
@@ -179,6 +180,80 @@ def test_table_small(capsys):
     assert "skipped" in out
 
 
+# ``hgdet table --max-dim 100``: every cell of the grid and of the known
+# values in order, computed up to dimension 100 and skipped beyond.
+TABLE_100 = """\
+command: table max-dim=100
+input-digest: 38a128783114620d6ed96d58d4e13cf937a3a313713f333a2b5250607af92907
+backend: auto
+(2,2): dim=6 det=-1 known=-1 agree
+(2,3): dim=15 det=1 known=1 agree
+(2,4): dim=28 det=1 known=1 agree
+(2,5): dim=45 det=1 known=1 agree
+(2,6): dim=66 det=-1 known=-1 agree
+(2,7): dim=91 det=1 known=1 agree
+(2,8): dim=120 skipped
+(2,9): dim=153 skipped
+(2,10): dim=190 skipped
+(3,2): dim=20 det=-1 known=-1 agree
+(3,3): dim=84 det=-1 known=-1 agree
+(3,4): dim=220 skipped
+(3,5): dim=455 skipped
+(3,6): dim=816 skipped
+(3,7): dim=1330 skipped
+(3,8): dim=2024 skipped
+(3,9): dim=2925 skipped
+(3,10): dim=4060 skipped
+(4,2): dim=70 det=1 known=1 agree
+(4,3): dim=495 skipped
+(4,4): dim=1820 skipped
+(4,5): dim=4845 skipped
+(4,6): dim=10626 skipped
+(4,7): dim=20475 skipped
+(4,8): dim=35960 skipped
+(4,9): dim=58905 skipped
+(5,2): dim=252 skipped
+(5,3): dim=3003 skipped
+(5,4): dim=15504 skipped
+(5,5): dim=53130 skipped
+(6,2): dim=924 skipped
+(6,3): dim=18564 skipped
+(7,2): dim=3432 skipped
+(8,2): dim=12870 skipped
+"""
+
+
+def without_elapsed(out):
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed-ms: "))
+
+
+def test_table_report_bytes(capsys):
+    assert cli.main(["table", "--max-dim", "100"]) == 0
+    assert without_elapsed(capsys.readouterr().out) == TABLE_100
+
+
+def test_verify_table_report_bytes(monkeypatch, capsys):
+    """``verify table`` on the cells up to dimension 30: one check and one
+    detail line per computed cell, in the order of ``hgdet table``."""
+    from hgdet import verify
+    from hgdet.reference import table_cells
+
+    monkeypatch.setattr(verify, "table_cells", lambda max_dim: table_cells(30))
+    assert cli.main(["verify", "table"]) == 0
+    assert without_elapsed(capsys.readouterr().out) == """\
+command: verify table
+input-digest: 09275094e77f74b12aac35baa6c0399424e5003fc6644ed9b81d02287a0013d7
+backend: auto
+passed: true
+checks: 4
+detail-0: (2, 2) dim=6: computed=-1 known=-1 agree
+detail-1: (2, 3) dim=15: computed=1 known=1 agree
+detail-2: (2, 4) dim=28: computed=1 known=1 agree
+detail-3: (3, 2) dim=20: computed=-1 known=-1 agree
+"""
+
+
 def test_classify_witness_partition(witness_file, capsys):
     assert cli.main(["classify", witness_file]) == 0
     out = capsys.readouterr().out
@@ -274,7 +349,7 @@ def test_verify_refuses_options_a_suite_does_not_take(capsys, argv, refused):
 def test_table_exits_1_when_a_value_differs(monkeypatch, capsys):
     assert cli.main(["table", "--max-dim", "30"]) == 0
     assert "DIFFER" not in capsys.readouterr().out
-    monkeypatch.setitem(cli.KNOWN_WITNESS_DETS, (2, 2), -cli.KNOWN_WITNESS_DETS[(2, 2)])
+    monkeypatch.setitem(KNOWN_WITNESS_DETS, (2, 2), -KNOWN_WITNESS_DETS[(2, 2)])
     assert cli.main(["table", "--max-dim", "30"]) == 1
     assert "(2,2): dim=6 det=-1 known=1 DIFFER" in capsys.readouterr().out
 
@@ -288,7 +363,7 @@ def test_verify_table_exits_1_when_a_value_differs(monkeypatch, capsys):
     monkeypatch.setattr(verify, "table_cells", lambda max_dim: table_cells(30))
     assert cli.main(["verify", "table"]) == 0
     assert "DIFFER" not in capsys.readouterr().out
-    monkeypatch.setitem(cli.KNOWN_WITNESS_DETS, (2, 2), -cli.KNOWN_WITNESS_DETS[(2, 2)])
+    monkeypatch.setitem(KNOWN_WITNESS_DETS, (2, 2), -KNOWN_WITNESS_DETS[(2, 2)])
     assert cli.main(["verify", "table"]) == 1
     out = capsys.readouterr().out
     assert "(2, 2) dim=6: computed=-1 known=1 DIFFER" in out

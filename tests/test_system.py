@@ -793,11 +793,15 @@ COORDINATE_KINDS = [
     ("Fraction beyond int64", lambda rng: [
         Fraction(rng.randint(1, 9), rng.randrange(1 << 64, 1 << 65)) for _ in range(20)],
      object),
-    ("bool", lambda rng: (True, False, 2, -1, 3, -5, 7, -8), object),
-    ("numpy.int64", lambda rng: tuple(map(np.int64, range(-9, 10))), object),
-    # Products of two of these pass 2**63: numpy arithmetic would wrap.
+    ("bool", lambda rng: (True, False, 2, -1, 3, -5, 7, -8), np.int64),
+    ("numpy.int64", lambda rng: tuple(map(np.int64, range(-9, 10))), np.int64),
+    # Products of two of these pass 2**63: int64 arithmetic would wrap.
     ("numpy.int64 past 2**31", lambda rng: tuple(map(np.int64, (
-        3**30 + 7, -(3**30), 3**29 - 1, 5, -2))), object),
+        3**30 + 7, -(3**30), 3**29 - 1, 5, -2))), np.int64),
+    # Numpy integers that int64 cannot hold, or whose negation it cannot.
+    ("numpy.uint64 2**63 + 5", lambda rng: (np.uint64(2**63 + 5), np.int8(-1),
+                                            np.int64(1), np.uint8(2)), object),
+    ("numpy.int64 -2**63", lambda rng: tuple(map(np.int64, (-2**63, -1, 1, 2))), object),
 ]
 
 
