@@ -280,11 +280,10 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
     arithmetic, and any row or column left with one entry joins the
     worklist.  Laplace expansion along the singleton line gives
     det = +-v * det(minor) and rank = 1 + rank(minor), so the peeled
-    pivots contribute their plain product.  In det mode a row or column
-    that empties while peeling proves the matrix singular.  Witness systems
-    are permuted triangular and peel completely, in time linear in nnz.
-    The peel keeps each column as the list of rows it started with and a
-    live count; the column sets of the core are built from what is left.
+    pivots contribute their plain product.  Witness systems are permuted
+    triangular and peel completely, in time linear in nnz.  The peel keeps
+    each column as the list of rows it started with and a live count; the
+    column sets of the core are built from what is left.
 
     The Bareiss core then runs on what is left, with its own pivot
     sequence starting at 1, so the peeled entries never scale its rows.
@@ -292,12 +291,26 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
     row to its pivot column, as in ``_peel_det``, times the peeled product
     times the core's last Bareiss pivot.
 
+    Det mode has one singularity rule besides the counts it reads before
+    the peel: a row or column that empties, in the peel or the core, is
+    deleted, so a core step that finds fewer live rows or columns than
+    pivots still to take returns det 0; a matrix that runs out of pivots
+    first gives det 0 at the end.
+
     The core's pivot rule: lowest-count column, then its shortest row, ties
-    going to the lowest column and row index.  Rows that do not meet a
-    pivot column are rescaled lazily: by the minor identity their true
-    value at step k equals the stored value times pivot_k / pivot_t, where
-    t is the step at which the row last participated, and that division is
-    exact.
+    going to the lowest column and row index.  The heap gets an entry
+    (count, column) only when a column's count falls, when the pivot row
+    or a cancellation leaves it, so every live column keeps an entry whose
+    key is at most its count; a pop whose key is stale is pushed back at
+    the true count, and the first pop that is not stale is the least
+    (count, column).  Fill-in raises a count and pushes nothing.  A column
+    emptied in a step is never refilled in that step: a victim without it
+    would give the pivot column the higher count.  Each victim's update
+    reads only the pivot row and its own row, so the victims go in set
+    order.  Rows that do not meet a pivot column are rescaled lazily: by
+    the minor identity their true value at step k equals the stored value
+    times pivot_k / pivot_t, where t is the step at which the row last
+    participated, and that division is exact.
     """
     # Peel phase: pivot on singleton columns and rows with no arithmetic.
     # A column's entries leave the rows only when it is pivoted, so its
@@ -342,8 +355,6 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
             count[j] = c
             if c == 1:
                 col_stack.append(j)
-            elif not c and want_det:
-                return len(pivot_rows), 0
         count[pc] = 0
         for i in col_rows[pc]:
             ri = rows.get(i)
@@ -354,8 +365,6 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
                 row_stack.append(i)
             elif not ri:
                 del rows[i]
-                if want_det:
-                    return len(pivot_rows), 0
     del col_rows, count
 
     cols: dict[int, set[int]] = {}
@@ -382,11 +391,6 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
                 ri[j] = ri[j] * num // den
         last[i] = target
 
-    def push_col(j: int) -> None:
-        s = cols.get(j)
-        if s:
-            heapq.heappush(heap, (len(s), j))
-
     while heap:
         cnt, pc = heapq.heappop(heap)
         s = cols.get(pc)
@@ -395,6 +399,10 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
         if len(s) != cnt:
             heapq.heappush(heap, (len(s), pc))
             continue
+        # Emptied rows and columns are deleted, so fewer live lines than
+        # pivots still to take means the matrix is singular.
+        if want_det and min(len(rows), len(cols)) < nrows - rank:
+            return rank, 0
         pr = min(s, key=lambda row: (len(rows[row]), row))
 
         prev = pivots[step]
@@ -411,14 +419,11 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
             s = cols[j]
             s.discard(pr)
             if s:
-                push_col(j)
+                heapq.heappush(heap, (len(s), j))
             else:
                 del cols[j]
-                if want_det and j != pc:
-                    return rank, 0
 
-        victims = sorted(cols.pop(pc, ()))
-        for i in victims:
+        for i in cols.pop(pc, ()):
             materialize(i, step - 1)
             ri = rows[i]
             b = ri.pop(pc)
@@ -437,23 +442,18 @@ def _eliminate(rows: IntRows, nrows: int, ncols: int,
                     ri[j] = val
                     if not a:
                         cols.setdefault(j, set()).add(i)
-                        push_col(j)
                 elif a:
                     del ri[j]
                     s = cols[j]
                     s.discard(i)
                     if s:
-                        push_col(j)
+                        heapq.heappush(heap, (len(s), j))
                     else:
                         del cols[j]
-                        if want_det:
-                            return rank, 0
             last[i] = step
             if not ri:
                 del rows[i]
                 del last[i]
-                if want_det:
-                    return rank, 0
 
     if not want_det:
         return rank, 0

@@ -67,7 +67,8 @@ from .combi import check_subset
 from .determinant import _balanced, _label_det
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
-from .tensors import BasisAssignment, ParseError, _read_records, _subset_ids
+from .tensors import (BasisAssignment, ParseError, _binomial_mismatch, _read_records,
+                      _subset_ids)
 
 
 class InvalidPartitionError(ValueError):
@@ -88,6 +89,8 @@ class Hypergraph:
     edges: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
+        if self.n < 0 or self.r < 0:
+            raise ValueError(f"need n >= 0 and r >= 0, got n={self.n}, r={self.r}")
         for e in self.edges:
             t = check_subset(e, self.n)
             if len(t) != self.r:
@@ -122,6 +125,7 @@ def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
     level 0 the empty cell, which is always there."""
     cells = sorted(edges)
     table = []
+    signs = (1, -1) * (r // 2 + 1)
     for s in range(r, 0, -1):
         below = sorted({c[:q] + c[q + 1:] for c in cells for q in range(s)}
                        if s > 1 else [()])
@@ -130,7 +134,6 @@ def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
         # Ids below ``low`` are the cells through the least vertex, which
         # sort first.
         low = bisect_left(below, (below[0][0] + 1,)) if s > 1 and below else 0
-        signs = (1, -1) * (s // 2 + 1)
         rows = tuple(MappingProxyType({f: sign for f, sign in zip(ids, signs) if f >= low})
                      for ids in faces)
         table.append((tuple(cells), faces, rows))
@@ -353,10 +356,12 @@ class DPartition:
 
 
 def _check_held(held: int, n: int, r: int) -> None:
-    """Raise InvalidPartitionError unless ``held`` hyperedges are those of K^r_n."""
-    if held != comb(n, r):
+    """Raise InvalidPartitionError unless ``held`` hyperedges are those of
+    K^r_n, in time bounded by ``held``, not by C(n, r)."""
+    expected = _binomial_mismatch(held, n, r)
+    if expected is not None:
         raise InvalidPartitionError(
-            f"parts hold {held} hyperedges, K^{r}_{n} has {comb(n, r)}")
+            f"parts hold {held} hyperedges, K^{r}_{n} has {expected}")
 
 
 def _part_skeleta(p: DPartition) -> tuple[FaceTable, list[list[set[int]]]]:
@@ -375,16 +380,18 @@ def _partition(n: int, r: int, d: int,
     """The d-partition of K^r_n whose part ``label`` (from 1) holds each
     hyperedge of the (hyperedge, label) pairs ``labelled``.  Only the parts
     that hold a hyperedge exist until the labels, the hyperedge count and
-    d <= C(n, r) are checked, so a large d costs nothing."""
+    d <= C(n, r) are checked, so a large d costs nothing; once the count
+    holds, it is C(n, r)."""
     parts: defaultdict[int, set[tuple[int, ...]]] = defaultdict(set)
     for e, lab in labelled:
         if not 1 <= lab <= d:
             raise InvalidPartitionError(f"label {lab} at {e} outside 1..{d}")
         parts[lab].add(e)
-    _check_held(sum(map(len, parts.values())), n, r)
-    if d > comb(n, r):
+    held = sum(map(len, parts.values()))
+    _check_held(held, n, r)
+    if d > held:
         raise InvalidPartitionError(
-            f"{d} parts exceed the {comb(n, r)} hyperedges of K^{r}_{n}")
+            f"{d} parts exceed the {held} hyperedges of K^{r}_{n}")
     return DPartition(n, r, tuple(frozenset(parts.get(i, ())) for i in range(1, d + 1)))
 
 

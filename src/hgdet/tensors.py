@@ -59,14 +59,42 @@ def _subset_ids(r: int, n: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(subsets(r, n))}
 
 
+# C(n, r) is named in a message below 2**_NAMED_BITS, or up to the count it
+# was compared with if that is larger; above both it is written "C(n, r)".
+_NAMED_BITS = 64
+
+
+def _binomial_mismatch(count: int, n: int, r: int) -> str | None:
+    """None when ``count`` equals C(n, r), and C(n, r) as message text
+    otherwise, with no binomial much above ``count`` computed: C(n, k)
+    grows with k up to min(r, n - r), so the running product stops once it
+    passes max(count, 2**_NAMED_BITS), in at most as many steps as that
+    bound has bits.  A header's count is checked in bounded time, however
+    large its n and r.  When n**min(r, n - r) < 2**_NAMED_BITS, the product
+    could not stop early, and one ``comb`` gives C(n, r) about three times
+    faster, as every partition that classification builds needs.  A
+    negative n or r makes k negative, and ``comb`` raises ValueError."""
+    k = min(r, n - r)
+    if k * n.bit_length() <= _NAMED_BITS:
+        c = comb(n, r)
+    else:
+        bound = max(count, 1 << _NAMED_BITS)
+        c = 1
+        for i in range(k):
+            c = c * (n - i) // (i + 1)
+            if c > bound:
+                return f"C({n}, {r})"
+    return None if c == count else str(c)
+
+
 def _check_keys(r: int, d: int, values: dict, noun: str) -> None:
     """Raise ValueError unless r >= 1, d >= 1 and the keys of ``values`` are
     the r-subsets of 1..rd; the count goes first, so the index never
     outgrows the input."""
     if r < 1 or d < 1:
         raise ValueError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
-    expected = comb(r * d, r)
-    if len(values) != expected:
+    expected = _binomial_mismatch(len(values), r * d, r)
+    if expected is not None:
         raise ValueError(f"expected {expected} {noun} for (r, d)=({r}, {d}), "
                          f"got {len(values)}")
     ids = _subset_ids(r, r * d)

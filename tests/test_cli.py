@@ -3,8 +3,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +303,30 @@ def test_betti_empty_hypergraph(tmp_path, capsys):
     path.write_text("5 3\n")
     assert cli.main(["betti", str(path)]) == 0
     assert "betti: 1 0 0 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, header, code, shown", [
+    ("det", "1000000000 2\n", 2,
+     "line 1: expected C(2000000000, 1000000000) entries for (r, d)=(1000000000, 2), got 0"),
+    ("classify", "2000000 1000000 2\n", 2,
+     "line 1: parts hold 0 hyperedges, K^1000000_2000000 has C(2000000, 1000000)"),
+    ("betti", "-1 2\n", 2, "line 1: need n >= 0 and r >= 0, got n=-1, r=2"),
+    ("betti", "200000 100000\n", 0, "betti: 1" + " 0" * 100000 + "\n"),
+], ids=["det-tensor", "classify", "betti-negative-n", "betti-empty"])
+def test_one_line_header_exits_in_bounded_time(tmp_path, command, header, code, shown):
+    """A header alone gets its exit code in under 3 s, interpreter start
+    included: no binomial much above the file's count is computed, and an
+    empty complex costs time linear in r."""
+    path = tmp_path / "header.txt"
+    path.write_text(header)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = f"import sys; from hgdet import cli; sys.exit(cli.main({[command, str(path)]!r}))"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 3
+    assert done.returncode == code, done.stderr
+    assert shown in done.stdout + done.stderr
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -64,6 +64,12 @@ def test_single_hyperedge_contractible():
     assert betti_numbers(h).values == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("n, r", [(-1, 2), (-1, 0), (4, -1)])
+def test_hypergraph_refuses_negative_n_or_r(n, r):
+    with pytest.raises(ValueError, match=f"need n >= 0 and r >= 0, got n={n}, r={r}"):
+        Hypergraph(n, r, frozenset())
+
+
 def test_empty_hypergraph_betti():
     h = Hypergraph(5, 3, frozenset())
     b = betti_numbers(h)

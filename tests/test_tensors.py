@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from hgdet import tensors
 from hgdet.reference import system_dimension
 from hgdet.tensors import (BasisAssignment, ParseError, TensorAssignment,
                            apply_matrix, canonical_witness,
@@ -72,6 +73,23 @@ def test_tensor_from_basis_unit_vectors():
         vec = t.entries[subset]
         assert vec[lab - 1] == 1
         assert sum(map(abs, vec)) == 1
+
+
+def test_binomial_mismatch_matches_comb():
+    """None exactly when the count is C(n, r); otherwise C(n, r) in digits
+    up to the larger of the count and the naming bound, and as "C(n, r)"
+    above both."""
+    bound = 1 << tensors._NAMED_BITS
+    for n in [*range(12), 63, 64, 65, 70, 200]:
+        for r in range(n + 3):
+            value = comb(n, r)
+            for count in {0, 1, value - 1, value, value + 1, bound, 2 * bound}:
+                named = str(value) if value <= max(count, bound) else f"C({n}, {r})"
+                assert tensors._binomial_mismatch(count, n, r) == (
+                    None if count == value else named)
+    for n, r in ((-1, 2), (3, -1)):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            tensors._binomial_mismatch(0, n, r)
 
 
 def test_tensor_validation():
