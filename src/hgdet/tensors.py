@@ -66,24 +66,16 @@ _NAMED_BITS = 64
 
 def _binomial_mismatch(count: int, n: int, r: int) -> str | None:
     """None when ``count`` equals C(n, r), and C(n, r) as message text
-    otherwise, with no binomial much above ``count`` computed: C(n, k)
-    grows with k up to min(r, n - r), so the running product stops once it
-    passes max(count, 2**_NAMED_BITS), in at most as many steps as that
-    bound has bits.  A header's count is checked in bounded time, however
-    large its n and r.  When n**min(r, n - r) < 2**_NAMED_BITS, the product
-    could not stop early, and one ``comb`` gives C(n, r) about three times
-    faster, as every partition that classification builds needs.  A
-    negative n or r makes k negative, and ``comb`` raises ValueError."""
-    k = min(r, n - r)
-    if k * n.bit_length() <= _NAMED_BITS:
-        c = comb(n, r)
-    else:
-        bound = max(count, 1 << _NAMED_BITS)
-        c = 1
-        for i in range(k):
-            c = c * (n - i) // (i + 1)
-            if c > bound:
-                return f"C({n}, {r})"
+    otherwise, with no binomial much above ``count`` computed: for
+    0 <= k = min(r, n - r), C(n, r) >= 2**k, so when k passes the bit length
+    of max(count, 2**_NAMED_BITS) the binomial is known to be above it, and
+    otherwise one ``comb`` of at most that many factors gives it.  A
+    header's count is checked in bounded time, however large its n and r.
+    A negative n or r makes k negative, and ``comb`` raises ValueError."""
+    bound = max(count, 1 << _NAMED_BITS)
+    c = comb(n, r) if min(r, n - r) <= bound.bit_length() else bound + 1
+    if c > bound:
+        return f"C({n}, {r})"
     return None if c == count else str(c)
 
 
