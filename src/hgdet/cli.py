@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 from .determinant import basis_det, tensor_det
 from .exactla import ReconstructionError
-from .hypergraphs import (InvalidPartitionError, ResourceCapError,
-                          basis_from_partition, betti_numbers,
+from .hypergraphs import (ResourceCapError, basis_from_partition, betti_numbers,
                           classify_partition, euler_characteristic,
                           read_hypergraph, read_partition)
 from .reference import system_dimension
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidPartitionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:

@@ -67,8 +67,8 @@ from .combi import check_subset
 from .determinant import _balanced, _label_det
 from .exactla import ExactMatrix, IntRows, _check_threads, _rank_rows
 from .system import _label_rows
-from .tensors import (BasisAssignment, ParseError, _binomial_mismatch, _read_records,
-                      _subset_ids)
+from .tensors import (BasisAssignment, ParseError, _binomial_mismatch, _construct,
+                      _integers, _read_records, _subset_ids)
 
 
 class InvalidPartitionError(ValueError):
@@ -108,6 +108,11 @@ class Hypergraph:
 # of it the rows; a sweep over many shapes keeps only the last few.
 _SHAPE_CACHE_SIZE = 8
 
+# The most levels plus cells of a face table: at about 590 B a cell
+# (tracemalloc, one hyperedge of 16 vertices) some 160 MB.  It admits
+# K^5_30 (174 437 cells) and one hyperedge of 17 vertices.
+_FACE_CELL_CAP = 1 << 18
+
 #: A face table: one ``(cells, faces, rows)`` per level s in 0..r.
 #: ``cells`` are s-subsets in dictionary order, and a cell's id is its
 #: position there; ``faces[i]`` holds the ids, in level s - 1, of the faces
@@ -122,8 +127,17 @@ FaceTable = tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]
 def _face_table(edges: Iterable[tuple[int, ...]], r: int) -> FaceTable:
     """The face table of the complex spanned by ``edges`` alone: level r
     holds the edges, each level below the faces of the one above it, and
-    level 0 the empty cell, which is always there."""
+    level 0 the empty cell, which is always there.  ResourceCapError first
+    if r levels and min(|E| 2**r, sum_{s <= r} C(n, s)) cells, n the
+    vertices used, pass ``_FACE_CELL_CAP``."""
     cells = sorted(edges)
+    # Both terms stop at s = k: with n >= r, each is past the cap when
+    # k < r, so the check takes bounded time.
+    k = min(r, _FACE_CELL_CAP.bit_length())
+    n = len(set().union(*cells))
+    if r + min(len(cells) << k, sum(comb(n, s) for s in range(k + 1))) > _FACE_CELL_CAP:
+        raise ResourceCapError(f"face table of {len(cells)} {r}-uniform hyperedges on "
+                               f"{n} vertices exceeds the cap of {_FACE_CELL_CAP} cells")
     table = []
     signs = (1, -1) * (r // 2 + 1)
     for s in range(r, 0, -1):
@@ -356,8 +370,11 @@ class DPartition:
 
 
 def _check_held(held: int, n: int, r: int) -> None:
-    """Raise InvalidPartitionError unless ``held`` hyperedges are those of
-    K^r_n, in time bounded by ``held``, not by C(n, r)."""
+    """Raise InvalidPartitionError unless n >= 0, r >= 0 and ``held``
+    hyperedges are those of K^r_n, in time bounded by ``held``, not by
+    C(n, r)."""
+    if n < 0 or r < 0:
+        raise InvalidPartitionError(f"need n >= 0 and r >= 0, got n={n}, r={r}")
     expected = _binomial_mismatch(held, n, r)
     if expected is not None:
         raise InvalidPartitionError(
@@ -588,23 +605,20 @@ def _split_assignment(line_no: int, line: str) -> tuple[tuple[int, ...], int]:
     if "->" not in line:
         raise ParseError(line_no, "missing '->' separator")
     left, right = line.split("->", 1)
-    try:
-        return tuple(int(x) for x in left.split()), int(right)
-    except ValueError:
-        raise ParseError(line_no, f"bad assignment {line!r}") from None
+    ints = _integers([*left.split(), right], line_no, "bad assignment", line)
+    return ints[:-1], ints[-1]
 
 
 def read_partition(fh: IO[str]) -> DPartition:
+    """The format of ``write_partition``, refused by ``_integers`` and
+    ``_construct``."""
     (n, r, d), records, n_lines = _read_records(fh, "n r d", _split_assignment)
     assignments: dict[tuple[int, ...], int] = {}
     for line_no, subset, label in records:
         if not 1 <= label <= d:
             raise ParseError(line_no, f"part {label} outside 1..{d}")
         assignments[subset] = label
-    try:
-        return _partition(n, r, d, assignments.items())
-    except InvalidPartitionError as exc:
-        raise ParseError(n_lines, str(exc)) from None
+    return _construct(n_lines, _partition, n, r, d, assignments.items())
 
 
 def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
@@ -615,16 +629,12 @@ def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
 
 
 def _split_edge(line_no: int, line: str) -> tuple[tuple[int, ...], None]:
-    try:
-        return tuple(int(x) for x in line.split()), None
-    except ValueError:
-        raise ParseError(line_no, f"bad hyperedge {line!r}") from None
+    return _integers(line.split(), line_no, "bad hyperedge", line), None
 
 
 def read_hypergraph(fh: IO[str]) -> Hypergraph:
+    """The format of ``write_hypergraph``, refused by ``_integers`` and
+    ``_construct``."""
     (n, r), records, n_lines = _read_records(fh, "n r", _split_edge)
     edges = frozenset(subset for _, subset, _ in records)
-    try:
-        return Hypergraph(n, r, edges)
-    except ValueError as exc:
-        raise ParseError(n_lines, str(exc)) from None
+    return _construct(n_lines, Hypergraph, n, r, edges)

@@ -39,13 +39,14 @@ def subset_array(r: int, n: int) -> np.ndarray:
 
     The j-subsets whose least element exceeds c are the last C(n - c, j) of
     all j-subsets in dictionary order, so the (j+1)-subsets are each
-    c = 1, 2, ... followed by such a suffix.
+    c = 1, 2, ... followed by such a suffix.  Only those with c >= r - j
+    extend to an r-subset, so no level holds more rows than the last.
     """
     dtype = np.min_scalar_type(n)
     out = np.zeros((1, 0), dtype=dtype)
     for j in range(r):
-        lengths = [comb(n - c, j) for c in range(1, n - j + 1)]
-        firsts = np.repeat(np.arange(1, n - j + 1, dtype=dtype), lengths)
+        lengths = [comb(n - c, j) for c in range(r - j, n - j + 1)]
+        firsts = np.repeat(np.arange(r - j, n - j + 1, dtype=dtype), lengths)
         tails = np.concatenate([np.arange(len(out) - k, len(out)) for k in lengths]
                                or [np.zeros(0, dtype=np.intp)])
         out = np.column_stack((firsts, np.take(out, tails, axis=0)))
@@ -70,8 +71,7 @@ def _binomial_mismatch(count: int, n: int, r: int) -> str | None:
     0 <= k = min(r, n - r), C(n, r) >= 2**k, so when k passes the bit length
     of max(count, 2**_NAMED_BITS) the binomial is known to be above it, and
     otherwise one ``comb`` of at most that many factors gives it.  A
-    header's count is checked in bounded time, however large its n and r.
-    A negative n or r makes k negative, and ``comb`` raises ValueError."""
+    header's count is checked in bounded time, however large its n and r."""
     bound = max(count, 1 << _NAMED_BITS)
     c = comb(n, r) if min(r, n - r) <= bound.bit_length() else bound + 1
     if c > bound:
@@ -224,6 +224,25 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _integers(tokens: Iterable[str], line_no: int, what: str,
+              text: str) -> tuple[int, ...]:
+    """The integers ``tokens`` spell, or ParseError at ``line_no``: ``what``
+    and ``text`` quoted.  The readers' one rule for headers and subsets."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ParseError(line_no, f"{what} {text!r}") from None
+
+
+def _construct(n_lines: int, build: Callable, *args):
+    """``build(*args)``, or its ValueError as ParseError at the last line:
+    the readers' one rule for what no single line of a file shows."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(n_lines, str(exc)) from None
+
+
 def _parse_rational(token: str, line_no: int) -> Rational:
     try:
         if "/" in token:
@@ -265,10 +284,7 @@ def _read_records(fh: IO[str], names: str, split: Callable[[int, str], tuple]):
     fields = names.split()
     if len(header) != len(fields):
         raise ParseError(1, f"expected header '{names}', got {lines[0]!r}")
-    try:
-        values = tuple(int(x) for x in header)
-    except ValueError:
-        raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+    values = _integers(header, 1, "non-integer header", lines[0])
     r = values[fields.index("r")]
 
     def records():
@@ -293,13 +309,12 @@ def _split_tensor_line(line_no: int, line: str) -> tuple[tuple[int, ...], str]:
     if ":" not in line:
         raise ParseError(line_no, "missing ':' separator")
     left, right = line.split(":", 1)
-    try:
-        return tuple(int(x) for x in left.split()), right
-    except ValueError:
-        raise ParseError(line_no, f"bad subset {left.strip()!r}") from None
+    return _integers(left.split(), line_no, "bad subset", left.strip()), right
 
 
 def read_tensor(fh: IO[str]) -> TensorAssignment:
+    """The format of ``write_tensor``, refused by ``_integers``,
+    ``_parse_rational`` and ``_construct``."""
     (r, d), records, n_lines = _read_records(fh, "r d", _split_tensor_line)
     entries: dict[tuple[int, ...], tuple[Rational, ...]] = {}
     for line_no, subset, right in records:
@@ -307,10 +322,7 @@ def read_tensor(fh: IO[str]) -> TensorAssignment:
         if len(coords) != d:
             raise ParseError(line_no, f"expected {d} coordinates, got {len(coords)}")
         entries[subset] = coords
-    try:
-        return TensorAssignment(r, d, entries)
-    except ValueError as exc:
-        raise ParseError(n_lines, str(exc)) from None
+    return _construct(n_lines, TensorAssignment, r, d, entries)
 
 
 def write_basis(basis: BasisAssignment, fh: IO[str]) -> None:

@@ -45,10 +45,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({self.trials} checks)"
-
 
 # --- random generators --------------------------------------------------------
 

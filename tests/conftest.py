@@ -2,8 +2,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hgdet import exactla
+
+# The long random run of the CLI fuzzer:
+# ``pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz``.
+settings.register_profile("fuzz", max_examples=3000, deadline=None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -89,6 +90,25 @@ def label_line(p):
     pytest.param("det", "4 2 2\n" + pairs_with((0, 1), (1, 2), label_line), 7,
                  "hyperedge (0, 1) is not one of the 2-subsets of 1..4",
                  id="det-label-0-1"),
+    pytest.param("det", "4\n", 1, "expected a 2- or 3-integer header, got ['4']",
+                 id="det-header-1"),
+    pytest.param("det", "4 2 2 1\n", 1,
+                 "expected a 2- or 3-integer header, got ['4', '2', '2', '1']",
+                 id="det-header-4"),
+    pytest.param("det", "2 2\n1 2 : 1 0\n1 x : 0 1\n", 3, "bad subset '1 x'",
+                 id="det-bad-subset"),
+    pytest.param("classify", "4 2 2\n1 2 -> 1\n1 3 1\n", 3, "missing '->' separator",
+                 id="classify-missing-arrow"),
+    pytest.param("classify", "4 2 2\n1 2 -> 1 2\n", 2, "bad assignment '1 2 -> 1 2'",
+                 id="classify-bad-assignment"),
+    # What the built object refuses is at the file's last line.
+    pytest.param("betti", "4 3\n1 2 3\n1 2 9\n\n# the last line\n", 5,
+                 "subset (1, 2, 9) out of range 1..4", id="betti-edge-outside"),
+    *(pytest.param(command, header, 1, f"need n >= 0 and r >= 0, got {got}",
+                   id=f"{command}-negative-{name}")
+      for command in ("classify", "det")
+      for header, got, name in [("-1 2 1\n", "n=-1, r=2", "n"),
+                                ("4 -2 2\n", "n=4, r=-2", "r")]),
 ])
 def test_det_parse_error_names_line(tmp_path, capsys, command, text, line, message):
     path = tmp_path / "bad.txt"
@@ -344,6 +364,55 @@ def test_betti_parse_error_names_line(tmp_path, capsys, text, line, message):
     assert cli.main(["betti", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"parse error: line {line}: {message}" in err
+
+
+def test_reconstruction_error_exits_1(tmp_path, monkeypatch, capsys):
+    """A safety prime that disagrees with the reconstruction, the first
+    CRT residue corrupted, is an internal error: exit 1."""
+    from hgdet import exactla
+
+    path = tmp_path / "tensor.txt"
+    with open(path, "w") as fh:
+        write_tensor(random_tensor(2, 2, random.Random(5)), fh)
+    original, calls = exactla._residue_mod_p, []
+
+    def corrupt(a, q):
+        calls.append(q)
+        r = original(a, q)
+        return r if len(calls) > 1 else (r + 1) % q
+
+    monkeypatch.setattr(exactla, "_residue_mod_p", corrupt)
+    assert cli.main(["det", str(path), "--backend", "multimodular"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: safety prime ") and "disagrees" in err
+
+
+def one_edge(command, r):
+    """A one-line file of the hyperedge 1..r: a hypergraph for ``betti``,
+    a partition of K^r_r into one part for ``classify``."""
+    edge = " ".join(map(str, range(1, r + 1)))
+    return f"{r} {r}\n{edge}\n" if command == "betti" else f"{r} {r} 1\n{edge} -> 1\n"
+
+
+@pytest.mark.parametrize("command", ["betti", "classify"])
+def test_wide_hyperedge_hits_the_face_table_cap(tmp_path, capsys, command):
+    """One hyperedge of 24 vertices would span 2**24 cells: exit 3 before
+    any level is built, in under 1 s and 16 MB."""
+    path = tmp_path / "wide.txt"
+    path.write_text(one_edge(command, 24))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main([command, str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "resource cap: face table of 1 24-uniform hyperedges on 24 vertices "
+        "exceeds the cap of 262144 cells\n")
+    assert elapsed < 1 and peak < 16 << 20
 
 
 def test_verify_euler(capsys):

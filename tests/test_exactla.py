@@ -1014,6 +1014,33 @@ def test_certificate_rejects_a_wrong_denominator(monkeypatch):
     assert calls and lifts == [None]
 
 
+def test_failed_reconstruction_falls_back_to_plain_crt(monkeypatch):
+    """Reconstruction finds no fraction when the denominator bound is
+    below the one the residue needs: 1/7 mod 101 has none with a
+    denominator of at most 3.  Given a bound of 1, the lift's first
+    reconstruction finds none, the lift gives up, and plain CRT (s = 1,
+    nothing known) gives the ``bareiss`` value."""
+    assert exactla._rational_reconstruction(pow(7, -1, 101), 101, 3, 3) is None
+    tensor = random_tensor(3, 3, random.Random(54))
+    expected = tensor_det(tensor, backend="bareiss")
+    lifts = lift_spy(monkeypatch)
+    reconstruct, crt_primes = exactla._rational_reconstruction, exactla._crt_primes
+    found, plain = [], []
+
+    def bounded(u, m, num_bound, den_bound):
+        found.append(reconstruct(u, m, num_bound, 1))
+        return found[-1]
+
+    def spy(target, s, modulus):
+        plain.append((s, modulus))
+        return crt_primes(target, s, modulus)
+
+    monkeypatch.setattr(exactla, "_rational_reconstruction", bounded)
+    monkeypatch.setattr(exactla, "_crt_primes", spy)
+    assert tensor_det(tensor, backend="multimodular") == expected != 0
+    assert found == [None] and lifts == [None] and plain == [(1, 1)]
+
+
 def test_certificate_reduces_a_denominator_too_large(monkeypatch):
     """A reconstruction that multiplies its fraction through by a prime k
     not dividing det still solves A y = s b; the gcd of s and y removes k

@@ -266,6 +266,30 @@ def test_table_rows_leave_out_the_least_vertex():
                 assert table[r][0] == tuple(sorted(edges))
 
 
+@pytest.mark.parametrize("edges, r", [([(1, 2, 3, 4)], 4),
+                                      (list(combinations(range(1, 7), 3)), 3)],
+                         ids=["one-edge", "K3_6"])
+def test_face_table_cap_counts_levels_and_cells(monkeypatch, edges, r):
+    """The cap's count, r levels plus min(|E| 2**r, sum_{s <= r} C(n, s))
+    cells, is the table's exact size on one edge (2**4 cells) and on K^3_6
+    (1 + 6 + 15 + 20): a cap of that count builds the table, one below it
+    refuses."""
+    cells = sum(len(level[0]) for level in hypergraphs._face_table(edges, r))
+    monkeypatch.setattr(hypergraphs, "_FACE_CELL_CAP", r + cells)
+    hypergraphs._face_table(edges, r)
+    monkeypatch.setattr(hypergraphs, "_FACE_CELL_CAP", r + cells - 1)
+    with pytest.raises(ResourceCapError, match=f"exceeds the cap of {r + cells - 1} cells"):
+        hypergraphs._face_table(edges, r)
+
+
+def test_face_table_cap_admits_the_tables_in_use():
+    """The shape table of a (5, 6) partition, K^5_30, and one hyperedge of
+    17 vertices fit under the cap; one of 18 does not."""
+    cap = hypergraphs._FACE_CELL_CAP
+    assert 5 + sum(comb(30, s) for s in range(6)) == 5 + 174437 <= cap
+    assert 17 + 2 ** 17 <= cap < 18 + 2 ** 18
+
+
 def test_table_rows_are_read_only():
     table = hypergraphs._shape_table(6, 3)
     row = table[3][2][0]
